@@ -14,12 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .convergence import (
-    consensus_row,
-    contraction_certificate,
-    iter_products,
-    vector_seminorm,
-)
+from .convergence import contraction_certificate, run_to_tolerance
 from .errors import (
     CertificationRefused,
     ContractViolation,
@@ -83,7 +78,7 @@ def _emit_hypotheses(report: HypothesisReport) -> None:
     _emit("hypotheses.verdict", report.verdict)
 
 
-def _parse_x0(raw: str, n: int) -> np.ndarray:
+def _parse_x0(raw: str) -> np.ndarray:
     if raw.startswith("@"):
         tokens = Path(raw[1:]).read_text(encoding="utf-8").split()
     else:
@@ -92,8 +87,6 @@ def _parse_x0(raw: str, n: int) -> np.ndarray:
         vec = np.array([float(t) for t in tokens])
     except ValueError:
         raise ContractViolation(f"could not parse x0 vector from {raw!r}") from None
-    if vec.size != n:
-        raise DimensionError(f"x0 has length {vec.size}, expected {n}")
     return vec
 
 
@@ -142,52 +135,34 @@ def cmd_certify(args: argparse.Namespace) -> int:
     _emit("certificate.entry_floor", certificate.entry_floor)
     _emit("certificate.contraction", certificate.contraction)
     _emit("certificate.seminorm_at_saturation", certificate.seminorm_at_saturation)
+    _emit("numerics.row_sum_drift", certificate.row_sum_drift)
     return _finish(EXIT_OK)
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     seqf = read_sequence_file(args.path)
     seq = seqf.to_sequence()
-    if args.epsilon <= 0:
-        raise ContractViolation("epsilon must be positive")
-    x0 = _parse_x0(args.x0, seq.n) if args.x0 else None
-
-    matrix_values: list[float] = []
-    vector_values: list[float] = []
-    reached = False
-    k_final = 0
-    final_state = None
-    vec = x0
-    for state in iter_products(seq):
-        if x0 is not None and state.k > 0:
-            vec = seq.factor(state.k).entries @ vec
-        matrix_values.append(state.seminorm)
-        if x0 is not None:
-            vector_values.append(vector_seminorm(vec))
-        criterion = vector_values[-1] if x0 is not None else state.seminorm
-        k_final, final_state = state.k, state
-        if criterion <= args.epsilon:
-            reached = True
-            break
+    x0 = _parse_x0(args.x0) if args.x0 else None
+    run = run_to_tolerance(seq, args.epsilon, x0)
 
     _emit_input(args.path, seqf)
     _emit("trajectory.epsilon", args.epsilon)
     _emit("trajectory.criterion", "vector" if x0 is not None else "matrix")
-    for k, value in enumerate(matrix_values):
+    for k, value in enumerate(run.matrix_seminorms):
         _emit(f"trajectory.{k}", value)
-    for k, value in enumerate(vector_values):
+    for k, value in enumerate(run.vector_seminorms or ()):
         _emit(f"trajectory_x0.{k}", value)
-    _emit("trajectory.k_final", k_final)
-    _emit("trajectory.reached", reached)
-    if reached and x0 is None:
-        row = consensus_row(final_state.matrix)
-        _emit("consensus.row", " ".join(repr(float(v)) for v in row))
-    if reached and x0 is not None:
-        _emit("consensus.value", (float(vec.max()) + float(vec.min())) / 2.0)
-    code = _finish(EXIT_OK if reached else EXIT_EXHAUSTED)
+    _emit("trajectory.k_final", run.k)
+    _emit("trajectory.reached", run.reached)
+    if run.consensus_row is not None:
+        _emit("consensus.row", " ".join(repr(float(v)) for v in run.consensus_row))
+    if run.consensus_value is not None:
+        _emit("consensus.value", run.consensus_value)
+    _emit("numerics.row_sum_drift", run.state.row_sum_drift)
+    code = _finish(EXIT_OK if run.reached else EXIT_EXHAUSTED)
 
     if args.emit_csv:
-        criterion_values = vector_values if x0 is not None else matrix_values
+        criterion_values = run.matrix_seminorms if x0 is None else run.vector_seminorms
         csv_lines = ["k,seminorm"] + [f"{k},{_fmt(v)}" for k, v in enumerate(criterion_values)]
         csv_text = "\n".join(csv_lines) + "\n"
         if args.emit_csv == "-":

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator
 
 import numpy as np
@@ -31,11 +32,19 @@ COMPOUND_SLACK = 1e-9
 
 @dataclass(frozen=True)
 class ProductState:
-    """Running product P(k) = A(k)...A(1) with its cached semi-norm; P(0) = I."""
+    """Running product P(k) = A(k)...A(1); P(0) = I.
+
+    Products are not renormalized: ``row_sum_drift`` is the largest
+    |row sum - 1| over P(0..k). The semi-norm is computed on first read.
+    """
 
     k: int
     matrix: StochasticMatrix
-    seminorm: float
+    row_sum_drift: float
+
+    @cached_property
+    def seminorm(self) -> float:
+        return matrix_seminorm(self.matrix)
 
 
 @dataclass(frozen=True)
@@ -65,7 +74,8 @@ class ConvergenceCertificate:
     the contraction factor 1 - n * entry_floor, giving the geometric
     envelope below. The stored ``contraction`` float rounds to 1.0 once the
     floor drops under machine epsilon, so the envelope is evaluated in log
-    space from the exact complement n * entry_floor.
+    space from the exact complement n * entry_floor. ``row_sum_drift`` is
+    the largest |row sum - 1| over the scanned products P(1..K).
     """
 
     n: int
@@ -75,6 +85,7 @@ class ConvergenceCertificate:
     entry_floor: float
     contraction: float
     seminorm_at_saturation: float
+    row_sum_drift: float
 
     def envelope(self, k: int) -> float:
         """Certified bound contraction ** (k // saturation_index) at step k."""
@@ -104,24 +115,32 @@ class ColumnOnsets:
 
 @dataclass(frozen=True)
 class ToleranceRun:
-    """Result of iterating products down to a disagreement tolerance."""
+    """Result of iterating products down to a disagreement tolerance.
+
+    ``matrix_seminorms[j]`` is the semi-norm of P(j) for j = 0..k, and
+    ``vector_seminorms[j]`` that of P(j).x0 when an x0 was given (None
+    otherwise). On success exactly one consensus is set: the row without
+    x0, the value with it.
+    """
 
     k: int
     state: ProductState
+    reached: bool
+    matrix_seminorms: tuple[float, ...]
+    vector_seminorms: tuple[float, ...] | None
     consensus_row: np.ndarray | None
-
-    @property
-    def reached(self) -> bool:
-        return self.consensus_row is not None
+    consensus_value: float | None
 
 
 def iter_products(seq: MatrixSequence) -> Iterator[ProductState]:
     """ProductState for k = 0..L, starting from the identity."""
     current = identity_matrix(seq.n)
-    yield ProductState(0, current, matrix_seminorm(current))
+    drift = 0.0
+    yield ProductState(0, current, drift)
     for k, factor in enumerate(seq, start=1):
         current = multiply(factor, current)
-        yield ProductState(k, current, matrix_seminorm(current))
+        drift = max(drift, float(np.abs(current.entries.sum(axis=1) - 1.0).max()))
+        yield ProductState(k, current, drift)
 
 
 def partial_product(seq: MatrixSequence, l: int, k: int) -> StochasticMatrix:
@@ -160,13 +179,19 @@ def find_saturation_K(seq: MatrixSequence, alpha: float, tol_pos: float = 0.0) -
     strictly positive as well; otherwise a floor below the slack would let
     zero entries through.
     """
+    saturated = _first_saturated(seq, alpha, tol_pos)
+    return None if saturated is None else saturated.k
+
+
+def _first_saturated(seq: MatrixSequence, alpha: float, tol_pos: float) -> ProductState | None:
+    """The state P(K) for the K of find_saturation_K."""
     if alpha <= 0:
         raise ContractViolation("alpha must be positive")
     threshold = saturation_floor(seq.n, alpha) - EXACT_SLACK
     for state in iter_products(seq):
         smallest = state.matrix.entries.min()
         if state.k >= 1 and smallest > tol_pos and smallest >= threshold:
-            return state.k
+            return state
     return None
 
 
@@ -193,12 +218,12 @@ def contraction_certificate(
     bound = report.alpha if alpha is None else float(alpha)
     if bound is None or bound <= 0:
         raise ContractViolation("alpha must be positive")
-    saturation = find_saturation_K(seq, bound, tol_pos)
-    if saturation is None:
+    saturated = _first_saturated(seq, bound, tol_pos)
+    if saturated is None:
         return None
     floor = saturation_floor(seq.n, bound)
     contraction = 1.0 - seq.n * floor
-    measured = matrix_seminorm(partial_product(seq, 0, saturation))
+    measured = saturated.seminorm
     if measured > contraction + EXACT_SLACK:
         raise RuntimeError(
             f"internal error: measured semi-norm {measured} exceeds certified contraction {contraction}"
@@ -207,10 +232,11 @@ def contraction_certificate(
         n=seq.n,
         alpha=bound,
         wielandt=wielandt_bound(seq.n),
-        saturation_index=saturation,
+        saturation_index=saturated.k,
         entry_floor=floor,
         contraction=contraction,
         seminorm_at_saturation=measured,
+        row_sum_drift=saturated.row_sum_drift,
     )
 
 
@@ -220,29 +246,50 @@ def consensus_row(p: StochasticMatrix) -> np.ndarray:
     return (entries.max(axis=0) + entries.min(axis=0)) / 2.0
 
 
-def run_to_tolerance(seq: MatrixSequence, epsilon: float) -> ToleranceRun:
-    """Iterate P(k) until its semi-norm is at most epsilon or the prefix ends.
+def run_to_tolerance(seq: MatrixSequence, epsilon: float, x0=None) -> ToleranceRun:
+    """Iterate P(k) until the disagreement is at most epsilon or the prefix ends.
 
-    On success the consensus row estimate is within epsilon of every row of
-    P(k*) in sup distance; on exhaustion the consensus row is None and the
+    The disagreement is the semi-norm of P(k), or with x0 that of
+    x(k) = A(k).x(k-1) = P(k).x0. On success the consensus row is within
+    epsilon of every row of P(k*) in sup distance (the consensus value of
+    every entry of x(k*) with x0); on exhaustion both are None and the
     final state is returned.
     """
     if epsilon <= 0:
         raise ContractViolation("epsilon must be positive")
-    last = None
+    vec = None if x0 is None else _checked_vector(x0, seq.n)
+    matrix_values: list[float] = []
+    vector_values: list[float] = []
     for state in iter_products(seq):
-        last = state
-        if state.seminorm <= epsilon:
-            return ToleranceRun(state.k, state, consensus_row(state.matrix))
-    assert last is not None
-    return ToleranceRun(last.k, last, None)
+        matrix_values.append(state.seminorm)
+        if vec is not None:
+            if state.k:
+                vec = seq.factor(state.k).entries @ vec
+            vector_values.append(vector_seminorm(vec))
+        reached = (matrix_values if vec is None else vector_values)[-1] <= epsilon
+        if reached:
+            break
+    return ToleranceRun(
+        k=state.k,
+        state=state,
+        reached=reached,
+        matrix_seminorms=tuple(matrix_values),
+        vector_seminorms=None if vec is None else tuple(vector_values),
+        consensus_row=consensus_row(state.matrix) if reached and vec is None else None,
+        consensus_value=(float(vec.max()) + float(vec.min())) / 2.0 if reached and vec is not None else None,
+    )
+
+
+def _checked_vector(x0, n: int) -> np.ndarray:
+    vec = np.asarray(x0, dtype=float)
+    if vec.ndim != 1 or vec.size != n:
+        raise DimensionError(f"vector of length {vec.size} does not match dimension {n}")
+    return vec
 
 
 def disagreement_trajectory(seq: MatrixSequence, x0) -> list[float]:
     """vector_seminorm(P(k).x0) for k = 0..L, iterated as x(k) = A(k).x(k-1)."""
-    vec = np.asarray(x0, dtype=float)
-    if vec.ndim != 1 or vec.size != seq.n:
-        raise DimensionError(f"vector of length {vec.size} does not match dimension {seq.n}")
+    vec = _checked_vector(x0, seq.n)
     values = [vector_seminorm(vec)]
     for factor in seq:
         vec = factor.entries @ vec
@@ -262,26 +309,18 @@ def support_onsets(seq: MatrixSequence, alpha: float, tol_pos: float = 0.0) -> t
     """
     if alpha <= 0:
         raise ContractViolation("alpha must be positive")
-    n = seq.n
-    step = wielandt_bound(n) + 1
-    first: list[list[int | None]] = [[None] * n for _ in range(n)]  # [column][row]
-    minima_history: list[tuple[float | None, ...]] = []
+    step = wielandt_bound(seq.n) + 1
+    first = np.full((seq.n, seq.n), -1)  # [row, column]; -1 until the row joins the support
+    minima = []  # per k, the column support minima (inf for an empty support)
     for state in iter_products(seq):
-        profile = support_profile(state.matrix, tol_pos)
-        minima_history.append(profile.minima)
-        for j in range(1, n + 1):
-            for i in profile.support(j):
-                if first[j - 1][i - 1] is None:
-                    first[j - 1][i - 1] = state.k
+        positive = state.matrix.entries > tol_pos
+        first[positive & (first < 0)] = state.k
+        minima.append(np.where(positive, state.matrix.entries, np.inf).min(axis=0))
 
     out = []
-    for j in range(1, n + 1):
-        per_row = tuple(first[j - 1])
+    for j in range(seq.n):
+        per_row = tuple(int(k) if k >= 0 else None for k in first[:, j])
         onsets = tuple(sorted(k for k in per_row if k is not None))
-        margins = []
-        for m, k_m in enumerate(onsets, start=1):
-            mu = minima_history[k_m][j - 1]
-            assert mu is not None
-            margins.append(mu - alpha ** ((m - 1) * step))
-        out.append(ColumnOnsets(j, per_row, onsets, tuple(margins)))
+        margins = tuple(float(minima[k][j]) - alpha ** (m * step) for m, k in enumerate(onsets))
+        out.append(ColumnOnsets(j + 1, per_row, onsets, margins))
     return tuple(out)

@@ -56,9 +56,6 @@ class Digraph:
     def successors(self, u: int) -> tuple[int, ...]:
         return self._successors[u]
 
-    def has_edge(self, i: int, j: int) -> bool:
-        return (i, j) in self.edges
-
     def adjacency_matrix(self) -> np.ndarray:
         """Boolean array with entry [i-1, j-1] True iff edge (i, j) exists."""
         mat = np.zeros((self.n, self.n), dtype=bool)

@@ -1,8 +1,9 @@
 import pytest
 
 from ergocert.cli import main
+from ergocert.generate import PRESETS
 from ergocert.seqfile import read_sequence_file, write_sequence_file
-from ergocert.stochastic import StochasticMatrix, identity_matrix
+from ergocert.stochastic import ROW_SUM_TOL, StochasticMatrix, identity_matrix
 
 LAZY = StochasticMatrix([[0.9, 0.1], [0.1, 0.9]])
 SWAP = StochasticMatrix([[0.0, 1.0], [1.0, 0.0]])
@@ -173,6 +174,32 @@ class TestSimulate:
         assert main(["simulate", lazy_file, "--epsilon", "1e-3", "--x0", f"@{vec}"]) == 0
         lines = report_lines(capsys)
         assert float(lines["trajectory_x0.0"]) == 0.5
+
+
+class TestNumerics:
+    @pytest.mark.parametrize("preset", PRESETS)
+    def test_row_sum_drift_within_tolerance(self, preset, tmp_path, capsys):
+        # products are not renormalized; their row sums must stay within the
+        # tolerance the input factors were validated against
+        path = str(tmp_path / f"{preset}.seq")
+        assert main(["generate", preset, "--n", "4", "--length", "200", "--alpha", "0.1",
+                     "--seed", "5", "--out", path]) == 0
+        capsys.readouterr()
+        main(["simulate", path, "--epsilon", "1e-300"])
+        lines = report_lines(capsys)
+        assert int(lines["trajectory.k_final"]) > 0
+        assert 0.0 <= float(lines["numerics.row_sum_drift"]) < ROW_SUM_TOL
+        main(["certify", path])
+        lines = report_lines(capsys)
+        if lines["certificate.status"] == "emitted":
+            assert 0.0 <= float(lines["numerics.row_sum_drift"]) < ROW_SUM_TOL
+        else:
+            assert "numerics.row_sum_drift" not in lines
+
+    def test_drift_reported_before_exit_status(self, lazy_file, capsys):
+        main(["simulate", lazy_file, "--epsilon", "1e-3"])
+        keys = list(report_lines(capsys))
+        assert keys[-2:] == ["numerics.row_sum_drift", "exit_status"]
 
 
 class TestGenerate:

@@ -1,7 +1,10 @@
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from ergocert import convergence
 from ergocert.convergence import (
     COMPOUND_SLACK,
     consensus_row,
@@ -210,6 +213,39 @@ class TestRunToTolerance:
         with pytest.raises(ContractViolation):
             run_to_tolerance(seq_of(LAZY), 0.0)
 
+    def test_trajectories_match_products(self):
+        rng = np.random.default_rng(34)
+        for _ in range(10):
+            seq = random_sequence(rng, 4, 12, density=0.7)
+            x0 = rng.normal(size=4)
+            for epsilon in (1e-2, 1e-300):
+                run = run_to_tolerance(seq, epsilon)
+                assert run.vector_seminorms is None
+                assert run.consensus_value is None
+                assert run.matrix_seminorms == tuple(
+                    matrix_seminorm(partial_product(seq, 0, k)) for k in range(run.k + 1)
+                )
+                with_x0 = run_to_tolerance(seq, epsilon, x0)
+                assert with_x0.vector_seminorms == tuple(disagreement_trajectory(seq, x0)[: with_x0.k + 1])
+                assert with_x0.matrix_seminorms == tuple(
+                    matrix_seminorm(partial_product(seq, 0, k)) for k in range(with_x0.k + 1)
+                )
+                assert with_x0.consensus_row is None
+                assert with_x0.reached == (with_x0.vector_seminorms[-1] <= epsilon)
+                if with_x0.reached:
+                    x = with_x0.state.matrix.entries @ x0
+                    assert np.abs(x - with_x0.consensus_value).max() <= epsilon + 1e-12
+                else:
+                    assert with_x0.consensus_value is None
+                    assert with_x0.k == len(seq)
+                for r in (run, with_x0):
+                    drifts = [abs(partial_product(seq, 0, k).entries.sum(axis=1) - 1).max() for k in range(r.k + 1)]
+                    assert r.state.row_sum_drift == max(drifts)
+
+    def test_x0_dimension_checked(self):
+        with pytest.raises(DimensionError):
+            run_to_tolerance(seq_of(LAZY), 0.1, [1.0, 2.0, 3.0])
+
     def test_rows_within_epsilon_of_consensus(self):
         rng = np.random.default_rng(33)
         for _ in range(10):
@@ -249,6 +285,40 @@ class TestDisagreementTrajectory:
         for m in range(len(seq) // cert.saturation_index + 1):
             k = m * cert.saturation_index
             assert values[k] <= half_spread * cert.envelope(k) + COMPOUND_SLACK
+
+
+class TestLazySeminorm:
+    """The product scans compute no semi-norm they do not report."""
+
+    def count_seminorms(self):
+        return mock.patch.object(convergence, "matrix_seminorm", side_effect=matrix_seminorm)
+
+    def test_states_compute_seminorm_on_first_read(self):
+        seq = seq_of(LAZY, LAZY)
+        with self.count_seminorms() as counted:
+            states = list(iter_products(seq))
+            assert counted.call_count == 0
+            assert states[2].seminorm == pytest.approx(0.64)
+            assert states[2].seminorm == pytest.approx(0.64)
+            assert counted.call_count == 1
+
+    def test_scans_compute_no_seminorm(self):
+        seq = preset_fixture("positive-diagonal", 3, 20, 0.15, seed=46)
+        alpha = min_positive_entry(seq.items)
+        with self.count_seminorms() as counted:
+            assert find_saturation_K(seq, alpha) is not None
+            support_onsets(seq, alpha)
+            assert counted.call_count == 0
+
+    def test_certificate_measures_the_scanned_product_once(self):
+        seq = preset_fixture("positive-diagonal", 3, 20, 0.15, seed=47)
+        with self.count_seminorms() as counted, mock.patch.object(convergence, "partial_product") as rebuilt:
+            cert = contraction_certificate(seq)
+            assert counted.call_count == 1
+            assert rebuilt.call_count == 0
+        product = partial_product(seq, 0, cert.saturation_index)
+        assert cert.seminorm_at_saturation == matrix_seminorm(product)
+        assert 0.0 <= cert.row_sum_drift < 1e-9
 
 
 class TestSupportOnsets:

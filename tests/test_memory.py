@@ -1,0 +1,47 @@
+"""Memory regressions: the product layer stays O(n^2) per step.
+
+Peaks are tracemalloc's, which counts numpy's array buffers. At n = 300 one
+n x n float array is 0.69 MiB and a one-shot n x n x n semi-norm temporary
+would be 206 MiB.
+"""
+
+import tracemalloc
+
+import numpy as np
+
+from ergocert.convergence import run_to_tolerance
+from ergocert.hypotheses import MatrixSequence
+from ergocert.stochastic import StochasticMatrix, matrix_seminorm
+
+from oracles import random_stochastic
+
+N = 300
+MIB = 2**20
+
+
+def peak_mib(fn, *args) -> float:
+    tracemalloc.start()
+    try:
+        fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak / MIB
+
+
+def random_matrix(rng) -> StochasticMatrix:
+    return StochasticMatrix(random_stochastic(rng, N, density=0.5))
+
+
+def test_seminorm_peak_at_n300():
+    m = random_matrix(np.random.default_rng(60))
+    assert peak_mib(matrix_seminorm, m) < 16
+
+
+def test_run_to_tolerance_peak_at_n300():
+    rng = np.random.default_rng(61)
+    seq = MatrixSequence([random_matrix(rng) for _ in range(6)])
+    x0 = rng.random(N)
+    # epsilon below any reachable semi-norm: every step is taken
+    assert peak_mib(run_to_tolerance, seq, 1e-300) < 32
+    assert peak_mib(run_to_tolerance, seq, 1e-300, x0) < 32

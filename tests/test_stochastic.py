@@ -1,8 +1,12 @@
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ergocert import stochastic
 from ergocert.digraph import Digraph
 from ergocert.errors import DimensionError, NegativityError, StochasticityError
 from ergocert.stochastic import (
@@ -17,7 +21,7 @@ from ergocert.stochastic import (
     vector_seminorm,
 )
 
-from oracles import random_stochastic, seminorm_bruteforce, seminorm_by_shift_search
+from oracles import random_stochastic, seminorm_bruteforce, seminorm_by_shift_search, seminorm_one_shot
 
 SWAP = [[0.0, 1.0], [1.0, 0.0]]
 
@@ -222,3 +226,75 @@ class TestMatrixSeminorm:
             y = apply(a, x)
             assert np.abs(y).max() <= np.abs(x).max() + 1e-12
             assert vector_seminorm(y) <= matrix_seminorm(a) * vector_seminorm(x) + 1e-12
+
+
+def _rows_budget(rows: int, n: int) -> int:
+    """A block budget that holds exactly `rows` rows of n x n pair differences."""
+    return rows * 8 * n * n
+
+
+class TestBlockedSeminorm:
+    """The row-blocked matrix_seminorm against the one-shot n^3 evaluation, bit for bit."""
+
+    def test_smallest_dimensions(self):
+        rng = np.random.default_rng(16)
+        for n in (1, 2, 3):
+            for _ in range(40):
+                m = StochasticMatrix(random_stochastic(rng, n, density=0.7))
+                assert matrix_seminorm(m) == seminorm_one_shot(m.entries)
+        for raw in ([[1.0]], SWAP, np.eye(3), [[0.5, 0.5], [0.5, 0.5]]):
+            m = StochasticMatrix(raw)
+            assert matrix_seminorm(m) == seminorm_one_shot(m.entries)
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 5])
+    def test_sizes_around_block_edges(self, rows):
+        rng = np.random.default_rng(17 + rows)
+        for n in sorted({m * rows + d for m in (1, 2, 3) for d in (-1, 0, 1)} - {0}):
+            m = StochasticMatrix(random_stochastic(rng, n))
+            with mock.patch.object(stochastic, "_SEMINORM_BLOCK_BYTES", _rows_budget(rows, n)):
+                blocked = matrix_seminorm(m)
+            assert blocked == seminorm_one_shot(m.entries)
+
+    def test_sizes_around_default_block_edge(self):
+        # the largest n whose blocks hold three rows leaves a two-row last block;
+        # one more and the blocks hold two rows
+        n = math.isqrt(stochastic._SEMINORM_BLOCK_BYTES // _rows_budget(3, 1))
+        rng = np.random.default_rng(19)
+        for size in (n, n + 1):
+            m = StochasticMatrix(random_stochastic(rng, size))
+            assert matrix_seminorm(m) == seminorm_one_shot(m.entries)
+
+    @given(
+        n=st.integers(min_value=1, max_value=12),
+        rows=st.integers(min_value=1, max_value=4),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_any_block_size(self, n, rows, seed):
+        m = StochasticMatrix(random_stochastic(np.random.default_rng(seed), n))
+        with mock.patch.object(stochastic, "_SEMINORM_BLOCK_BYTES", _rows_budget(rows, n)):
+            blocked = matrix_seminorm(m)
+        assert blocked == seminorm_one_shot(m.entries)
+
+    def test_products_with_entries_near_1e_200(self):
+        # near-identity factors with off-diagonal weight near 1e-200 (or 1e-155, whose
+        # square is subnormal) give products with zero, subnormal and near-1e-200
+        # entries; put behind a mixing factor with off-pattern entries near 1e-200,
+        # they give products whose semi-norm is below 1
+        rng = np.random.default_rng(20)
+        below_one = 0
+        for n in (8, 9, 13, 16):
+            pattern = random_stochastic(rng, n, density=0.7) > 0
+            mixing = np.where(pattern, 0.1 + rng.random((n, n)), 1e-200 * rng.uniform(0.5, 2.0, (n, n)))
+            for first in (np.eye(n), mixing / mixing.sum(axis=1, keepdims=True)):
+                product = StochasticMatrix(first)
+                for step in range(4):
+                    weight = (1e-200, 1e-155)[step % 2] * rng.uniform(0.5, 2.0)
+                    lazy = (1.0 - weight) * np.eye(n) + weight * random_stochastic(rng, n, density=0.3)
+                    product = multiply(StochasticMatrix(lazy), product)
+                    for rows in (1, 2, n // 3):
+                        with mock.patch.object(stochastic, "_SEMINORM_BLOCK_BYTES", _rows_budget(rows, n)):
+                            blocked = matrix_seminorm(product)
+                        assert blocked == seminorm_one_shot(product.entries)
+                    assert matrix_seminorm(product) == seminorm_one_shot(product.entries)
+                    below_one += matrix_seminorm(product) < 1.0
+        assert below_one >= 8
