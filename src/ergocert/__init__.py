@@ -27,16 +27,15 @@ from .digraph import (
     AperiodicityReport,
     Digraph,
     SccPartition,
-    complete_digraph,
+    completely_reducible,
     exact_exponent,
     intersection,
     is_aperiodic,
-    is_completely_reducible_pattern,
     is_subgraph,
-    scc_period,
+    pattern_product,
+    reachability,
     sinks,
     strongly_connected_components,
-    time_varying_walk_exists,
     wielandt_bound,
     wielandt_graph,
 )

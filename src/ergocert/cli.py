@@ -135,6 +135,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
     _emit("certificate.entry_floor", certificate.entry_floor)
     _emit("certificate.contraction", certificate.contraction)
     _emit("certificate.seminorm_at_saturation", certificate.seminorm_at_saturation)
+    _emit("certificate.vacuous", certificate.vacuous)
     _emit("numerics.row_sum_drift", certificate.row_sum_drift)
     return _finish(EXIT_OK)
 

@@ -87,6 +87,11 @@ class ConvergenceCertificate:
     seminorm_at_saturation: float
     row_sum_drift: float
 
+    @property
+    def vacuous(self) -> bool:
+        """True when the contraction rounds to 1.0: the envelope then bounds nothing."""
+        return self.contraction >= 1.0
+
     def envelope(self, k: int) -> float:
         """Certified bound contraction ** (k // saturation_index) at step k."""
         blocks = k // self.saturation_index

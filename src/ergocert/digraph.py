@@ -1,6 +1,12 @@
 """Directed graphs on node set {1, ..., n} and the walk/period machinery
 used to analyze positivity patterns of matrix products.
 
+Patterns are 0/1 (n, n) arrays or (L, n, n) stacks of them. Their products
+are exact float32 matmuls clipped to 1 (pattern_product), and every
+reachability question is answered by one closure primitive built on it. A
+Digraph is built for a single pattern that is rendered or whose periods are
+needed.
+
 All values are immutable and every operation is a pure function, so the
 module is safe to use from concurrent callers without synchronization.
 """
@@ -95,115 +101,81 @@ class AperiodicityReport:
         return self.aperiodic
 
 
-def complete_digraph(n: int) -> Digraph:
-    """All n^2 ordered pairs, self-loops included."""
-    if n < 1:
-        raise DimensionError("node count must be at least 1")
-    return Digraph(n, ((i, j) for i in range(1, n + 1) for j in range(1, n + 1)))
+def pattern_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Pattern of the product of two float32 0/1 patterns (or stacks of them).
+
+    A float32 matmul clipped to 1: its counts are at most n < 2**24, so it
+    is exact, and it runs in BLAS (numpy's bool matmul does not, and was
+    about 10x slower).
+    """
+    out = a @ b
+    return np.minimum(out, 1.0, out=out)
+
+
+def reachability(patterns) -> np.ndarray:
+    """Reflexive-transitive closure of an (n, n) pattern or an (L, n, n) stack.
+
+    Entry [..., i-1, j-1] is True iff a walk leads from i to j; every node
+    reaches itself. I | A is squared until it stops changing, at most
+    ceil(log2 n) times.
+    """
+    closure = (np.asarray(patterns) != 0).astype(np.float32)
+    n = closure.shape[-1]
+    closure[..., range(n), range(n)] = 1.0
+    for _ in range((n - 1).bit_length()):
+        squared = pattern_product(closure, closure)
+        if np.array_equal(squared, closure):
+            break
+        closure = squared
+    return closure > 0
+
+
+def completely_reducible(patterns) -> np.ndarray:
+    """Per pattern of an (n, n) pattern or (L, n, n) stack: no edge joins two
+    strongly connected components, which holds iff reachability is symmetric."""
+    closure = reachability(patterns)
+    return (closure == np.swapaxes(closure, -1, -2)).all(axis=(-2, -1))
 
 
 def strongly_connected_components(g: Digraph) -> SccPartition:
-    """Tarjan's algorithm (iterative), plus the condensation edge set."""
-    index: dict[int, int] = {}
-    lowlink: dict[int, int] = {}
-    on_stack: set[int] = set()
-    stack: list[int] = []
-    components: list[frozenset[int]] = []
-    counter = 0
-
-    for root in range(1, g.n + 1):
-        if root in index:
-            continue
-        index[root] = lowlink[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack.add(root)
-        work: list[tuple[int, Iterable[int]]] = [(root, iter(g.successors(root)))]
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
-                    index[w] = lowlink[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(g.successors(w))))
-                    advanced = True
-                    break
-                if w in on_stack:
-                    lowlink[v] = min(lowlink[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[v])
-            if lowlink[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                components.append(frozenset(comp))
-
-    component_of = {
-        node: idx for idx, comp in enumerate(components) for node in comp
-    }
+    """Components as the distinct rows of mutual reachability, numbered by their
+    smallest node, plus the condensation edge set."""
+    closure = reachability(g.adjacency_matrix())
+    # the first True of row i of R & R^T is the smallest node of i's component
+    _, label = np.unique((closure & closure.T).argmax(axis=1), return_inverse=True)
+    component_of = dict(enumerate(label.tolist(), start=1))
+    components = tuple(frozenset((np.flatnonzero(label == c) + 1).tolist()) for c in range(label.max() + 1))
     condensation = frozenset(
-        (component_of[i], component_of[j])
-        for i, j in g.edges
-        if component_of[i] != component_of[j]
+        (component_of[i], component_of[j]) for i, j in g.edges if component_of[i] != component_of[j]
     )
-    return SccPartition(tuple(components), component_of, condensation)
-
-
-def _component_period(g: Digraph, comp: frozenset[int]) -> int:
-    """Cycle gcd of one strongly connected component; 0 if it has no cycle."""
-    intra = [(u, v) for (u, v) in g.edges if u in comp and v in comp]
-    if not intra:
-        return 0
-    succ: dict[int, list[int]] = {u: [] for u in comp}
-    for u, v in intra:
-        succ[u].append(v)
-    # BFS levels from an arbitrary root; each intra edge (u, v) forces the
-    # period to divide level(u) + 1 - level(v).
-    root = min(comp)
-    level = {root: 0}
-    queue = deque([root])
-    while queue:
-        u = queue.popleft()
-        for v in succ[u]:
-            if v not in level:
-                level[v] = level[u] + 1
-                queue.append(v)
-    period = 0
-    for u, v in intra:
-        period = math.gcd(period, abs(level[u] + 1 - level[v]))
-    return period
-
-
-def scc_period(g: Digraph, component: Iterable[int]) -> int:
-    """gcd of the lengths of all cycles inside one strongly connected component.
-
-    Returns 0 when the component contains no cycle (a single node without a
-    self-loop); raises if the given node set is not an SCC of g.
-    """
-    comp = frozenset(component)
-    partition = strongly_connected_components(g)
-    if comp not in set(partition.components):
-        raise ContractViolation("node set is not a strongly connected component of the digraph")
-    return _component_period(g, comp)
+    return SccPartition(components, component_of, condensation)
 
 
 def is_aperiodic(g: Digraph) -> AperiodicityReport:
-    """True iff every SCC has period exactly 1; cycle-free SCCs disqualify."""
+    """True iff every SCC has period exactly 1; cycle-free SCCs (period 0) disqualify.
+
+    BFS levels are taken inside each component from its smallest node; each
+    intra-component edge (u, v) forces the period to divide
+    level(u) + 1 - level(v), and the period is the gcd over those edges.
+    """
     partition = strongly_connected_components(g)
-    periods = tuple(_component_period(g, comp) for comp in partition.components)
-    verdict = all(p == 1 for p in periods)
-    return AperiodicityReport(verdict, partition.components, periods)
+    comp = partition.component_of
+    level: dict[int, int] = {}
+    for component in partition.components:
+        root = min(component)
+        level[root] = 0
+        queue = deque([root])
+        while queue:
+            u = queue.popleft()
+            for v in g.successors(u):
+                if comp[v] == comp[u] and v not in level:
+                    level[v] = level[u] + 1
+                    queue.append(v)
+    periods = [0] * len(partition.components)
+    for u, v in g.edges:
+        if comp[u] == comp[v]:
+            periods[comp[u]] = math.gcd(periods[comp[u]], abs(level[u] + 1 - level[v]))
+    return AperiodicityReport(all(p == 1 for p in periods), partition.components, tuple(periods))
 
 
 def sinks(g: Digraph) -> frozenset[int]:
@@ -229,11 +201,6 @@ def intersection(graphs: Sequence[Digraph]) -> Digraph:
             raise DimensionError(f"node counts differ: {g.n} vs {n}")
     common = frozenset.intersection(*(g.edges for g in graphs))
     return Digraph(n, common)
-
-
-def is_completely_reducible_pattern(g: Digraph) -> bool:
-    """True iff no edge crosses between distinct strongly connected components."""
-    return not strongly_connected_components(g).condensation_edges
 
 
 def wielandt_bound(n: int) -> int:
@@ -266,8 +233,7 @@ def exact_exponent(g: Digraph) -> int | None:
     wielandt_bound(n); None means no power in that range is full, which for
     a strongly connected digraph proves periodicity.
     """
-    partition = strongly_connected_components(g)
-    if len(partition.components) != 1:
+    if not reachability(g.adjacency_matrix()).all():
         raise ContractViolation("exact_exponent requires a strongly connected digraph")
     adjacency = g.adjacency_matrix().astype(np.int64)
     power = adjacency
@@ -276,28 +242,3 @@ def exact_exponent(g: Digraph) -> int | None:
             return e
         power = (power @ adjacency > 0).astype(np.int64)
     return None
-
-
-def time_varying_walk_exists(graphs: Sequence[Digraph], i: int, j: int) -> bool:
-    """Walk oracle for a backward product over per-step edge sets.
-
-    The walk starts at i, takes its first edge from the last graph in the
-    list, and must end at j with its final edge taken from the first graph;
-    this mirrors a product applying new factors on the left. An empty list
-    admits only the empty walk, so the answer is i == j.
-    """
-    if i < 1 or j < 1:
-        raise DimensionError("nodes are numbered from 1")
-    if graphs:
-        n = graphs[0].n
-        for g in graphs[1:]:
-            if g.n != n:
-                raise DimensionError(f"node counts differ: {g.n} vs {n}")
-        if i > n or j > n:
-            raise DimensionError(f"node outside 1..{n}")
-    frontier = {i}
-    for g in reversed(graphs):
-        frontier = {v for u in frontier for v in g.successors(u)}
-        if not frontier:
-            return False
-    return j in frontier

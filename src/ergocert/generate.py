@@ -28,13 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .digraph import (
-    Digraph,
-    exact_exponent,
-    strongly_connected_components,
-    wielandt_bound,
-    wielandt_graph,
-)
+from .digraph import pattern_product, wielandt_bound, wielandt_graph
 from .errors import ContractViolation
 from .seqfile import SequenceFile
 from .stochastic import StochasticMatrix
@@ -125,10 +119,12 @@ def _cycle_core(rng, n, length, alpha):
 
 
 def _is_primitive_pattern(pattern: np.ndarray) -> bool:
-    g = Digraph.from_adjacency(pattern)
-    if len(strongly_connected_components(g).components) != 1:
-        return False
-    return exact_exponent(g) is not None
+    """Primitive iff some boolean power is full, and then so is every power from
+    wielandt_bound(n) on: test the first power of two at or past the bound."""
+    power = pattern.astype(np.float32)
+    for _ in range((wielandt_bound(pattern.shape[0]) - 1).bit_length()):
+        power = pattern_product(power, power)
+    return bool(power.all())
 
 
 def _random_primitive_pattern(rng: np.random.Generator, n: int, attempts: int = 500) -> np.ndarray:
@@ -150,7 +146,7 @@ def _products_primitive_to_depth(patterns: list[np.ndarray], depth: int) -> bool
     continuations were already explored with at least as much depth left.
     """
     seen: set[bytes] = set()
-    level = [p.astype(np.int64) for p in patterns]
+    generators = level = [p.astype(np.float32) for p in patterns]
     for remaining in range(depth, 0, -1):
         next_level = []
         for mat in level:
@@ -161,7 +157,7 @@ def _products_primitive_to_depth(patterns: list[np.ndarray], depth: int) -> bool
             if not _is_primitive_pattern(mat):
                 return False
             if remaining > 1:
-                next_level.extend((g.astype(np.int64) @ mat > 0).astype(np.int64) for g in patterns)
+                next_level.extend(pattern_product(g, mat) for g in generators)
         level = next_level
     return True
 

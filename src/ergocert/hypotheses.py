@@ -13,14 +13,9 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .digraph import (
-    Digraph,
-    intersection,
-    strongly_connected_components,
-    _component_period,
-)
+from .digraph import Digraph, completely_reducible, is_aperiodic, pattern_product
 from .errors import ContractViolation, DimensionError
-from .stochastic import StochasticMatrix, digraph_of, min_positive_entry
+from .stochastic import StochasticMatrix, min_positive_entry
 
 
 @dataclass(frozen=True)
@@ -91,12 +86,14 @@ class HypothesisReport:
         return "all-conditions-hold" if self.holds else "conditions-violated"
 
 
+def _patterns(matrices: Iterable[StochasticMatrix], tol_pos: float) -> np.ndarray:
+    """The (L, n, n) float32 0/1 stack of factor patterns: entry (i, j) > tol_pos."""
+    return np.stack([m.entries > tol_pos for m in matrices]).astype(np.float32)
+
+
 def check_complete_reducibility(seq: MatrixSequence, tol_pos: float = 0.0) -> list[bool]:
     """Per-factor flag: no pattern edge between distinct strongly connected components."""
-    flags = []
-    for m in seq:
-        flags.append(not strongly_connected_components(digraph_of(m, tol_pos)).condensation_edges)
-    return flags
+    return completely_reducible(_patterns(seq, tol_pos)).tolist()
 
 
 def search_aperiodic_core(seq: MatrixSequence, tol_pos: float = 0.0) -> CoreSearch:
@@ -110,17 +107,17 @@ def search_aperiodic_core(seq: MatrixSequence, tol_pos: float = 0.0) -> CoreSear
     a valid core (every node of a cycle-carrying component keeps an
     out-edge), and it is the maximal one.
     """
-    common = intersection([digraph_of(m, tol_pos) for m in seq])
-    partition = strongly_connected_components(common)
-    node_periods: dict[int, int] = {}
-    for comp in partition.components:
-        period = _component_period(common, comp)
-        for node in comp:
-            node_periods[node] = period
+    return _core_search(_patterns(seq, tol_pos))
+
+
+def _core_search(patterns: np.ndarray) -> CoreSearch:
+    common = Digraph.from_adjacency(np.logical_and.reduce(patterns))
+    report = is_aperiodic(common)
+    node_periods = {node: p for comp, p in zip(report.components, report.periods) for node in comp}
     offenders = tuple(sorted(node for node, p in node_periods.items() if p != 1))
     if offenders:
         return CoreSearch(common, None, node_periods, offenders)
-    component_of = partition.component_of
+    component_of = {node: c for c, comp in enumerate(report.components) for node in comp}
     intra = {(u, v) for (u, v) in common.edges if component_of[u] == component_of[v]}
     return CoreSearch(common, Digraph(common.n, intra), node_periods, ())
 
@@ -133,18 +130,28 @@ def find_aperiodic_core(seq: MatrixSequence, tol_pos: float = 0.0) -> Digraph | 
 def check_eventual_positivity(seq: MatrixSequence, k: int, tol_pos: float = 0.0) -> int | None:
     """Least K >= k such that sum_{k'=k}^{K} A(k')...A(k) is entrywise positive.
 
-    None if the accumulated sum never fills within the sequence. Once full,
-    the sum stays full: the summands are nonnegative.
+    Positive means inside the factor patterns: the sum's pattern is the union
+    of the products' patterns, and a product's pattern is the boolean product
+    of the factor patterns, so the answer is exact and never lost to float
+    underflow. None if the accumulated sum never fills within the sequence.
     """
     if not 1 <= k <= len(seq):
         raise ContractViolation(f"start index k={k} outside 1..{len(seq)}")
-    n = seq.n
-    running = np.zeros((n, n))
-    product = np.eye(n)
-    for current in range(k, len(seq) + 1):
-        product = seq.factor(current).entries @ product
-        running = running + product
-        if (running > tol_pos).all():
+    return _positivity_onset(_patterns(seq.items[k - 1 :], tol_pos), k)
+
+
+def _positivity_onset(factors: np.ndarray, k: int) -> int | None:
+    """check_eventual_positivity on the pattern stack of A(k), A(k+1), ...
+
+    Once full, the accumulated pattern stays full: the summands are nonnegative.
+    """
+    n = factors.shape[1]
+    product = np.eye(n, dtype=np.float32)
+    running = np.zeros((n, n), dtype=bool)
+    for current, factor in enumerate(factors, start=k):
+        product = pattern_product(factor, product)
+        running |= product > 0
+        if running.all():
             return current
     return None
 
@@ -157,7 +164,9 @@ def analyze(
     """Run all four condition checks and assemble the verdict.
 
     Condition (1) is reported as the realized lower bound alpha rather than
-    pass/fail. Individual failures are report content, not errors.
+    pass/fail. Conditions (2) to (4) all read one stack of factor patterns,
+    thresholded at tol_pos. Individual failures are report content, not
+    errors.
     """
     starts = sorted(set(positivity_starts)) if positivity_starts is not None else [1]
     for k in starts:
@@ -165,10 +174,10 @@ def analyze(
             raise ContractViolation(f"positivity start {k} outside 1..{len(seq)}")
 
     alpha = min_positive_entry(seq.items, tol_pos)
-    flags = check_complete_reducibility(seq, tol_pos)
-    failures = tuple(k for k, ok in enumerate(flags, start=1) if not ok)
-    search = search_aperiodic_core(seq, tol_pos)
-    positivity = {k: check_eventual_positivity(seq, k, tol_pos) for k in starts}
+    patterns = _patterns(seq, tol_pos)
+    failures = tuple((np.flatnonzero(~completely_reducible(patterns)) + 1).tolist())
+    search = _core_search(patterns)
+    positivity = {k: _positivity_onset(patterns[k - 1 :], k) for k in starts}
 
     violations: list[str] = []
     if alpha is None:

@@ -3,18 +3,76 @@
 Each oracle is deliberately independent of the library code path it checks:
 cycle enumeration instead of BFS level gcd, 0/1-vector enumeration instead
 of the row-distance closed form, one n x n x n tensor instead of row
-blocks, boolean matrix products instead of the walk frontier, and
-exhaustive subgraph search instead of the component period rule.
+blocks, a per-step walk frontier and integer matrix products instead of
+boolean float32 products, one BFS per node instead of the reachability
+closure, and exhaustive subgraph search instead of the component period
+rule.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from itertools import product as iter_product
 
 import numpy as np
 
 from ergocert.digraph import Digraph, is_aperiodic
+from ergocert.errors import DimensionError
+
+
+def complete_digraph(n: int) -> Digraph:
+    """All n^2 ordered pairs, self-loops included."""
+    return Digraph(n, iter_product(range(1, n + 1), repeat=2))
+
+
+def reachable_by_bfs(g: Digraph, start: int) -> set[int]:
+    """Nodes reachable from start, start included, by breadth-first search."""
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        for v in g.successors(queue.popleft()):
+            if v not in seen:
+                seen.add(v)
+                queue.append(v)
+    return seen
+
+
+def components_by_bfs(g: Digraph) -> set[frozenset[int]]:
+    """Strongly connected components as mutual reachability, one BFS per node."""
+    reach = {u: reachable_by_bfs(g, u) for u in range(1, g.n + 1)}
+    return {frozenset(v for v in reach[u] if u in reach[v]) for u in reach}
+
+
+def completely_reducible_by_bfs(g: Digraph) -> bool:
+    """No edge joins two distinct components of components_by_bfs."""
+    component_of = {u: comp for comp in components_by_bfs(g) for u in comp}
+    return all(component_of[i] == component_of[j] for i, j in g.edges)
+
+
+def time_varying_walk_exists(graphs, i: int, j: int) -> bool:
+    """Walk oracle for a backward product over per-step edge sets.
+
+    The walk starts at i, takes its first edge from the last graph in the
+    list, and must end at j with its final edge taken from the first graph;
+    this mirrors a product applying new factors on the left. An empty list
+    admits only the empty walk, so the answer is i == j.
+    """
+    if i < 1 or j < 1:
+        raise DimensionError("nodes are numbered from 1")
+    if graphs:
+        n = graphs[0].n
+        for g in graphs[1:]:
+            if g.n != n:
+                raise DimensionError(f"node counts differ: {g.n} vs {n}")
+        if i > n or j > n:
+            raise DimensionError(f"node outside 1..{n}")
+    frontier = {i}
+    for g in reversed(graphs):
+        frontier = {v for u in frontier for v in g.successors(u)}
+        if not frontier:
+            return False
+    return j in frontier
 
 
 def simple_cycle_lengths(g: Digraph) -> set[int]:

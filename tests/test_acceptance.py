@@ -20,12 +20,7 @@ from ergocert.convergence import (
     saturation_floor,
     support_profile,
 )
-from ergocert.digraph import (
-    exact_exponent,
-    time_varying_walk_exists,
-    wielandt_bound,
-    wielandt_graph,
-)
+from ergocert.digraph import exact_exponent, wielandt_bound, wielandt_graph
 from ergocert.generate import generate_sequence
 from ergocert.hypotheses import MatrixSequence, analyze, search_aperiodic_core
 from ergocert.seqfile import write_sequence_file
@@ -36,7 +31,12 @@ from ergocert.stochastic import (
     min_positive_entry,
 )
 
-from oracles import core_exists_exhaustive, random_stochastic, seminorm_bruteforce
+from oracles import (
+    core_exists_exhaustive,
+    random_stochastic,
+    seminorm_bruteforce,
+    time_varying_walk_exists,
+)
 
 
 def _passed(number: int, name: str) -> None:

@@ -1,0 +1,76 @@
+"""The ergocert names that the benchmark's traced run calls.
+
+`perfbench/layers.py` rebuilds every CLI command from public module calls.
+Removing or renaming one of those names breaks `perfbench/run.py --trace 1`
+and no other test, so this module imports each of them, checks that the
+list below still covers the file, and reads the result attributes the
+traced run reads.
+"""
+
+import ast
+from pathlib import Path
+
+import numpy as np
+
+from ergocert import convergence, digraph, generate, hypotheses, seqfile, stochastic
+from ergocert.cli import main  # noqa: F401  (perfbench/bench.py runs commands in process)
+from ergocert.convergence import (
+    consensus_row,
+    disagreement_trajectory,
+    find_saturation_K,
+    iter_products,
+    partial_product,
+    run_to_tolerance,
+    saturation_floor,
+)
+from ergocert.digraph import Digraph, intersection, is_aperiodic, strongly_connected_components
+from ergocert.generate import generate_sequence
+from ergocert.hypotheses import MatrixSequence, check_eventual_positivity
+from ergocert.seqfile import read_sequence_file, write_sequence_file
+from ergocert.stochastic import digraph_of, identity_matrix, matrix_seminorm, min_positive_entry, multiply
+
+MODULES = {"convergence": convergence, "digraph": digraph, "generate": generate,
+           "hypotheses": hypotheses, "seqfile": seqfile, "stochastic": stochastic}
+LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+
+
+def test_imports_cover_the_traced_run():
+    used = {
+        (node.value.id, node.attr)
+        for node in ast.walk(ast.parse(LAYERS.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in MODULES
+    }
+    assert used
+    # every name the traced run calls is imported above, from the same module
+    missing = {(m, name) for m, name in used if globals().get(name) is not getattr(MODULES[m], name, None)}
+    assert missing == set()
+
+
+def test_result_attributes_the_traced_run_reads(tmp_path):
+    path = tmp_path / "pd.seq"
+    seqf = generate_sequence("positive-diagonal", 3, 8, 0.1, 1)
+    write_sequence_file(path, seqf.matrices, seqf.metadata)
+    seqf = read_sequence_file(path)
+    assert (seqf.n, seqf.length) == (3, 8)
+    seq = seqf.to_sequence()
+    assert isinstance(seq, MatrixSequence)
+    alpha = min_positive_entry(seq.items)
+
+    patterns = [digraph_of(m) for m in seq]
+    assert all(p.edges for p in patterns)
+    assert not strongly_connected_components(patterns[0]).condensation_edges
+    common = intersection(patterns)
+    aperiodicity = is_aperiodic(common)
+    assert aperiodicity.aperiodic
+    component_of = {u: i for i, comp in enumerate(aperiodicity.components) for u in comp}
+    Digraph(common.n, {(u, v) for u, v in common.edges if component_of[u] == component_of[v]})
+    assert check_eventual_positivity(seq, 1) is not None
+
+    saturation = find_saturation_K(seq, alpha)
+    assert 0 < saturation_floor(seq.n, alpha) < 1
+    assert 0 <= matrix_seminorm(partial_product(seq, 0, saturation)) < 1
+    product = multiply(seq.factor(1), identity_matrix(seq.n))
+    assert consensus_row(product).shape == (3,)
+    assert next(iter_products(seq)).seminorm == 1.0
+    run_to_tolerance(seq, 1e-6)
+    assert len(disagreement_trajectory(seq, np.arange(3.0))) == 9

@@ -118,6 +118,19 @@ class TestCertify:
         assert lines["certificate.contraction"] == "0.96875"
         assert lines["certificate.saturation_index"] == "1"
         assert lines["certificate.seminorm_at_saturation"] == "0.0"
+        assert lines["certificate.vacuous"] == "no"
+
+    def test_vacuous_reported_before_drift(self, tmp_path, capsys):
+        for n, expected in [(8, "yes"), (2, "no")]:
+            path = str(tmp_path / f"pd{n}.seq")
+            main(["generate", "positive-diagonal", "--n", str(n), "--length", "30", "--alpha", "0.1",
+                  "--seed", "3", "--out", path])
+            capsys.readouterr()
+            assert main(["certify", path]) == 0
+            lines = report_lines(capsys)
+            assert lines["certificate.vacuous"] == expected
+            keys = list(lines)
+            assert keys.index("certificate.vacuous") + 1 == keys.index("numerics.row_sum_drift")
 
     def test_swaps_refused(self, swap_file, capsys):
         assert main(["certify", swap_file]) == 1

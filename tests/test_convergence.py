@@ -18,7 +18,7 @@ from ergocert.convergence import (
     support_onsets,
     support_profile,
 )
-from ergocert.digraph import time_varying_walk_exists, wielandt_bound
+from ergocert.digraph import wielandt_bound
 from ergocert.errors import CertificationRefused, ContractViolation, DimensionError
 from ergocert.generate import generate_sequence
 from ergocert.hypotheses import MatrixSequence, analyze, check_complete_reducibility
@@ -30,7 +30,7 @@ from ergocert.stochastic import (
     min_positive_entry,
 )
 
-from oracles import random_stochastic
+from oracles import random_stochastic, time_varying_walk_exists
 
 LAZY = StochasticMatrix([[0.9, 0.1], [0.1, 0.9]])
 SWAP = StochasticMatrix([[0.0, 1.0], [1.0, 0.0]])
@@ -173,6 +173,15 @@ class TestCertificate:
         cert = contraction_certificate(seq_of(RANK1, RANK1), alpha=0.25)
         assert cert.alpha == 0.25
         assert cert.entry_floor == 0.25**6
+
+    def test_vacuous_when_the_contraction_rounds_to_one(self):
+        # n = 8, alpha = 0.1: the floor 0.1 ** 296 is below machine epsilon
+        wide = contraction_certificate(preset_fixture("positive-diagonal", 8, 30, 0.1, seed=3))
+        assert wide.contraction == 1.0
+        assert wide.vacuous
+        narrow = contraction_certificate(preset_fixture("positive-diagonal", 2, 30, 0.1, seed=3))
+        assert narrow.contraction < 1.0
+        assert not narrow.vacuous
 
     def test_block_contraction_soundness(self):
         for preset, n in [("positive-diagonal", 3), ("cycle-core", 3), ("positive-diagonal", 4)]:

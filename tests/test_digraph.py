@@ -2,19 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ergocert.digraph import (
     Digraph,
-    complete_digraph,
+    completely_reducible,
     exact_exponent,
     intersection,
     is_aperiodic,
-    is_completely_reducible_pattern,
     is_subgraph,
-    scc_period,
+    reachability,
     sinks,
     strongly_connected_components,
-    time_varying_walk_exists,
     wielandt_bound,
     wielandt_graph,
 )
@@ -22,9 +22,14 @@ from ergocert.errors import ContractViolation, DimensionError
 
 from oracles import (
     boolean_product_pattern,
+    complete_digraph,
+    completely_reducible_by_bfs,
     component_period_by_cycles,
+    components_by_bfs,
+    reachable_by_bfs,
     relabel_digraph,
     simple_cycle_lengths,
+    time_varying_walk_exists,
 )
 
 
@@ -34,6 +39,21 @@ def cycle(n):
 
 def random_digraph(rng, n, density=0.4):
     return Digraph(n, ((i + 1, j + 1) for i, j in zip(*np.nonzero(rng.random((n, n)) < density))))
+
+
+def scc_period(g, component):
+    """The period is_aperiodic reports for one strongly connected component."""
+    report = is_aperiodic(g)
+    return report.periods[report.components.index(frozenset(component))]
+
+
+def pattern_stacks(max_n=9, max_length=5):
+    """(L, n, n) boolean stacks of random patterns, sparse to dense."""
+    return st.integers(1, max_n).flatmap(
+        lambda n: st.lists(
+            st.lists(st.booleans(), min_size=n * n, max_size=n * n), min_size=1, max_size=max_length
+        ).map(lambda flat: np.array(flat, dtype=bool).reshape(len(flat), n, n))
+    )
 
 
 class TestDigraph:
@@ -129,8 +149,7 @@ class TestPeriods:
         assert scc_period(g, {1}) == 0
 
     def test_not_an_scc_rejected(self):
-        with pytest.raises(ContractViolation):
-            scc_period(cycle(3), {1, 2})
+        assert frozenset({1, 2}) not in is_aperiodic(cycle(3)).components
 
     def test_period_matches_cycle_enumeration(self):
         rng = np.random.default_rng(2)
@@ -225,13 +244,47 @@ class TestSubgraphAndIntersection:
 
 class TestCompleteReducibility:
     def test_disjoint_cycles(self):
-        assert is_completely_reducible_pattern(Digraph(4, {(1, 2), (2, 1), (3, 4), (4, 3)}))
+        assert completely_reducible(Digraph(4, {(1, 2), (2, 1), (3, 4), (4, 3)}).adjacency_matrix())
 
     def test_cross_component_edge(self):
-        assert not is_completely_reducible_pattern(Digraph(2, {(2, 1), (1, 1), (2, 2)}))
+        assert not completely_reducible(Digraph(2, {(2, 1), (1, 1), (2, 2)}).adjacency_matrix())
 
     def test_strongly_connected(self):
-        assert is_completely_reducible_pattern(cycle(5))
+        assert completely_reducible(cycle(5).adjacency_matrix())
+
+    def test_stack_gives_one_flag_per_pattern(self):
+        stack = np.array([cycle(3).adjacency_matrix(), Digraph(3, {(1, 2)}).adjacency_matrix()])
+        assert completely_reducible(stack).tolist() == [True, False]
+
+
+class TestAgainstBfsOracle:
+    """The closure-based answers against mutual reachability by one BFS per node."""
+
+    @given(pattern_stacks())
+    def test_stacked_reducibility_flags(self, stack):
+        graphs = [Digraph.from_adjacency(p) for p in stack]
+        assert completely_reducible(stack).tolist() == [completely_reducible_by_bfs(g) for g in graphs]
+
+    @given(pattern_stacks(max_n=10, max_length=1))
+    def test_components(self, stack):
+        g = Digraph.from_adjacency(stack[0])
+        part = strongly_connected_components(g)
+        assert set(part.components) == components_by_bfs(g)
+        assert len(part.components) == len(set(part.components))
+        crossing = {(part.component_of[i], part.component_of[j]) for i, j in g.edges}
+        assert part.condensation_edges == {(a, b) for a, b in crossing if a != b}
+
+    def test_sparse_and_long_paths(self):
+        # long chains and cycles need the most squarings; n reaches 40
+        rng = np.random.default_rng(8)
+        for _ in range(150):
+            n = int(rng.integers(1, 41))
+            g = random_digraph(rng, n, density=float(rng.uniform(0.0, 3.0 / n)))
+            closure = reachability(g.adjacency_matrix())
+            for u in range(1, n + 1):
+                assert set((np.flatnonzero(closure[u - 1]) + 1).tolist()) == reachable_by_bfs(g, u)
+            assert set(strongly_connected_components(g).components) == components_by_bfs(g)
+            assert bool(completely_reducible(g.adjacency_matrix())) == completely_reducible_by_bfs(g)
 
 
 class TestWielandt:
@@ -326,6 +379,6 @@ class TestPermutationInvariance:
 
             assert sinks(h) == frozenset(perm[u] for u in sinks(g))
             assert is_aperiodic(g).aperiodic == is_aperiodic(h).aperiodic
-            assert is_completely_reducible_pattern(g) == is_completely_reducible_pattern(h)
+            assert completely_reducible(g.adjacency_matrix()) == completely_reducible(h.adjacency_matrix())
             for comp in strongly_connected_components(g).components:
                 assert scc_period(g, comp) == scc_period(h, frozenset(perm[u] for u in comp))

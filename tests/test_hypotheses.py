@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from ergocert.digraph import is_aperiodic, is_subgraph, sinks
+from ergocert.digraph import Digraph, is_aperiodic, is_subgraph, sinks
 from ergocert.errors import ContractViolation, DimensionError
 from ergocert.hypotheses import (
     MatrixSequence,
@@ -13,7 +15,7 @@ from ergocert.hypotheses import (
 )
 from ergocert.stochastic import StochasticMatrix, digraph_of, identity_matrix
 
-from oracles import core_exists_exhaustive, random_stochastic, relabel_entries
+from oracles import boolean_product_pattern, core_exists_exhaustive, random_stochastic, relabel_entries
 
 LAZY = StochasticMatrix([[0.9, 0.1], [0.1, 0.9]])
 SWAP = StochasticMatrix([[0.0, 1.0], [1.0, 0.0]])
@@ -22,6 +24,32 @@ TRIANGULAR = StochasticMatrix([[1.0, 0.0], [0.5, 0.5]])
 
 def seq_of(*matrices):
     return MatrixSequence(matrices)
+
+
+def lazy_cycle(n, w):
+    """(1 - w) I + w C for the n-cycle C: pattern I + C, and C^m has weight about w^m."""
+    return StochasticMatrix((1.0 - w) * np.eye(n) + w * np.roll(np.eye(n), 1, axis=1))
+
+
+def tiny_entries(rng, n, scale=1e-200):
+    """A random pattern whose entries are near scale, except one near 1 per row."""
+    pattern = rng.random((n, n)) < rng.uniform(0.1, 0.4)
+    dominant = rng.integers(n, size=n)
+    pattern[np.arange(n), dominant] = False
+    out = np.where(pattern, scale * (1.0 + rng.random((n, n))), 0.0)
+    out[np.arange(n), dominant] = 1.0 - out.sum(axis=1)
+    return out
+
+
+def onset_by_oracle(graphs, k):
+    """Least K >= k whose accumulated boolean product patterns cover every entry."""
+    n = graphs[0].n
+    covered = np.zeros((n, n), dtype=bool)
+    for current in range(k, len(graphs) + 1):
+        covered |= boolean_product_pattern(graphs[k - 1 : current])
+        if covered.all():
+            return current
+    return None
 
 
 class TestMatrixSequence:
@@ -159,6 +187,75 @@ class TestEventualPositivity:
                 running += product
                 if kk >= reached:
                     assert (running > 0).all()
+
+
+class TestExactPositivity:
+    """Positivity is answered on patterns, never lost to float underflow."""
+
+    def test_underflowing_products_still_fill(self):
+        # A(2)A(1) has weight 1e-400 on C^2, which underflows to 0.0 in floats
+        seq = seq_of(*[lazy_cycle(3, 1e-200)] * 4)
+        assert (seq.factor(2).entries @ seq.factor(1).entries == 0).any()
+        assert check_eventual_positivity(seq, 1) == 2
+        report = analyze(seq)
+        assert report.eventual_positivity == {1: 2}
+        assert report.holds
+
+    @given(st.integers(8, 11), st.integers(1, 6), st.integers(0, 2**32 - 1))
+    def test_entries_near_1e_200_match_boolean_products(self, n, length, seed):
+        rng = np.random.default_rng(seed)
+        seq = seq_of(*(StochasticMatrix(tiny_entries(rng, n)) for _ in range(length)))
+        graphs = [digraph_of(m) for m in seq]
+        onsets = {k: onset_by_oracle(graphs, k) for k in range(1, length + 1)}
+        assert {k: check_eventual_positivity(seq, k) for k in onsets} == onsets
+        assert analyze(seq, positivity_starts=onsets).eventual_positivity == onsets
+
+
+class TestThresholdedPatterns:
+    """With tol_pos > 0 every structural check reads the factor patterns entry > tol_pos."""
+
+    @staticmethod
+    def pattern_sequence(seq, tol_pos):
+        """Uniform weights on each factor's thresholded pattern, analyzed at tol_pos = 0."""
+        patterns = [m.entries > tol_pos for m in seq]
+        return seq_of(*(StochasticMatrix(p / p.sum(axis=1, keepdims=True)) for p in patterns))
+
+    def assert_same_structure(self, seq, tol_pos):
+        starts = range(1, len(seq) + 1)
+        a = analyze(seq, positivity_starts=starts, tol_pos=tol_pos)
+        b = analyze(self.pattern_sequence(seq, tol_pos), positivity_starts=starts)
+        assert a.reducibility_failures == b.reducibility_failures
+        assert a.core == b.core
+        assert a.node_periods == b.node_periods
+        assert a.eventual_positivity == b.eventual_positivity
+        return a
+
+    def test_products_below_the_threshold_still_count(self):
+        # C^2 has weight 0.01 in A(2)A(1), below tol_pos = 0.05, but lies in
+        # the boolean product of the patterns I + C; the float sums of the
+        # products only passed 0.05 at K = 4
+        seq = seq_of(*[lazy_cycle(3, 0.1)] * 6)
+        report = self.assert_same_structure(seq, 0.05)
+        assert report.eventual_positivity[1] == 2
+        assert report.core == Digraph(3, {(1, 1), (2, 2), (3, 3), (1, 2), (2, 3), (3, 1)})
+
+    def test_entries_below_the_threshold_never_count(self):
+        # the off-diagonal 0.01 is dropped from every pattern, so the
+        # accumulated sum can never fill, however large the float sum grows
+        seq = seq_of(*[lazy_cycle(3, 0.01)] * 20)
+        report = self.assert_same_structure(seq, 0.05)
+        assert set(report.eventual_positivity.values()) == {None}
+        assert report.core == Digraph(3, {(1, 1), (2, 2), (3, 3)})
+        assert report.reducibility_failures == ()
+
+    def test_random_sequences(self):
+        rng = np.random.default_rng(26)
+        for _ in range(40):
+            n = int(rng.integers(2, 6))
+            seq = seq_of(*(StochasticMatrix(random_stochastic(rng, n, density=0.7))
+                           for _ in range(int(rng.integers(1, 6)))))
+            # every row keeps an entry of at least 1/n >= 0.2
+            self.assert_same_structure(seq, float(rng.uniform(0.02, 0.19)))
 
 
 class TestAnalyze:
