@@ -28,13 +28,10 @@ from .digraph import (
     Digraph,
     SccPartition,
     completely_reducible,
-    exact_exponent,
     intersection,
     is_aperiodic,
-    is_subgraph,
     pattern_product,
     reachability,
-    sinks,
     strongly_connected_components,
     wielandt_bound,
     wielandt_graph,

@@ -14,7 +14,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .digraph import wielandt_bound
+from .digraph import pattern_product, wielandt_bound
 from .errors import CertificationRefused, ContractViolation, DimensionError
 from .hypotheses import HypothesisReport, MatrixSequence, analyze
 from .stochastic import (
@@ -180,9 +180,9 @@ def find_saturation_K(seq: MatrixSequence, alpha: float, tol_pos: float = 0.0) -
     saturation floor alpha ** (n * (wielandt + 1)) or above (slack 1e-12).
 
     alpha must be the realized minimum positive entry or a positive lower
-    bound for it. None means the prefix never saturates. Entries must be
-    strictly positive as well; otherwise a floor below the slack would let
-    zero entries through.
+    bound for it. None means the prefix never saturates. Positivity is read
+    from the boolean product of the factor patterns thresholded at tol_pos,
+    as in analyze, so entries that underflow to 0.0 still count as positive.
     """
     saturated = _first_saturated(seq, alpha, tol_pos)
     return None if saturated is None else saturated.k
@@ -193,10 +193,13 @@ def _first_saturated(seq: MatrixSequence, alpha: float, tol_pos: float) -> Produ
     if alpha <= 0:
         raise ContractViolation("alpha must be positive")
     threshold = saturation_floor(seq.n, alpha) - EXACT_SLACK
+    pattern = np.eye(seq.n, dtype=np.float32)
     for state in iter_products(seq):
-        smallest = state.matrix.entries.min()
-        if state.k >= 1 and smallest > tol_pos and smallest >= threshold:
-            return state
+        if state.k:
+            factor = (seq.factor(state.k).entries > tol_pos).astype(np.float32)
+            pattern = pattern_product(factor, pattern)
+            if pattern.all() and state.matrix.entries.min() >= threshold:
+                return state
     return None
 
 

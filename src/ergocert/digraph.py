@@ -178,19 +178,6 @@ def is_aperiodic(g: Digraph) -> AperiodicityReport:
     return AperiodicityReport(all(p == 1 for p in periods), partition.components, tuple(periods))
 
 
-def sinks(g: Digraph) -> frozenset[int]:
-    """Nodes with no outgoing edge."""
-    with_out = {i for i, _ in g.edges}
-    return frozenset(u for u in range(1, g.n + 1) if u not in with_out)
-
-
-def is_subgraph(h: Digraph, g: Digraph) -> bool:
-    """True iff h's edges are contained in g's (same node count required)."""
-    if h.n != g.n:
-        raise DimensionError(f"node counts differ: {h.n} vs {g.n}")
-    return h.edges <= g.edges
-
-
 def intersection(graphs: Sequence[Digraph]) -> Digraph:
     """Edge-wise intersection: the unique maximal common subgraph."""
     if not graphs:
@@ -224,21 +211,3 @@ def wielandt_graph(n: int) -> Digraph:
     edges.add((n, 1))
     edges.add((n, 2))
     return Digraph(n, edges)
-
-
-def exact_exponent(g: Digraph) -> int | None:
-    """Least e such that walks of every length >= e exist between all node pairs.
-
-    Requires g strongly connected. Searches boolean adjacency powers up to
-    wielandt_bound(n); None means no power in that range is full, which for
-    a strongly connected digraph proves periodicity.
-    """
-    if not reachability(g.adjacency_matrix()).all():
-        raise ContractViolation("exact_exponent requires a strongly connected digraph")
-    adjacency = g.adjacency_matrix().astype(np.int64)
-    power = adjacency
-    for e in range(1, wielandt_bound(g.n) + 1):
-        if power.all():
-            return e
-        power = (power @ adjacency > 0).astype(np.int64)
-    return None

@@ -12,7 +12,9 @@ Format, line oriented and diffable:
     0 1 0
     0 0 1
 
-Every record is validated on read; records and rows in error messages are
+All data lines are converted by one numpy call and all records are
+validated as one stack; only rejected input is scanned again, line by line,
+to name the first bad line or record. Records and rows in error messages are
 1-based. Writes are atomic: content goes to a temporary file in the target
 directory and is renamed into place.
 """
@@ -23,7 +25,9 @@ import os
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NoReturn, Sequence
+
+import numpy as np
 
 from .errors import StochasticityError
 from .hypotheses import MatrixSequence
@@ -56,10 +60,10 @@ def parse_sequence_text(
     tol_row: float = ROW_SUM_TOL,
     tol_neg: float = NEGATIVITY_TOL,
 ) -> SequenceFile:
-    header_n: int | None = None
+    n: int | None = None
     metadata: dict[str, str] = {}
-    rows: list[list[float]] = []
-    row_line_numbers: list[int] = []
+    data_lines: list[str] = []
+    line_numbers: list[int] = []
 
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.strip()
@@ -71,48 +75,76 @@ def parse_sequence_text(
                 key, value = body.split("=", 1)
                 metadata.setdefault(key.strip(), value.strip())
             continue
-        if header_n is None:
+        if n is None:
             if not line.startswith("n="):
                 raise SequenceFileError(f"line {lineno}: expected header 'n=<int>', got {line!r}")
             try:
-                header_n = int(line[2:])
+                n = int(line[2:])
             except ValueError:
                 raise SequenceFileError(f"line {lineno}: malformed header {line!r}") from None
-            if header_n < 1:
+            if n < 1:
                 raise SequenceFileError(f"line {lineno}: dimension must be at least 1")
             continue
+        data_lines.append(line)
+        line_numbers.append(lineno)
+
+    if n is None:
+        raise SequenceFileError("missing header line 'n=<int>'")
+    if not data_lines:
+        raise SequenceFileError("no matrices")
+    try:
+        values = np.loadtxt(data_lines, dtype=float, comments=None, ndmin=2)
+    except ValueError:
+        _diagnose(data_lines, line_numbers, n, tol_row, tol_neg)
+    if values.shape[1] != n or len(values) % n or not _normalize(values, tol_row, tol_neg):
+        _diagnose(data_lines, line_numbers, n, tol_row, tol_neg)
+    stack = values.reshape(-1, n, n)
+    stack.setflags(write=False)
+    return SequenceFile(n, metadata, tuple(StochasticMatrix._trusted(m) for m in stack))
+
+
+def _normalize(rows: np.ndarray, tol_row: float, tol_neg: float) -> bool:
+    """StochasticMatrix's checks on all rows at once, in place; False on any failure."""
+    if not np.isfinite(rows).all() or (rows < -tol_neg).any():
+        return False
+    rows[rows < 0] = 0.0
+    sums = rows.sum(axis=1)
+    if (np.abs(sums - 1.0) > tol_row).any():
+        return False
+    rows /= sums[:, None]
+    return True
+
+
+def _diagnose(data_lines: list[str], line_numbers: list[int], n: int, tol_row: float, tol_neg: float) -> NoReturn:
+    """Raise the error of data the one-call parse rejected, line by line.
+
+    A non-numeric line anywhere comes first; then records in order, a wrong
+    row length before a stochasticity error.
+    """
+    rows = []
+    for lineno, line in zip(line_numbers, data_lines):
         try:
-            values = [float(tok) for tok in line.split()]
+            rows.append(np.loadtxt([line], dtype=float, comments=None, ndmin=2)[0])
         except ValueError:
             raise SequenceFileError(f"line {lineno}: non-numeric value in {line!r}") from None
-        rows.append(values)
-        row_line_numbers.append(lineno)
-
-    if header_n is None:
-        raise SequenceFileError("missing header line 'n=<int>'")
-    if not rows:
-        raise SequenceFileError("no matrices")
-    if len(rows) % header_n != 0:
+    if len(rows) % n != 0:
         raise SequenceFileError(
-            f"record {len(rows) // header_n + 1} is incomplete: "
-            f"{len(rows) % header_n} of {header_n} rows present"
+            f"record {len(rows) // n + 1} is incomplete: {len(rows) % n} of {n} rows present"
         )
-
-    matrices = []
-    for record_index in range(len(rows) // header_n):
-        block = rows[record_index * header_n : (record_index + 1) * header_n]
+    for record_index in range(len(rows) // n):
+        block = rows[record_index * n : (record_index + 1) * n]
         for offset, row in enumerate(block):
-            if len(row) != header_n:
-                lineno = row_line_numbers[record_index * header_n + offset]
+            if len(row) != n:
+                lineno = line_numbers[record_index * n + offset]
                 raise SequenceFileError(
                     f"record {record_index + 1}, row {offset + 1} (line {lineno}): "
-                    f"expected {header_n} values, got {len(row)}"
+                    f"expected {n} values, got {len(row)}"
                 )
         try:
-            matrices.append(StochasticMatrix(block, tol_row=tol_row, tol_neg=tol_neg))
+            StochasticMatrix(block, tol_row=tol_row, tol_neg=tol_neg)
         except StochasticityError as err:
             raise SequenceFileError(f"record {record_index + 1}: {err}") from err
-    return SequenceFile(header_n, metadata, tuple(matrices))
+    raise RuntimeError("internal error: every record passed the checks the whole stack failed")
 
 
 def read_sequence_file(

@@ -5,8 +5,9 @@ cycle enumeration instead of BFS level gcd, 0/1-vector enumeration instead
 of the row-distance closed form, one n x n x n tensor instead of row
 blocks, a per-step walk frontier and integer matrix products instead of
 boolean float32 products, one BFS per node instead of the reachability
-closure, and exhaustive subgraph search instead of the component period
-rule.
+closure, exhaustive subgraph search instead of the component period rule,
+and Python float() per token with one StochasticMatrix per record instead
+of one numpy parse and one stack check.
 """
 
 from __future__ import annotations
@@ -17,8 +18,10 @@ from itertools import product as iter_product
 
 import numpy as np
 
-from ergocert.digraph import Digraph, is_aperiodic
-from ergocert.errors import DimensionError
+from ergocert.digraph import Digraph, is_aperiodic, wielandt_bound
+from ergocert.errors import ContractViolation, DimensionError, StochasticityError
+from ergocert.seqfile import SequenceFile, SequenceFileError
+from ergocert.stochastic import NEGATIVITY_TOL, ROW_SUM_TOL, StochasticMatrix
 
 
 def complete_digraph(n: int) -> Digraph:
@@ -42,6 +45,37 @@ def components_by_bfs(g: Digraph) -> set[frozenset[int]]:
     """Strongly connected components as mutual reachability, one BFS per node."""
     reach = {u: reachable_by_bfs(g, u) for u in range(1, g.n + 1)}
     return {frozenset(v for v in reach[u] if u in reach[v]) for u in reach}
+
+
+def sinks(g: Digraph) -> frozenset[int]:
+    """Nodes with no outgoing edge."""
+    with_out = {i for i, _ in g.edges}
+    return frozenset(u for u in range(1, g.n + 1) if u not in with_out)
+
+
+def is_subgraph(h: Digraph, g: Digraph) -> bool:
+    """True iff h's edges are contained in g's (same node count required)."""
+    if h.n != g.n:
+        raise DimensionError(f"node counts differ: {h.n} vs {g.n}")
+    return h.edges <= g.edges
+
+
+def exact_exponent(g: Digraph) -> int | None:
+    """Least e such that walks of every length >= e exist between all node pairs.
+
+    Requires g strongly connected. Searches integer adjacency powers up to
+    wielandt_bound(n); None means no power in that range is full, which for
+    a strongly connected digraph proves periodicity.
+    """
+    if len(components_by_bfs(g)) != 1:
+        raise ContractViolation("exact_exponent requires a strongly connected digraph")
+    adjacency = g.adjacency_matrix().astype(np.int64)
+    power = adjacency
+    for e in range(1, wielandt_bound(g.n) + 1):
+        if power.all():
+            return e
+        power = (power @ adjacency > 0).astype(np.int64)
+    return None
 
 
 def completely_reducible_by_bfs(g: Digraph) -> bool:
@@ -220,3 +254,66 @@ def stochastic_matrix_power(entries: np.ndarray, exponent: int) -> np.ndarray:
         base = base @ base
         e >>= 1
     return result
+
+
+def parse_per_token(text: str, *, tol_row: float = ROW_SUM_TOL, tol_neg: float = NEGATIVITY_TOL) -> SequenceFile:
+    """The sequence-file parse token by token: Python float() on every token,
+    then one validated StochasticMatrix per record, raising at the first bad
+    line, record or row exactly as the library's messages do."""
+    header_n: int | None = None
+    metadata: dict[str, str] = {}
+    rows: list[list[float]] = []
+    row_line_numbers: list[int] = []
+
+    for lineno, raw_line in enumerate(text.splitlines(), start=1):
+        line = raw_line.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            body = line.lstrip("#").strip()
+            if "=" in body:
+                key, value = body.split("=", 1)
+                metadata.setdefault(key.strip(), value.strip())
+            continue
+        if header_n is None:
+            if not line.startswith("n="):
+                raise SequenceFileError(f"line {lineno}: expected header 'n=<int>', got {line!r}")
+            try:
+                header_n = int(line[2:])
+            except ValueError:
+                raise SequenceFileError(f"line {lineno}: malformed header {line!r}") from None
+            if header_n < 1:
+                raise SequenceFileError(f"line {lineno}: dimension must be at least 1")
+            continue
+        try:
+            values = [float(tok) for tok in line.split()]
+        except ValueError:
+            raise SequenceFileError(f"line {lineno}: non-numeric value in {line!r}") from None
+        rows.append(values)
+        row_line_numbers.append(lineno)
+
+    if header_n is None:
+        raise SequenceFileError("missing header line 'n=<int>'")
+    if not rows:
+        raise SequenceFileError("no matrices")
+    if len(rows) % header_n != 0:
+        raise SequenceFileError(
+            f"record {len(rows) // header_n + 1} is incomplete: "
+            f"{len(rows) % header_n} of {header_n} rows present"
+        )
+
+    matrices = []
+    for record_index in range(len(rows) // header_n):
+        block = rows[record_index * header_n : (record_index + 1) * header_n]
+        for offset, row in enumerate(block):
+            if len(row) != header_n:
+                lineno = row_line_numbers[record_index * header_n + offset]
+                raise SequenceFileError(
+                    f"record {record_index + 1}, row {offset + 1} (line {lineno}): "
+                    f"expected {header_n} values, got {len(row)}"
+                )
+        try:
+            matrices.append(StochasticMatrix(block, tol_row=tol_row, tol_neg=tol_neg))
+        except StochasticityError as err:
+            raise SequenceFileError(f"record {record_index + 1}: {err}") from err
+    return SequenceFile(header_n, metadata, tuple(matrices))

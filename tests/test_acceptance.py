@@ -20,7 +20,7 @@ from ergocert.convergence import (
     saturation_floor,
     support_profile,
 )
-from ergocert.digraph import exact_exponent, wielandt_bound, wielandt_graph
+from ergocert.digraph import wielandt_bound, wielandt_graph
 from ergocert.generate import generate_sequence
 from ergocert.hypotheses import MatrixSequence, analyze, search_aperiodic_core
 from ergocert.seqfile import write_sequence_file
@@ -33,6 +33,7 @@ from ergocert.stochastic import (
 
 from oracles import (
     core_exists_exhaustive,
+    exact_exponent,
     random_stochastic,
     seminorm_bruteforce,
     time_varying_walk_exists,

@@ -132,6 +132,18 @@ class TestCertify:
             keys = list(lines)
             assert keys.index("certificate.vacuous") + 1 == keys.index("numerics.row_sum_drift")
 
+    def test_underflowed_products_emit_a_vacuous_certificate(self, tmp_path, capsys):
+        # (1 - w) I + w C for the 3-cycle C with w = 1e-200: P(2) is positive
+        # in its pattern, while its C^2 entries underflow to 0.0
+        w = 1e-200
+        path = tmp_path / "lazy-cycle.seq"
+        write_sequence_file(path, [StochasticMatrix([[1 - w, w, 0], [0, 1 - w, w], [w, 0, 1 - w]])] * 6)
+        assert main(["certify", str(path)]) == 0
+        lines = report_lines(capsys)
+        assert lines["certificate.status"] == "emitted"
+        assert lines["certificate.saturation_index"] == "2"
+        assert lines["certificate.vacuous"] == "yes"
+
     def test_swaps_refused(self, swap_file, capsys):
         assert main(["certify", swap_file]) == 1
         lines = report_lines(capsys)

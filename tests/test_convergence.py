@@ -49,6 +49,11 @@ def preset_fixture(preset, n, length, alpha, seed):
     return generate_sequence(preset, n, length, alpha, seed).to_sequence()
 
 
+def lazy_cycle(n, w):
+    """(1 - w) I + w C for the n-cycle C: pattern I + C, and C^m has weight about w^m."""
+    return StochasticMatrix((1 - w) * np.eye(n) + w * np.roll(np.eye(n), 1, axis=1))
+
+
 class TestPartialProduct:
     def test_equal_indices_give_identity(self):
         seq = seq_of(LAZY, SWAP)
@@ -124,6 +129,20 @@ class TestSaturation:
         with pytest.raises(ContractViolation):
             find_saturation_K(seq_of(LAZY), 0.0)
 
+    def test_positivity_is_read_from_patterns(self):
+        # w = 1e-200: the C^2 entries of P(2) are about 1e-400, 0.0 in floats
+        seq = seq_of(*[lazy_cycle(3, 1e-200)] * 6)
+        assert partial_product(seq, 0, 2).entries.min() == 0.0
+        assert find_saturation_K(seq, 1e-200) == 2
+
+    def test_positivity_thresholds_each_factor(self):
+        # no factor entry of the 3-cycle is above tol_pos = 0.05, but the
+        # float products' are by k = 60; analyze reads factor patterns too
+        seq = seq_of(*[lazy_cycle(3, 0.01)] * 60)
+        assert partial_product(seq, 0, 60).entries.min() > 0.05
+        assert find_saturation_K(seq, 0.01, tol_pos=0.05) is None
+        assert find_saturation_K(seq, 0.01) == 2
+
     def test_floor_holds_at_saturation(self):
         rng = np.random.default_rng(32)
         for _ in range(15):
@@ -182,6 +201,12 @@ class TestCertificate:
         narrow = contraction_certificate(preset_fixture("positive-diagonal", 2, 30, 0.1, seed=3))
         assert narrow.contraction < 1.0
         assert not narrow.vacuous
+
+    def test_underflowed_products_give_a_vacuous_certificate(self):
+        cert = contraction_certificate(seq_of(*[lazy_cycle(3, 1e-200)] * 6))
+        assert cert.saturation_index == 2
+        assert cert.entry_floor == 0.0
+        assert cert.vacuous
 
     def test_block_contraction_soundness(self):
         for preset, n in [("positive-diagonal", 3), ("cycle-core", 3), ("positive-diagonal", 4)]:

@@ -8,12 +8,9 @@ from hypothesis import strategies as st
 from ergocert.digraph import (
     Digraph,
     completely_reducible,
-    exact_exponent,
     intersection,
     is_aperiodic,
-    is_subgraph,
     reachability,
-    sinks,
     strongly_connected_components,
     wielandt_bound,
     wielandt_graph,
@@ -26,9 +23,12 @@ from oracles import (
     completely_reducible_by_bfs,
     component_period_by_cycles,
     components_by_bfs,
+    exact_exponent,
+    is_subgraph,
     reachable_by_bfs,
     relabel_digraph,
     simple_cycle_lengths,
+    sinks,
     time_varying_walk_exists,
 )
 

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from ergocert.digraph import exact_exponent, is_subgraph, wielandt_bound, wielandt_graph
+from ergocert.digraph import wielandt_bound, wielandt_graph
 from ergocert.errors import ContractViolation
 from ergocert.generate import PRESETS, generate_sequence
 from ergocert.hypotheses import analyze, check_complete_reducibility
 from ergocert.seqfile import format_sequence, parse_sequence_text
 from ergocert.stochastic import digraph_of, min_positive_entry
+
+from oracles import exact_exponent, is_subgraph
 
 
 class TestParameterValidation:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ergocert.digraph import Digraph, is_aperiodic, is_subgraph, sinks
+from ergocert.digraph import Digraph, is_aperiodic
 from ergocert.errors import ContractViolation, DimensionError
 from ergocert.hypotheses import (
     MatrixSequence,
@@ -15,7 +15,14 @@ from ergocert.hypotheses import (
 )
 from ergocert.stochastic import StochasticMatrix, digraph_of, identity_matrix
 
-from oracles import boolean_product_pattern, core_exists_exhaustive, random_stochastic, relabel_entries
+from oracles import (
+    boolean_product_pattern,
+    core_exists_exhaustive,
+    is_subgraph,
+    random_stochastic,
+    relabel_entries,
+    sinks,
+)
 
 LAZY = StochasticMatrix([[0.9, 0.1], [0.1, 0.9]])
 SWAP = StochasticMatrix([[0.0, 1.0], [1.0, 0.0]])

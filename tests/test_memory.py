@@ -1,8 +1,10 @@
-"""Memory regressions: the product layer stays O(n^2) per step.
+"""Memory regressions: the product layer stays O(n^2) per step, and the
+parser holds no Python float per value.
 
 Peaks are tracemalloc's, which counts numpy's array buffers. At n = 300 one
 n x n float array is 0.69 MiB and a one-shot n x n x n semi-norm temporary
-would be 206 MiB.
+would be 206 MiB. At n = 101 and L = 150 the validated stack is 11.7 MiB;
+a parse that held one Python float per value peaked at 62 MiB there.
 """
 
 import tracemalloc
@@ -10,7 +12,9 @@ import tracemalloc
 import numpy as np
 
 from ergocert.convergence import run_to_tolerance
+from ergocert.generate import generate_sequence
 from ergocert.hypotheses import MatrixSequence
+from ergocert.seqfile import format_sequence, parse_sequence_text
 from ergocert.stochastic import StochasticMatrix, matrix_seminorm
 
 from oracles import random_stochastic
@@ -45,3 +49,11 @@ def test_run_to_tolerance_peak_at_n300():
     # epsilon below any reachable semi-norm: every step is taken
     assert peak_mib(run_to_tolerance, seq, 1e-300) < 32
     assert peak_mib(run_to_tolerance, seq, 1e-300, x0) < 32
+
+
+def test_parse_peak_at_n101_l150():
+    seqf = generate_sequence("positive-diagonal", 101, 150, 0.001, seed=3)
+    text = format_sequence(seqf.matrices, seqf.metadata)
+    del seqf
+    # the 12 MiB text is allocated before tracing starts
+    assert peak_mib(parse_sequence_text, text) < 40

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ergocert.seqfile import (
     SequenceFileError,
@@ -8,7 +10,9 @@ from ergocert.seqfile import (
     read_sequence_file,
     write_sequence_file,
 )
-from ergocert.stochastic import StochasticMatrix, identity_matrix
+from ergocert.stochastic import NEGATIVITY_TOL, StochasticMatrix, identity_matrix
+
+from oracles import parse_per_token
 
 GOOD = """n=2
 # preset=demo
@@ -102,3 +106,134 @@ class TestRoundTrip:
         seq = seqf.to_sequence()
         assert len(seq) == 2
         assert seq.n == 2
+
+
+# entries at float extremes: tiny, subnormal, signed zero, and negatives that
+# are clamped to zero (the last one exactly at the negativity tolerance)
+SPECIAL_ENTRIES = [0.0, -0.0, 1e-200, 5e-324, 1.5e-310, -1e-13, -NEGATIVITY_TOL]
+FILLER_LINES = ["", "   ", "\t", "# a note", "# seed=1", "#seed=2", "# key = a=b", "#"]
+TOKEN_FORMATS = ["{!r}", "{:.17e}", "{:.17E}", "{:.17g}"]
+
+
+@st.composite
+def sequence_lines(draw):
+    """Lines of a valid sequence file and the indices of its data lines."""
+    n = draw(st.integers(1, 5))
+    length = draw(st.integers(1, 4))
+    entry = st.one_of(st.sampled_from(SPECIAL_ENTRIES), st.floats(0.0, 1.0 / n))
+    gap = st.sampled_from([" ", "  ", "\t", " \t "])
+    edge = st.sampled_from(["", " ", "\t"])
+
+    def fillers():
+        return draw(st.lists(st.sampled_from(FILLER_LINES), max_size=2))
+
+    lines = fillers() + [f"n={n}"]
+    data = []
+    for _ in range(length * n):
+        lines += fillers()
+        values = draw(st.lists(entry, min_size=n, max_size=n))
+        p = draw(st.integers(0, n - 1))
+        # the row sum is 1 up to rounding, or off by less than ROW_SUM_TOL
+        values[p] = 1.0 - sum(v for i, v in enumerate(values) if i != p) + draw(st.sampled_from([0.0, 4e-10, -4e-10]))
+        tokens = []
+        for v in values:
+            token = draw(st.sampled_from(TOKEN_FORMATS)).format(v)
+            tokens.append(token if token.startswith("-") or not draw(st.booleans()) else "+" + token)
+        data.append(len(lines))
+        lines.append(draw(edge) + "".join(t + draw(gap) for t in tokens[:-1]) + tokens[-1] + draw(edge))
+    return lines + fillers(), data
+
+
+def join_lines(lines, newline="\n"):
+    return newline.join(lines) + newline
+
+
+def outcome(parse, text):
+    """The parsed file, or the message of the SequenceFileError it raised."""
+    try:
+        return parse(text)
+    except SequenceFileError as err:
+        return str(err)
+
+
+def assert_same_parse(new, old):
+    assert new.n == old.n
+    assert new.metadata == old.metadata
+    assert new.length == old.length
+    for ours, theirs in zip(new.matrices, old.matrices):
+        assert np.array_equal(ours.entries, theirs.entries)
+        # bit for bit: signed zeros and subnormals included
+        assert np.array_equal(ours.entries.view(np.uint64), theirs.entries.view(np.uint64))
+
+
+class TestAgainstPerTokenParse:
+    @settings(max_examples=100, deadline=None)
+    @given(sequence_lines(), st.sampled_from(["\n", "\r\n"]))
+    def test_valid_files_parse_bit_for_bit(self, drawn, newline):
+        text = join_lines(drawn[0], newline)
+        assert_same_parse(parse_sequence_text(text), parse_per_token(text))
+
+    @settings(max_examples=100, deadline=None)
+    @given(sequence_lines(), st.data())
+    def test_corrupted_files_fail_with_the_same_message(self, drawn, data):
+        lines, data_indices = drawn
+        lines = list(lines)
+        for _ in range(data.draw(st.integers(1, 3))):
+            index = data.draw(st.sampled_from(data_indices))
+            tokens = lines[index].split()
+            kind = data.draw(st.sampled_from(["replace", "drop", "append", "comment", "delete", "duplicate"]))
+            if kind == "replace" and tokens:
+                bad = data.draw(st.sampled_from(["x", "nan", "inf", "-inf", "0.7", "2", "-0.5", "1e", "--1", "0x1"]))
+                tokens[data.draw(st.integers(0, len(tokens) - 1))] = bad
+            elif kind == "drop" and tokens:
+                del tokens[data.draw(st.integers(0, len(tokens) - 1))]
+            elif kind == "append":
+                tokens.append("0")
+            elif kind == "comment":
+                tokens.append("# note")
+            elif kind == "delete":
+                tokens = []
+            elif kind == "duplicate":
+                tokens += ["\n"] + tokens
+            lines[index] = " ".join(tokens)
+        text = join_lines(lines)
+        new, old = outcome(parse_sequence_text, text), outcome(parse_per_token, text)
+        if isinstance(old, str):
+            assert new == old
+        else:
+            assert_same_parse(new, old)
+
+    @pytest.mark.parametrize(
+        "text, prefix",
+        [
+            # a stochasticity error in record 1 before a short row in record 2
+            ("n=2\n0.5 0.6\n0.5 0.5\n\n1\n0 1\n", "record 1: row 1 sums to"),
+            # a short row in record 1 before a stochasticity error in record 2
+            ("n=2\n1\n0 1\n\n0.5 0.6\n0.5 0.5\n", "record 1, row 1 (line 2): expected 2 values, got 1"),
+            # a non-numeric token anywhere before a negativity error in record 1
+            ("n=2\n1.5 -0.5\n0 1\n\n1 0\n0 one\n", "line 6: non-numeric value in '0 one'"),
+            ("n=2\nnan 1\n0 1\n", "record 1: all entries must be finite"),
+            ("n=2\n1 0\n0 inf\n", "record 1: all entries must be finite"),
+            ("n=2\n1 0\n-inf 1\n", "record 1: all entries must be finite"),
+            ("n=2\n1 0 # identity\n0 1\n", "line 2: non-numeric value in '1 0 # identity'"),
+            # an incomplete record before any record's own errors
+            ("n=2\n0.5 0.6\n0 1\n\n1 0\n", "record 2 is incomplete: 1 of 2 rows present"),
+            # every row equally wide, but not n wide
+            ("n=2\n1 0 0\n0 1 0\n", "record 1, row 1 (line 2): expected 2 values, got 3"),
+            ("n=2\n1 0\n0 1\n\n1 -0.5\n0 1\n", "record 2: entry (1,2) = -0.5 is below"),
+        ],
+    )
+    def test_error_precedence(self, text, prefix):
+        message = outcome(parse_sequence_text, text)
+        assert message.startswith(prefix)
+        assert message == outcome(parse_per_token, text)
+
+    def test_underscore_separators_are_non_numeric(self):
+        # Python float() reads '1_0' as 10; numpy's number grammar has no '_'
+        text = "n=1\n1_0\n"
+        assert outcome(parse_sequence_text, text) == "line 2: non-numeric value in '1_0'"
+        assert outcome(parse_per_token, text).startswith("record 1: row 1 sums to")
+
+    def test_records_are_read_only(self):
+        seqf = parse_sequence_text(GOOD)
+        assert not any(m.entries.flags.writeable for m in seqf.matrices)
