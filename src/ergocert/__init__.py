@@ -28,6 +28,7 @@ from .digraph import (
     Digraph,
     SccPartition,
     completely_reducible,
+    component_periods,
     intersection,
     is_aperiodic,
     pattern_product,
@@ -45,14 +46,10 @@ from .errors import (
 )
 from .generate import PRESETS, generate_sequence
 from .hypotheses import (
-    CoreSearch,
     HypothesisReport,
     MatrixSequence,
     analyze,
-    check_complete_reducibility,
     check_eventual_positivity,
-    find_aperiodic_core,
-    search_aperiodic_core,
 )
 from .seqfile import (
     SequenceFile,
@@ -64,13 +61,11 @@ from .seqfile import (
 )
 from .stochastic import (
     StochasticMatrix,
-    apply,
     digraph_of,
     identity_matrix,
     matrix_seminorm,
     min_positive_entry,
     multiply,
-    validate_stochastic,
     vector_seminorm,
 )
 

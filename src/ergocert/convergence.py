@@ -193,14 +193,21 @@ def _first_saturated(seq: MatrixSequence, alpha: float, tol_pos: float) -> Produ
     if alpha <= 0:
         raise ContractViolation("alpha must be positive")
     threshold = saturation_floor(seq.n, alpha) - EXACT_SLACK
+    for state, positive in _products_with_patterns(seq, tol_pos):
+        if state.k and positive.all() and state.matrix.entries.min() >= threshold:
+            return state
+    return None
+
+
+def _products_with_patterns(seq: MatrixSequence, tol_pos: float) -> Iterator[tuple[ProductState, np.ndarray]]:
+    """iter_products, each state beside the boolean pattern of its product:
+    the product of the factor patterns (entries > tol_pos), exact where the
+    float product underflows to 0.0."""
     pattern = np.eye(seq.n, dtype=np.float32)
     for state in iter_products(seq):
         if state.k:
-            factor = (seq.factor(state.k).entries > tol_pos).astype(np.float32)
-            pattern = pattern_product(factor, pattern)
-            if pattern.all() and state.matrix.entries.min() >= threshold:
-                return state
-    return None
+            pattern = pattern_product((seq.factor(state.k).entries > tol_pos).astype(np.float32), pattern)
+        yield state, pattern > 0
 
 
 def contraction_certificate(
@@ -313,15 +320,16 @@ def support_onsets(seq: MatrixSequence, alpha: float, tol_pos: float = 0.0) -> t
     onset is at least alpha ** ((m-1) * (wielandt + 1)). This is the
     inductive mechanism behind the saturation guarantee, exposed as a
     diagnostic; the certificate itself locates the saturation index by
-    direct scan.
+    direct scan. Supports are read from the boolean product of the factor
+    patterns, as in find_saturation_K; the minima are the float entries, so
+    an entry that underflowed reads 0.0.
     """
     if alpha <= 0:
         raise ContractViolation("alpha must be positive")
     step = wielandt_bound(seq.n) + 1
     first = np.full((seq.n, seq.n), -1)  # [row, column]; -1 until the row joins the support
     minima = []  # per k, the column support minima (inf for an empty support)
-    for state in iter_products(seq):
-        positive = state.matrix.entries > tol_pos
+    for state, positive in _products_with_patterns(seq, tol_pos):
         first[positive & (first < 0)] = state.k
         minima.append(np.where(positive, state.matrix.entries, np.inf).min(axis=0))
 

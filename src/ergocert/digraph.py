@@ -3,9 +3,9 @@ used to analyze positivity patterns of matrix products.
 
 Patterns are 0/1 (n, n) arrays or (L, n, n) stacks of them. Their products
 are exact float32 matmuls clipped to 1 (pattern_product), and every
-reachability question is answered by one closure primitive built on it. A
-Digraph is built for a single pattern that is rendered or whose periods are
-needed.
+reachability question is answered by one closure primitive built on it;
+component periods are read from the pattern array too (component_periods). A
+Digraph is built for a single pattern that is rendered.
 
 All values are immutable and every operation is a pure function, so the
 module is safe to use from concurrent callers without synchronization.
@@ -13,8 +13,6 @@ module is safe to use from concurrent callers without synchronization.
 
 from __future__ import annotations
 
-import math
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
@@ -137,45 +135,58 @@ def completely_reducible(patterns) -> np.ndarray:
     return (closure == np.swapaxes(closure, -1, -2)).all(axis=(-2, -1))
 
 
+def _component_labels(closure: np.ndarray) -> np.ndarray:
+    """Component index of every node, components numbered by their smallest node."""
+    # the first True of row i of R & R^T is the smallest node of i's component
+    _, labels = np.unique((closure & closure.T).argmax(axis=1), return_inverse=True)
+    return labels
+
+
+def _node_sets(labels: np.ndarray) -> tuple[frozenset[int], ...]:
+    return tuple(frozenset((np.flatnonzero(labels == c) + 1).tolist()) for c in range(labels.max() + 1))
+
+
 def strongly_connected_components(g: Digraph) -> SccPartition:
     """Components as the distinct rows of mutual reachability, numbered by their
     smallest node, plus the condensation edge set."""
-    closure = reachability(g.adjacency_matrix())
-    # the first True of row i of R & R^T is the smallest node of i's component
-    _, label = np.unique((closure & closure.T).argmax(axis=1), return_inverse=True)
-    component_of = dict(enumerate(label.tolist(), start=1))
-    components = tuple(frozenset((np.flatnonzero(label == c) + 1).tolist()) for c in range(label.max() + 1))
+    labels = _component_labels(reachability(g.adjacency_matrix()))
+    component_of = dict(enumerate(labels.tolist(), start=1))
     condensation = frozenset(
         (component_of[i], component_of[j]) for i, j in g.edges if component_of[i] != component_of[j]
     )
-    return SccPartition(components, component_of, condensation)
+    return SccPartition(_node_sets(labels), component_of, condensation)
+
+
+def component_periods(pattern) -> tuple[np.ndarray, np.ndarray]:
+    """Strongly connected components of an (n, n) pattern and their periods.
+
+    labels[i] is the component of node i+1, components numbered by their
+    smallest node; periods[c] is the cycle gcd of component c, 0 when it
+    carries no cycle. One BFS runs in every component at once, each from its
+    smallest node along intra-component edges; each such edge (u, v) forces
+    the period to divide level(u) + 1 - level(v), and the period is the gcd
+    over those edges.
+    """
+    adjacency = np.asarray(pattern) != 0
+    labels = _component_labels(reachability(adjacency))
+    intra = adjacency & (labels[:, None] == labels[None, :])
+    level = np.full(labels.size, -1)
+    frontier = np.unique(labels, return_index=True)[1]  # each component's smallest node
+    depth = 0
+    while frontier.size:
+        level[frontier] = depth
+        frontier = np.flatnonzero(intra[frontier].any(axis=0) & (level < 0))
+        depth += 1
+    rows, cols = np.nonzero(intra)
+    periods = np.zeros(labels.max() + 1, dtype=level.dtype)
+    np.gcd.at(periods, labels[rows], np.abs(level[rows] + 1 - level[cols]))
+    return labels, periods
 
 
 def is_aperiodic(g: Digraph) -> AperiodicityReport:
-    """True iff every SCC has period exactly 1; cycle-free SCCs (period 0) disqualify.
-
-    BFS levels are taken inside each component from its smallest node; each
-    intra-component edge (u, v) forces the period to divide
-    level(u) + 1 - level(v), and the period is the gcd over those edges.
-    """
-    partition = strongly_connected_components(g)
-    comp = partition.component_of
-    level: dict[int, int] = {}
-    for component in partition.components:
-        root = min(component)
-        level[root] = 0
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            for v in g.successors(u):
-                if comp[v] == comp[u] and v not in level:
-                    level[v] = level[u] + 1
-                    queue.append(v)
-    periods = [0] * len(partition.components)
-    for u, v in g.edges:
-        if comp[u] == comp[v]:
-            periods[comp[u]] = math.gcd(periods[comp[u]], abs(level[u] + 1 - level[v]))
-    return AperiodicityReport(all(p == 1 for p in periods), partition.components, tuple(periods))
+    """True iff every SCC has period exactly 1; cycle-free SCCs (period 0) disqualify."""
+    labels, periods = component_periods(g.adjacency_matrix())
+    return AperiodicityReport(bool((periods == 1).all()), _node_sets(labels), tuple(periods.tolist()))
 
 
 def intersection(graphs: Sequence[Digraph]) -> Digraph:

@@ -13,7 +13,7 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .digraph import Digraph, completely_reducible, is_aperiodic, pattern_product
+from .digraph import Digraph, completely_reducible, component_periods, pattern_product
 from .errors import ContractViolation, DimensionError
 from .stochastic import StochasticMatrix, min_positive_entry
 
@@ -51,21 +51,6 @@ class MatrixSequence:
 
 
 @dataclass(frozen=True)
-class CoreSearch:
-    """Outcome of the common-pattern core search.
-
-    ``node_periods`` maps every node to the cycle gcd of its strongly
-    connected component in the intersection pattern; ``offenders`` are the
-    nodes whose component period is not exactly 1.
-    """
-
-    intersection: Digraph
-    core: Digraph | None
-    node_periods: Mapping[int, int]
-    offenders: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class HypothesisReport:
     """Structured result of all four condition checks."""
 
@@ -89,42 +74,6 @@ class HypothesisReport:
 def _patterns(matrices: Iterable[StochasticMatrix], tol_pos: float) -> np.ndarray:
     """The (L, n, n) float32 0/1 stack of factor patterns: entry (i, j) > tol_pos."""
     return np.stack([m.entries > tol_pos for m in matrices]).astype(np.float32)
-
-
-def check_complete_reducibility(seq: MatrixSequence, tol_pos: float = 0.0) -> list[bool]:
-    """Per-factor flag: no pattern edge between distinct strongly connected components."""
-    return completely_reducible(_patterns(seq, tol_pos)).tolist()
-
-
-def search_aperiodic_core(seq: MatrixSequence, tol_pos: float = 0.0) -> CoreSearch:
-    """Search the intersection of all factor patterns for a valid core.
-
-    A sink-free aperiodic spanning subgraph common to all factors exists iff
-    every node of the intersection pattern lies in a component whose cycle
-    gcd is exactly 1: any common subgraph's cycles sit inside one such
-    component, so their lengths are multiples of its period. When the test
-    passes, the intersection restricted to intra-component edges is itself
-    a valid core (every node of a cycle-carrying component keeps an
-    out-edge), and it is the maximal one.
-    """
-    return _core_search(_patterns(seq, tol_pos))
-
-
-def _core_search(patterns: np.ndarray) -> CoreSearch:
-    common = Digraph.from_adjacency(np.logical_and.reduce(patterns))
-    report = is_aperiodic(common)
-    node_periods = {node: p for comp, p in zip(report.components, report.periods) for node in comp}
-    offenders = tuple(sorted(node for node, p in node_periods.items() if p != 1))
-    if offenders:
-        return CoreSearch(common, None, node_periods, offenders)
-    component_of = {node: c for c, comp in enumerate(report.components) for node in comp}
-    intra = {(u, v) for (u, v) in common.edges if component_of[u] == component_of[v]}
-    return CoreSearch(common, Digraph(common.n, intra), node_periods, ())
-
-
-def find_aperiodic_core(seq: MatrixSequence, tol_pos: float = 0.0) -> Digraph | None:
-    """The maximal common sink-free aperiodic spanning subgraph, or None."""
-    return search_aperiodic_core(seq, tol_pos).core
 
 
 def check_eventual_positivity(seq: MatrixSequence, k: int, tol_pos: float = 0.0) -> int | None:
@@ -167,6 +116,15 @@ def analyze(
     pass/fail. Conditions (2) to (4) all read one stack of factor patterns,
     thresholded at tol_pos. Individual failures are report content, not
     errors.
+
+    The core test reads the intersection of the factor patterns. A sink-free
+    aperiodic spanning subgraph common to all factors exists iff every node
+    of the intersection lies in a component whose cycle gcd is exactly 1:
+    any common subgraph's cycles sit inside one such component, so their
+    lengths are multiples of its period. When the test passes, the
+    intersection restricted to intra-component edges is itself a valid core
+    (every node of a cycle-carrying component keeps an out-edge), and it is
+    the maximal one.
     """
     starts = sorted(set(positivity_starts)) if positivity_starts is not None else [1]
     for k in starts:
@@ -176,7 +134,11 @@ def analyze(
     alpha = min_positive_entry(seq.items, tol_pos)
     patterns = _patterns(seq, tol_pos)
     failures = tuple((np.flatnonzero(~completely_reducible(patterns)) + 1).tolist())
-    search = _core_search(patterns)
+    common = np.logical_and.reduce(patterns, axis=0)
+    labels, periods = component_periods(common)
+    node_period = periods[labels]
+    offenders = tuple((np.flatnonzero(node_period != 1) + 1).tolist())
+    core = None if offenders else Digraph.from_adjacency(common & (labels[:, None] == labels[None, :]))
     positivity = {k: _positivity_onset(patterns[k - 1 :], k) for k in starts}
 
     violations: list[str] = []
@@ -184,15 +146,15 @@ def analyze(
         violations.append("positive-entries")
     violations.extend(f"eventual-positivity:start={k}" for k in starts if positivity[k] is None)
     violations.extend(f"complete-reducibility:k={k}" for k in failures)
-    if search.core is None:
+    if offenders:
         violations.append("aperiodic-core")
 
     return HypothesisReport(
         alpha=alpha,
         reducibility_failures=failures,
-        core=search.core,
-        node_periods=search.node_periods,
-        core_offenders=search.offenders,
+        core=core,
+        node_periods=dict(enumerate(node_period.tolist(), start=1)),
+        core_offenders=offenders,
         eventual_positivity=positivity,
         violations=tuple(violations),
     )

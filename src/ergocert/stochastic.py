@@ -50,7 +50,7 @@ class StochasticMatrix:
         bad = np.abs(sums - 1.0) > tol_row
         if np.any(bad):
             r = int(np.flatnonzero(bad)[0])
-            raise StochasticityError(f"row {r + 1} sums to {sums[r]!r}, not 1 within {tol_row}")
+            raise StochasticityError(f"row {r + 1} sums to {float(sums[r])}, not 1 within {tol_row}")
         arr /= sums[:, None]
         arr.setflags(write=False)
         self._entries = arr
@@ -76,11 +76,6 @@ class StochasticMatrix:
         return f"StochasticMatrix(n={self.n})"
 
 
-def validate_stochastic(raw, tol_row: float = ROW_SUM_TOL, tol_neg: float = NEGATIVITY_TOL) -> StochasticMatrix:
-    """Validate a raw square array as a stochastic matrix."""
-    return StochasticMatrix(raw, tol_row=tol_row, tol_neg=tol_neg)
-
-
 def identity_matrix(n: int) -> StochasticMatrix:
     return StochasticMatrix(np.eye(n))
 
@@ -90,14 +85,6 @@ def multiply(a: StochasticMatrix, b: StochasticMatrix) -> StochasticMatrix:
     if a.n != b.n:
         raise DimensionError(f"dimensions differ: {a.n} vs {b.n}")
     return StochasticMatrix._trusted(a.entries @ b.entries)
-
-
-def apply(a: StochasticMatrix, x) -> np.ndarray:
-    """The image a.x; averaging never expands the sup norm or the semi-norm."""
-    vec = np.asarray(x, dtype=float)
-    if vec.ndim != 1 or vec.size != a.n:
-        raise DimensionError(f"vector of length {vec.size} does not match dimension {a.n}")
-    return a.entries @ vec
 
 
 def digraph_of(a: StochasticMatrix, tol_pos: float = 0.0) -> Digraph:

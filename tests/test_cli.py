@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from ergocert.cli import main
@@ -51,6 +53,12 @@ class TestValidate:
         err = capsys.readouterr().err
         assert "record 2" in err
         assert "row 1" in err
+
+    def test_row_sum_printed_as_plain_float(self, tmp_path, capsys):
+        path = tmp_path / "short.seq"
+        path.write_text("n=2\n1 0\n0.3 0.4\n")
+        assert main(["validate", str(path)]) == 2
+        assert "row 2 sums to 0.7, not 1 within 1e-09" in capsys.readouterr().err
 
     def test_empty_body(self, tmp_path, capsys):
         path = tmp_path / "empty.seq"
@@ -273,3 +281,39 @@ class TestGenerate:
         capsys.readouterr()
         assert main(["analyze", str(bad)]) == 1
         assert "aperiodic-core" in report_lines(capsys)["hypotheses.violations"]
+
+
+# SHA-256 of each report's stdout without its input.path line, on the four
+# presets at n=6, length 40, alpha 0.05, seed 5; a refactor that claims to
+# leave reports unchanged must leave these unchanged
+PINNED_REPORTS = {
+    ("positive-diagonal", "analyze --all-starts"): "a30f172bb8cef55fc0340aed515207dc69997344d7f40b86af38a864d40ea580",
+    ("positive-diagonal", "analyze --tol-pos 0.1"): "62cfacb0ab88d461dd76656d3699a606c44e1feb6a677bcae5dfef152e15fa2d",
+    ("positive-diagonal", "certify"): "e1a1f6095930f2ce6c079bb0f7d1eb29306ca09814b6487fd4fa0e8210250f1c",
+    ("cycle-core", "analyze --all-starts"): "5b30714b79d5bd0f8213661910496c7c9e26c6dab85200860d45a7ec1e18ba32",
+    ("cycle-core", "analyze --tol-pos 0.1"): "41f875b835d19edd067eef100e7c4775b658902251a5499d380edbc1fd40c1dd",
+    ("cycle-core", "certify"): "080e2c181417b57882c641fc906da1147809851e76d8bfbb6e4c0e67b8cc9f60",
+    ("wolfowitz-set", "analyze --all-starts"): "5fb790599b460d9bc243081981f4498c3a5b23e28664752ea49d8eeb68843de3",
+    ("wolfowitz-set", "analyze --tol-pos 0.1"): "c4b8f6ef2943ea32adb7f5b71a2bec970d85a122d38a1998351550e79e42110b",
+    ("wolfowitz-set", "certify"): "9b1ce895ed1b0da29a3ad2d02b4b111fef2a8c69f01ebb18a280e917126ba728",
+    ("periodic-counterexample", "analyze --all-starts"): "36d2c954a2046c9e82813f8d7889b07064d4137f740327fb0e3b8683553bac07",
+    ("periodic-counterexample", "analyze --tol-pos 0.1"): "a41c9656d0610e638bff3587f6dca8239ee87703808e736bcbc886226bde867a",
+    ("periodic-counterexample", "certify"): "37cfe98b29f3601aa42b41e259dc4ad7a969f0f2e4f56b475765a06e9feead13",
+}
+
+
+def test_reports_pinned(tmp_path, capsys):
+    assert {preset for preset, _ in PINNED_REPORTS} == set(PRESETS)
+    mismatches = []
+    for (preset, command), expected in PINNED_REPORTS.items():
+        path = str(tmp_path / f"{preset}.seq")
+        main(["generate", preset, "--n", "6", "--length", "40", "--alpha", "0.05", "--seed", "5", "--out", path])
+        capsys.readouterr()
+        name, *flags = command.split()
+        main([name, path, *flags])
+        report = "".join(
+            line for line in capsys.readouterr().out.splitlines(keepends=True) if not line.startswith("input.path = ")
+        )
+        if hashlib.sha256(report.encode()).hexdigest() != expected:
+            mismatches.append(f"{preset}: {command}\n{report}")
+    assert not mismatches, "\n".join(mismatches)

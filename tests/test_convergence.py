@@ -21,7 +21,7 @@ from ergocert.convergence import (
 from ergocert.digraph import wielandt_bound
 from ergocert.errors import CertificationRefused, ContractViolation, DimensionError
 from ergocert.generate import generate_sequence
-from ergocert.hypotheses import MatrixSequence, analyze, check_complete_reducibility
+from ergocert.hypotheses import MatrixSequence, analyze
 from ergocert.stochastic import (
     StochasticMatrix,
     digraph_of,
@@ -375,6 +375,14 @@ class TestSupportOnsets:
         with pytest.raises(ContractViolation):
             support_onsets(seq_of(LAZY), -1.0)
 
+    def test_supports_are_read_from_patterns(self):
+        # w = 1e-200: the C^2 entries of P(2) are 0.0 in floats, yet every
+        # row joins every column's support by k = 2 in the boolean product
+        seq = seq_of(*[lazy_cycle(3, 1e-200)] * 6)
+        columns = support_onsets(seq, 1e-200)
+        assert [c.first_support for c in columns] == [(0, 2, 1), (1, 0, 2), (2, 1, 0)]
+        assert all(c.onsets == (0, 1, 2) for c in columns)
+
 
 @pytest.fixture(scope="module", params=[("positive-diagonal", 3), ("cycle-core", 3), ("cycle-core", 4)])
 def fixture(request):
@@ -398,7 +406,7 @@ class TestSupportInequalities:
 
     def test_minima_monotone_when_support_stalls(self, fixture):
         seq, profiles = fixture
-        assert all(check_complete_reducibility(seq))
+        assert analyze(seq).reducibility_failures == ()
         for k in range(len(seq)):
             for j in range(1, seq.n + 1):
                 if profiles[k].support(j) == profiles[k + 1].support(j):

@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from ergocert.digraph import (
     Digraph,
     completely_reducible,
+    component_periods,
     intersection,
     is_aperiodic,
     reachability,
@@ -273,6 +274,30 @@ class TestAgainstBfsOracle:
         assert len(part.components) == len(set(part.components))
         crossing = {(part.component_of[i], part.component_of[j]) for i, j in g.edges}
         assert part.condensation_edges == {(a, b) for a, b in crossing if a != b}
+
+    @given(pattern_stacks(max_n=8, max_length=1))
+    # node 1 is a cycle-free singleton (period 0), node 2 carries a self-loop
+    @example(np.array([[[False, True], [False, True]]]))
+    # a 2-cycle {1, 3} and a 3-cycle with a self-loop {2, 4, 5} below it
+    @example(np.array([[[0, 0, 1, 0, 0], [0, 0, 0, 1, 0], [1, 1, 0, 0, 0], [0, 0, 0, 0, 1], [0, 1, 0, 0, 1]]]) == 1)
+    def test_component_periods(self, stack):
+        g = Digraph.from_adjacency(stack[0])
+        labels, periods = component_periods(stack[0])
+        components = [frozenset((np.flatnonzero(labels == c) + 1).tolist()) for c in range(periods.size)]
+        assert set(components) == components_by_bfs(g)
+        assert [min(c) for c in components] == sorted(min(c) for c in components)
+        assert periods.tolist() == [component_period_by_cycles(g, c) for c in components]
+
+    def test_cycle_with_one_chord(self):
+        # the chord (a, b) closes a cycle of length 1 + (a - b) mod n with the
+        # n-cycle's path from b to a, so the period is gcd(n, 1 + (a - b) mod n)
+        rng = np.random.default_rng(9)
+        for n in range(1, 41):
+            for a, b in rng.integers(1, n + 1, size=(8, 2)).tolist():
+                g = Digraph(n, set(cycle(n).edges) | {(a, b)})
+                labels, periods = component_periods(g.adjacency_matrix())
+                assert labels.tolist() == [0] * n
+                assert periods.tolist() == [math.gcd(n, 1 + (a - b) % n)]
 
     def test_sparse_and_long_paths(self):
         # long chains and cycles need the most squarings; n reaches 40

@@ -4,7 +4,7 @@ import pytest
 from ergocert.digraph import wielandt_bound, wielandt_graph
 from ergocert.errors import ContractViolation
 from ergocert.generate import PRESETS, generate_sequence
-from ergocert.hypotheses import analyze, check_complete_reducibility
+from ergocert.hypotheses import analyze
 from ergocert.seqfile import format_sequence, parse_sequence_text
 from ergocert.stochastic import digraph_of, min_positive_entry
 
@@ -52,8 +52,9 @@ class TestPositiveDiagonal:
             assert min_positive_entry(seq.items) >= 0.1
             for m in seq:
                 assert (np.diag(m.entries) > 0).all()
-            assert all(check_complete_reducibility(seq))
-            assert analyze(seq).holds
+            report = analyze(seq)
+            assert report.reducibility_failures == ()
+            assert report.holds
 
 
 class TestCycleCore:

@@ -3,20 +3,19 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ergocert.digraph import Digraph, is_aperiodic
+from ergocert.digraph import Digraph, intersection, is_aperiodic
 from ergocert.errors import ContractViolation, DimensionError
 from ergocert.hypotheses import (
     MatrixSequence,
     analyze,
-    check_complete_reducibility,
     check_eventual_positivity,
-    find_aperiodic_core,
-    search_aperiodic_core,
 )
 from ergocert.stochastic import StochasticMatrix, digraph_of, identity_matrix
 
 from oracles import (
     boolean_product_pattern,
+    component_period_by_cycles,
+    components_by_bfs,
     core_exists_exhaustive,
     is_subgraph,
     random_stochastic,
@@ -82,37 +81,38 @@ class TestMatrixSequence:
 class TestCompleteReducibility:
     def test_positive_matrices(self):
         seq = seq_of(LAZY, LAZY, LAZY)
-        assert check_complete_reducibility(seq) == [True, True, True]
+        assert analyze(seq).reducibility_failures == ()
 
     def test_triangular_factor_flagged(self):
         seq = seq_of(LAZY, TRIANGULAR, LAZY)
-        assert check_complete_reducibility(seq) == [True, False, True]
+        assert analyze(seq).reducibility_failures == (2,)
 
     def test_permutation_matrices(self):
         seq = seq_of(SWAP, SWAP)
-        assert check_complete_reducibility(seq) == [True, True]
+        assert analyze(seq).reducibility_failures == ()
 
 
 class TestAperiodicCore:
     def test_positive_diagonal_gives_core(self):
         seq = seq_of(LAZY, StochasticMatrix([[1.0, 0.0], [0.2, 0.8]]))
-        core = find_aperiodic_core(seq)
+        core = analyze(seq).core
         assert core is not None
         assert {(1, 1), (2, 2)} <= core.edges
 
     def test_alternating_swaps_have_no_core(self):
-        search = search_aperiodic_core(seq_of(SWAP, SWAP, SWAP))
-        assert search.core is None
-        assert search.intersection.edges == {(1, 2), (2, 1)}
-        assert search.node_periods == {1: 2, 2: 2}
-        assert search.offenders == (1, 2)
+        seq = seq_of(SWAP, SWAP, SWAP)
+        report = analyze(seq)
+        assert report.core is None
+        assert intersection([digraph_of(m) for m in seq]).edges == {(1, 2), (2, 1)}
+        assert report.node_periods == {1: 2, 2: 2}
+        assert report.core_offenders == (1, 2)
 
     def test_common_aperiodic_pattern_without_loops(self):
         # every factor contains {1->2, 2->3, 3->1, 3->2}: cycle lengths 3 and 2
         base = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.5, 0.5, 0.0]])
         extra = np.array([[0.2, 0.6, 0.2], [0.1, 0.1, 0.8], [0.3, 0.3, 0.4]])
         seq = seq_of(StochasticMatrix(base), StochasticMatrix(extra))
-        core = find_aperiodic_core(seq)
+        core = analyze(seq).core
         assert core is not None
         assert core.edges == {(1, 2), (2, 3), (3, 1), (3, 2)}
 
@@ -123,7 +123,7 @@ class TestAperiodicCore:
             n = int(rng.integers(2, 5))
             seq = seq_of(*(StochasticMatrix(random_stochastic(rng, n, density=0.75))
                            for _ in range(int(rng.integers(1, 4)))))
-            core = find_aperiodic_core(seq)
+            core = analyze(seq).core
             if core is None:
                 continue
             found += 1
@@ -139,8 +139,32 @@ class TestAperiodicCore:
             density = float(rng.uniform(0.25, 0.9))
             seq = seq_of(*(StochasticMatrix(random_stochastic(rng, n, density))
                            for _ in range(int(rng.integers(1, 5)))))
-            search = search_aperiodic_core(seq)
-            assert (search.core is not None) == core_exists_exhaustive(search.intersection)
+            common = intersection([digraph_of(m) for m in seq])
+            assert (analyze(seq).core is not None) == core_exists_exhaustive(common)
+
+    def test_core_and_periods_match_bfs_components(self):
+        # the maximal core is the intersection restricted to edges inside one
+        # strongly connected component, present iff every period is 1
+        rng = np.random.default_rng(22)
+        present = absent = 0
+        for _ in range(40):
+            n = int(rng.integers(1, 7))
+            seq = seq_of(*(StochasticMatrix(random_stochastic(rng, n, float(rng.uniform(0.3, 0.9))))
+                           for _ in range(int(rng.integers(1, 4)))))
+            common = intersection([digraph_of(m) for m in seq])
+            component_of = {u: comp for comp in components_by_bfs(common) for u in comp}
+            periods = {u: component_period_by_cycles(common, comp) for u, comp in component_of.items()}
+            intra = {(u, v) for u, v in common.edges if component_of[u] == component_of[v]}
+            report = analyze(seq)
+            assert report.node_periods == periods
+            assert report.core_offenders == tuple(sorted(u for u, p in periods.items() if p != 1))
+            if all(p == 1 for p in periods.values()):
+                assert report.core == Digraph(n, intra)
+                present += 1
+            else:
+                assert report.core is None
+                absent += 1
+        assert present and absent
 
 
 class TestEventualPositivity:

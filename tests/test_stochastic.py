@@ -11,13 +11,11 @@ from ergocert.digraph import Digraph
 from ergocert.errors import DimensionError, NegativityError, StochasticityError
 from ergocert.stochastic import (
     StochasticMatrix,
-    apply,
     digraph_of,
     identity_matrix,
     matrix_seminorm,
     min_positive_entry,
     multiply,
-    validate_stochastic,
     vector_seminorm,
 )
 
@@ -28,31 +26,31 @@ SWAP = [[0.0, 1.0], [1.0, 0.0]]
 
 class TestValidation:
     def test_identity_accepted_unchanged(self):
-        m = validate_stochastic(np.eye(2))
+        m = StochasticMatrix(np.eye(2))
         assert np.array_equal(m.entries, np.eye(2))
 
     def test_row_sum_violation(self):
         with pytest.raises(StochasticityError, match="row 1"):
-            validate_stochastic([[0.5, 0.6], [0.5, 0.5]])
+            StochasticMatrix([[0.5, 0.6], [0.5, 0.5]])
 
     def test_clamping_small_negatives(self):
-        m = validate_stochastic([[1.0, -1e-12], [0.0, 1.0]], tol_neg=1e-10)
+        m = StochasticMatrix([[1.0, -1e-12], [0.0, 1.0]], tol_neg=1e-10)
         assert np.array_equal(m.entries, np.eye(2))
 
     def test_large_negative_rejected(self):
         with pytest.raises(NegativityError):
-            validate_stochastic([[1.0 + 1e-3, -1e-3], [0.0, 1.0]], tol_neg=1e-10)
+            StochasticMatrix([[1.0 + 1e-3, -1e-3], [0.0, 1.0]], tol_neg=1e-10)
 
     def test_non_square_rejected(self):
         with pytest.raises(DimensionError):
-            validate_stochastic([[1.0, 0.0]])
+            StochasticMatrix([[1.0, 0.0]])
 
     def test_non_finite_rejected(self):
         with pytest.raises(StochasticityError):
-            validate_stochastic([[np.inf, 0.0], [0.0, 1.0]])
+            StochasticMatrix([[np.inf, 0.0], [0.0, 1.0]])
 
     def test_rows_renormalized_exactly(self):
-        m = validate_stochastic([[0.3 + 3e-10, 0.7], [0.5, 0.5]])
+        m = StochasticMatrix([[0.3 + 3e-10, 0.7], [0.5, 0.5]])
         assert np.allclose(m.entries.sum(axis=1), 1.0, atol=1e-15)
 
     def test_entries_read_only(self):
@@ -85,16 +83,12 @@ class TestMultiplyApply:
             multiply(identity_matrix(2), identity_matrix(3))
 
     def test_apply_examples(self):
-        assert np.allclose(apply(identity_matrix(3), [1.0, 2.0, 3.0]), [1.0, 2.0, 3.0])
+        assert np.allclose(identity_matrix(3).entries @ [1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
         rank1 = StochasticMatrix([[0.25, 0.75], [0.25, 0.75]])
-        out = apply(rank1, [4.0, 8.0])
+        out = rank1.entries @ [4.0, 8.0]
         assert np.allclose(out, [7.0, 7.0])
         lazy = StochasticMatrix([[0.9, 0.1], [0.1, 0.9]])
-        assert np.allclose(apply(lazy, [0.0, 1.0]), [0.1, 0.9])
-
-    def test_apply_dimension_mismatch(self):
-        with pytest.raises(DimensionError):
-            apply(identity_matrix(2), [1.0, 2.0, 3.0])
+        assert np.allclose(lazy.entries @ [0.0, 1.0], [0.1, 0.9])
 
 
 class TestDigraphOf:
@@ -223,7 +217,7 @@ class TestMatrixSeminorm:
             n = int(rng.integers(1, 7))
             a = StochasticMatrix(random_stochastic(rng, n))
             x = rng.normal(size=n) * 10
-            y = apply(a, x)
+            y = a.entries @ x
             assert np.abs(y).max() <= np.abs(x).max() + 1e-12
             assert vector_seminorm(y) <= matrix_seminorm(a) * vector_seminorm(x) + 1e-12
 
