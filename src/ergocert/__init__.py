@@ -7,10 +7,8 @@ contraction certificates and disagreement trajectories.
 """
 
 from .convergence import (
-    ColumnOnsets,
     ConvergenceCertificate,
     ProductState,
-    SupportProfile,
     ToleranceRun,
     consensus_row,
     contraction_certificate,
@@ -20,8 +18,6 @@ from .convergence import (
     partial_product,
     run_to_tolerance,
     saturation_floor,
-    support_onsets,
-    support_profile,
 )
 from .digraph import (
     AperiodicityReport,

@@ -1,4 +1,4 @@
-"""Backward partial products, column support tracking, and contraction
+"""Backward partial products, the saturation scan, and contraction
 certificates with a geometric envelope.
 
 Products accumulate new factors on the left. With nonnegative entries there
@@ -19,15 +19,15 @@ from .errors import CertificationRefused, ContractViolation, DimensionError
 from .hypotheses import HypothesisReport, MatrixSequence, analyze
 from .stochastic import (
     StochasticMatrix,
+    check_tolerance,
     identity_matrix,
     matrix_seminorm,
     multiply,
     vector_seminorm,
 )
 
-# Slack for exact inequalities; a looser one for length-compounded ones.
+# Slack for exact inequalities.
 EXACT_SLACK = 1e-12
-COMPOUND_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -45,25 +45,6 @@ class ProductState:
     @cached_property
     def seminorm(self) -> float:
         return matrix_seminorm(self.matrix)
-
-
-@dataclass(frozen=True)
-class SupportProfile:
-    """Per-column supports and support minima of a product matrix.
-
-    ``support(j)`` is the set of rows with a positive entry in column j;
-    ``minimum(j)`` is the smallest such entry (None for an empty support,
-    which cannot happen for products started from the identity).
-    """
-
-    supports: tuple[frozenset[int], ...]
-    minima: tuple[float | None, ...]
-
-    def support(self, j: int) -> frozenset[int]:
-        return self.supports[j - 1]
-
-    def minimum(self, j: int) -> float | None:
-        return self.minima[j - 1]
 
 
 @dataclass(frozen=True)
@@ -96,26 +77,6 @@ class ConvergenceCertificate:
         """Certified bound contraction ** (k // saturation_index) at step k."""
         blocks = k // self.saturation_index
         return math.exp(blocks * math.log1p(-self.n * self.entry_floor))
-
-
-@dataclass(frozen=True)
-class ColumnOnsets:
-    """First-support diagnostics for one column.
-
-    ``first_support[i-1]`` is the least k with row i in the column support
-    of P(k), or None if it never joins within the prefix. ``floor_margins``
-    checks the support minimum at the m-th onset (onsets sorted ascending)
-    against alpha ** ((m-1) * (wielandt + 1)).
-    """
-
-    column: int
-    first_support: tuple[int | None, ...]
-    onsets: tuple[int, ...]
-    floor_margins: tuple[float, ...]
-
-    @property
-    def floor_satisfied(self) -> bool:
-        return all(margin >= -EXACT_SLACK for margin in self.floor_margins)
 
 
 @dataclass(frozen=True)
@@ -158,18 +119,6 @@ def partial_product(seq: MatrixSequence, l: int, k: int) -> StochasticMatrix:
     return product
 
 
-def support_profile(p: StochasticMatrix, tol_pos: float = 0.0) -> SupportProfile:
-    """Column supports and support minima of p under the positivity threshold."""
-    entries = p.entries
-    supports = []
-    minima: list[float | None] = []
-    for j in range(p.n):
-        rows = np.flatnonzero(entries[:, j] > tol_pos)
-        supports.append(frozenset(int(i) + 1 for i in rows))
-        minima.append(float(entries[rows, j].min()) if rows.size else None)
-    return SupportProfile(tuple(supports), tuple(minima))
-
-
 def saturation_floor(n: int, alpha: float) -> float:
     """alpha ** (n * (wielandt_bound(n) + 1)), the certified entry floor."""
     return alpha ** (n * (wielandt_bound(n) + 1))
@@ -189,25 +138,23 @@ def find_saturation_K(seq: MatrixSequence, alpha: float, tol_pos: float = 0.0) -
 
 
 def _first_saturated(seq: MatrixSequence, alpha: float, tol_pos: float) -> ProductState | None:
-    """The state P(K) for the K of find_saturation_K."""
-    if alpha <= 0:
+    """The state P(K) for the K of find_saturation_K.
+
+    Each product is scanned beside its boolean pattern, the product of the
+    factor patterns (entries > tol_pos), exact where the float product
+    underflows to 0.0.
+    """
+    if not alpha > 0:
         raise ContractViolation("alpha must be positive")
+    check_tolerance("tol_pos", tol_pos)
     threshold = saturation_floor(seq.n, alpha) - EXACT_SLACK
-    for state, positive in _products_with_patterns(seq, tol_pos):
-        if state.k and positive.all() and state.matrix.entries.min() >= threshold:
-            return state
-    return None
-
-
-def _products_with_patterns(seq: MatrixSequence, tol_pos: float) -> Iterator[tuple[ProductState, np.ndarray]]:
-    """iter_products, each state beside the boolean pattern of its product:
-    the product of the factor patterns (entries > tol_pos), exact where the
-    float product underflows to 0.0."""
     pattern = np.eye(seq.n, dtype=np.float32)
     for state in iter_products(seq):
         if state.k:
             pattern = pattern_product((seq.factor(state.k).entries > tol_pos).astype(np.float32), pattern)
-        yield state, pattern > 0
+            if pattern.all() and state.matrix.entries.min() >= threshold:
+                return state
+    return None
 
 
 def contraction_certificate(
@@ -223,7 +170,9 @@ def contraction_certificate(
     core existence) raise CertificationRefused; eventual positivity that
     merely ran out of prefix is not refuted, so the search proceeds and the
     function returns None when no saturation index exists within the prefix.
-    A measured semi-norm check guards the emitted certificate.
+    An alpha given in place of the realized minimum positive entry must be a
+    positive lower bound for it (ContractViolation otherwise). A measured
+    semi-norm check guards the emitted certificate.
     """
     if report is None:
         report = analyze(seq, tol_pos=tol_pos)
@@ -231,8 +180,10 @@ def contraction_certificate(
     if structural:
         raise CertificationRefused(structural)
     bound = report.alpha if alpha is None else float(alpha)
-    if bound is None or bound <= 0:
-        raise ContractViolation("alpha must be positive")
+    if not 0 < bound <= report.alpha:
+        raise ContractViolation(
+            f"alpha must be positive and at most the minimum positive entry {report.alpha}, got {bound}"
+        )
     saturated = _first_saturated(seq, bound, tol_pos)
     if saturated is None:
         return None
@@ -270,7 +221,7 @@ def run_to_tolerance(seq: MatrixSequence, epsilon: float, x0=None) -> ToleranceR
     every entry of x(k*) with x0); on exhaustion both are None and the
     final state is returned.
     """
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ContractViolation("epsilon must be positive")
     vec = None if x0 is None else _checked_vector(x0, seq.n)
     matrix_values: list[float] = []
@@ -310,33 +261,3 @@ def disagreement_trajectory(seq: MatrixSequence, x0) -> list[float]:
         vec = factor.entries @ vec
         values.append(vector_seminorm(vec))
     return values
-
-
-def support_onsets(seq: MatrixSequence, alpha: float, tol_pos: float = 0.0) -> tuple[ColumnOnsets, ...]:
-    """Per-column first-support indices with the induction floor check.
-
-    Tracks, for every column j, the first k at which each row enters the
-    support of P(k), then verifies that the support minimum at the m-th
-    onset is at least alpha ** ((m-1) * (wielandt + 1)). This is the
-    inductive mechanism behind the saturation guarantee, exposed as a
-    diagnostic; the certificate itself locates the saturation index by
-    direct scan. Supports are read from the boolean product of the factor
-    patterns, as in find_saturation_K; the minima are the float entries, so
-    an entry that underflowed reads 0.0.
-    """
-    if alpha <= 0:
-        raise ContractViolation("alpha must be positive")
-    step = wielandt_bound(seq.n) + 1
-    first = np.full((seq.n, seq.n), -1)  # [row, column]; -1 until the row joins the support
-    minima = []  # per k, the column support minima (inf for an empty support)
-    for state, positive in _products_with_patterns(seq, tol_pos):
-        first[positive & (first < 0)] = state.k
-        minima.append(np.where(positive, state.matrix.entries, np.inf).min(axis=0))
-
-    out = []
-    for j in range(seq.n):
-        per_row = tuple(int(k) if k >= 0 else None for k in first[:, j])
-        onsets = tuple(sorted(k for k in per_row if k is not None))
-        margins = tuple(float(minima[k][j]) - alpha ** (m * step) for m, k in enumerate(onsets))
-        out.append(ColumnOnsets(j + 1, per_row, onsets, margins))
-    return tuple(out)

@@ -14,7 +14,6 @@ module is safe to use from concurrent callers without synchronization.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -49,16 +48,6 @@ class Digraph:
             raise DimensionError(f"adjacency matrix must be square, got shape {arr.shape}")
         rows, cols = np.nonzero(arr)
         return cls(arr.shape[0], zip(rows + 1, cols + 1))
-
-    @cached_property
-    def _successors(self) -> dict[int, tuple[int, ...]]:
-        adj: dict[int, list[int]] = {u: [] for u in range(1, self.n + 1)}
-        for i, j in self.edges:
-            adj[i].append(j)
-        return {u: tuple(sorted(vs)) for u, vs in adj.items()}
-
-    def successors(self, u: int) -> tuple[int, ...]:
-        return self._successors[u]
 
     def adjacency_matrix(self) -> np.ndarray:
         """Boolean array with entry [i-1, j-1] True iff edge (i, j) exists."""

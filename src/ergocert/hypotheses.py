@@ -15,7 +15,7 @@ import numpy as np
 
 from .digraph import Digraph, completely_reducible, component_periods, pattern_product
 from .errors import ContractViolation, DimensionError
-from .stochastic import StochasticMatrix, min_positive_entry
+from .stochastic import StochasticMatrix, check_tolerance, min_positive_entry
 
 
 @dataclass(frozen=True)
@@ -73,6 +73,7 @@ class HypothesisReport:
 
 def _patterns(matrices: Iterable[StochasticMatrix], tol_pos: float) -> np.ndarray:
     """The (L, n, n) float32 0/1 stack of factor patterns: entry (i, j) > tol_pos."""
+    check_tolerance("tol_pos", tol_pos)
     return np.stack([m.entries > tol_pos for m in matrices]).astype(np.float32)
 
 

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import StochasticityError
 from .hypotheses import MatrixSequence
-from .stochastic import NEGATIVITY_TOL, ROW_SUM_TOL, StochasticMatrix
+from .stochastic import NEGATIVITY_TOL, ROW_SUM_TOL, StochasticMatrix, check_tolerance
 
 
 class SequenceFileError(ValueError):
@@ -60,6 +60,8 @@ def parse_sequence_text(
     tol_row: float = ROW_SUM_TOL,
     tol_neg: float = NEGATIVITY_TOL,
 ) -> SequenceFile:
+    check_tolerance("tol_row", tol_row)
+    check_tolerance("tol_neg", tol_neg)
     n: int | None = None
     metadata: dict[str, str] = {}
     data_lines: list[str] = []

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .digraph import Digraph
-from .errors import DimensionError, NegativityError, StochasticityError
+from .errors import ContractViolation, DimensionError, NegativityError, StochasticityError
 
 ROW_SUM_TOL = 1e-9
 NEGATIVITY_TOL = 1e-12
@@ -21,18 +21,28 @@ NEGATIVITY_TOL = 1e-12
 _SEMINORM_BLOCK_BYTES = 2**20
 
 
+def check_tolerance(name: str, value: float) -> None:
+    """Tolerances are finite and nonnegative: with a NaN every check it guards
+    would pass, and a negative positivity threshold would count zeros as edges."""
+    if not 0 <= value < np.inf:
+        raise ContractViolation(f"{name} must be finite and nonnegative, got {value}")
+
+
 class StochasticMatrix:
     """Dense n x n matrix with nonnegative entries and unit row sums.
 
     Construction validates the input: entries in [-tol_neg, 0) are clamped
     to zero, anything more negative is rejected, each row sum must lie
     within tol_row of 1, and rows are then renormalized to sum to exactly 1
-    up to machine rounding. The entry array is read-only afterwards.
+    up to machine rounding. Both tolerances must be finite and nonnegative
+    (ContractViolation otherwise). The entry array is read-only afterwards.
     """
 
     __slots__ = ("_entries",)
 
     def __init__(self, raw, *, tol_row: float = ROW_SUM_TOL, tol_neg: float = NEGATIVITY_TOL) -> None:
+        check_tolerance("tol_row", tol_row)
+        check_tolerance("tol_neg", tol_neg)
         arr = np.array(raw, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise DimensionError(f"expected a square matrix, got shape {arr.shape}")

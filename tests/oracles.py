@@ -18,6 +18,7 @@ from itertools import product as iter_product
 
 import numpy as np
 
+from ergocert.convergence import iter_products
 from ergocert.digraph import Digraph, is_aperiodic, wielandt_bound
 from ergocert.errors import ContractViolation, DimensionError, StochasticityError
 from ergocert.seqfile import SequenceFile, SequenceFileError
@@ -29,12 +30,21 @@ def complete_digraph(n: int) -> Digraph:
     return Digraph(n, iter_product(range(1, n + 1), repeat=2))
 
 
+def successor_lists(g: Digraph) -> dict[int, tuple[int, ...]]:
+    """The sorted out-neighbours of every node, read from the edge set."""
+    succ: dict[int, list[int]] = {u: [] for u in range(1, g.n + 1)}
+    for i, j in sorted(g.edges):
+        succ[i].append(j)
+    return {u: tuple(vs) for u, vs in succ.items()}
+
+
 def reachable_by_bfs(g: Digraph, start: int) -> set[int]:
     """Nodes reachable from start, start included, by breadth-first search."""
+    succ = successor_lists(g)
     seen = {start}
     queue = deque([start])
     while queue:
-        for v in g.successors(queue.popleft()):
+        for v in succ[queue.popleft()]:
             if v not in seen:
                 seen.add(v)
                 queue.append(v)
@@ -103,18 +113,29 @@ def time_varying_walk_exists(graphs, i: int, j: int) -> bool:
             raise DimensionError(f"node outside 1..{n}")
     frontier = {i}
     for g in reversed(graphs):
-        frontier = {v for u in frontier for v in g.successors(u)}
+        frontier = {j for i, j in g.edges if i in frontier}
         if not frontier:
             return False
     return j in frontier
 
 
+def supports_and_minima(seq) -> tuple[np.ndarray, np.ndarray]:
+    """Column supports and support minima of every product P(0..L), read
+    from the float entries: supports[k, i, j] is True iff row i is in the
+    support of column j of P(k), and minima[k, j] is the smallest entry of
+    that support."""
+    products = np.stack([state.matrix.entries for state in iter_products(seq)])
+    supports = products > 0
+    return supports, np.where(supports, products, np.inf).min(axis=1)
+
+
 def simple_cycle_lengths(g: Digraph) -> set[int]:
     """Lengths of all simple cycles, by anchored DFS (small n only)."""
     lengths: set[int] = set()
+    succ = successor_lists(g)
 
     def dfs(start: int, current: int, visited: set[int], depth: int) -> None:
-        for nxt in g.successors(current):
+        for nxt in succ[current]:
             if nxt == start:
                 lengths.add(depth + 1)
             elif nxt > start and nxt not in visited:
@@ -202,7 +223,7 @@ def core_exists_exhaustive(common: Digraph) -> bool:
     such subgraphs are sink-free on all nodes). Exponential; n <= 4 and
     sparse intersections keep it tractable.
     """
-    out_sets = [common.successors(u) for u in range(1, common.n + 1)]
+    out_sets = list(successor_lists(common).values())
     if any(not s for s in out_sets):
         return False
     if is_aperiodic(common).aperiodic:

@@ -18,7 +18,6 @@ from ergocert.convergence import (
     partial_product,
     run_to_tolerance,
     saturation_floor,
-    support_profile,
 )
 from ergocert.digraph import intersection, wielandt_bound, wielandt_graph
 from ergocert.generate import generate_sequence
@@ -36,6 +35,7 @@ from oracles import (
     exact_exponent,
     random_stochastic,
     seminorm_bruteforce,
+    supports_and_minima,
     time_varying_walk_exists,
 )
 
@@ -144,17 +144,15 @@ def test_05_support_growth_and_saturation():
     for preset, n, seq in _mixing_fixtures():
         w = wielandt_bound(n)
         alpha = min_positive_entry(seq.items)
-        profiles = [support_profile(state.matrix) for state in iter_products(seq)]
+        supports, minima = supports_and_minima(seq)
 
         for l in range(len(seq) + 1):
             for k in range(l + w, len(seq) + 1):
-                for j in range(1, n + 1):
-                    assert profiles[l].support(j) <= profiles[k].support(j)
+                assert (supports[l] <= supports[k]).all()
 
         for k in range(len(seq)):
-            for j in range(1, n + 1):
-                if profiles[k].support(j) == profiles[k + 1].support(j):
-                    assert profiles[k + 1].minimum(j) >= profiles[k].minimum(j) - 1e-12
+            stalled = (supports[k] == supports[k + 1]).all(axis=0)
+            assert (minima[k + 1, stalled] >= minima[k, stalled] - 1e-12).all()
 
         saturation = find_saturation_K(seq, alpha)
         assert saturation is not None

@@ -1,10 +1,11 @@
-"""The ergocert names that the benchmark's traced run calls.
+"""The ergocert names that the benchmark's traced run calls, and the public API.
 
 `perfbench/layers.py` rebuilds every CLI command from public module calls.
 Removing or renaming one of those names breaks `perfbench/run.py --trace 1`
 and no other test, so this module imports each of them, checks that the
 list below still covers the file, and reads the result attributes the
-traced run reads.
+traced run reads. It also checks that the package exports no name that
+only tests use.
 """
 
 import ast
@@ -31,7 +32,32 @@ from ergocert.stochastic import digraph_of, identity_matrix, matrix_seminorm, mi
 
 MODULES = {"convergence": convergence, "digraph": digraph, "generate": generate,
            "hypotheses": hypotheses, "seqfile": seqfile, "stochastic": stochastic}
-LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+ROOT = Path(__file__).resolve().parents[1]
+LAYERS = ROOT / "perfbench" / "layers.py"
+PACKAGE = ROOT / "src" / "ergocert"
+
+
+def referenced_names(path: Path) -> set[str]:
+    """Every name read in the file, bare or as an attribute."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+
+
+def test_every_export_has_a_non_test_caller():
+    init = PACKAGE / "__init__.py"
+    exported = {
+        alias.asname or alias.name
+        for node in ast.walk(ast.parse(init.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert exported
+    callers = [path for path in PACKAGE.glob("*.py") if path != init] + [LAYERS]
+    used = set().union(*(referenced_names(path) for path in callers))
+    assert exported - used == set()
 
 
 def test_imports_cover_the_traced_run():

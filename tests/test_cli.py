@@ -76,6 +76,14 @@ class TestValidate:
         assert main(["validate", str(path)]) == 2
         assert main(["validate", str(path), "--tol-neg", "1e-10"]) == 0
 
+    def test_nan_tolerances_rejected(self, tmp_path, capsys):
+        path = tmp_path / "nonstochastic.seq"
+        path.write_text("n=2\n0.5 0.2\n-0.3 1.3\n")
+        assert main(["validate", str(path), "--tol-row", "nan", "--tol-neg", "nan"]) == 2
+        captured = capsys.readouterr()
+        assert "validation" not in captured.out
+        assert "tol_row must be finite and nonnegative" in captured.err
+
 
 class TestAnalyze:
     def test_lazy_walk_holds(self, lazy_file, capsys):
@@ -107,6 +115,16 @@ class TestAnalyze:
         lines = report_lines(capsys)
         assert lines["hypotheses.eventual_positivity.start_1"] == "1"
         assert lines["hypotheses.eventual_positivity.start_2"] == "-"
+
+    def test_negative_tol_pos_rejected(self, tmp_path, capsys):
+        # below zero, zero entries would count as edges and every condition hold
+        path = tmp_path / "periodic.seq"
+        assert main(["generate", "periodic-counterexample", "--n", "6", "--length", "40", "--out", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["analyze", str(path), "--tol-pos", "-0.5"]) == 2
+        captured = capsys.readouterr()
+        assert "hypotheses.verdict" not in captured.out
+        assert "tol_pos must be finite and nonnegative" in captured.err
 
     def test_report_is_stable(self, lazy_file, capsys):
         main(["analyze", lazy_file])
@@ -166,6 +184,19 @@ class TestCertify:
         assert main(["certify", lazy_file, "--alpha-override", "0.05"]) == 0
         assert report_lines(capsys)["certificate.alpha"] == "0.05"
 
+    @pytest.mark.parametrize("alpha", ["1.5", "nan", "inf", "0.2"])
+    def test_alpha_override_must_bound_the_entries(self, tmp_path, capsys, alpha):
+        # 1.5 overflowed the floor 1.5 ** (n * (W + 1)); nan never saturated;
+        # 0.2 is above the smallest entry 0.005
+        path = tmp_path / "pd.seq"
+        args = ["--n", "50", "--length", "5", "--alpha", "0.005", "--out", str(path)]
+        assert main(["generate", "positive-diagonal", *args]) == 0
+        capsys.readouterr()
+        assert main(["certify", str(path), "--alpha-override", alpha]) == 2
+        captured = capsys.readouterr()
+        assert "certificate.status" not in captured.out
+        assert "alpha must be positive and at most the minimum positive entry" in captured.err
+
 
 class TestSimulate:
     def test_lazy_walk_stops_at_31(self, lazy_file, capsys):
@@ -175,6 +206,13 @@ class TestSimulate:
         assert lines["trajectory.reached"] == "yes"
         row = [float(v) for v in lines["consensus.row"].split()]
         assert row == pytest.approx([0.5, 0.5], abs=1e-12)
+
+    def test_nan_epsilon_rejected(self, lazy_file, capsys):
+        # every comparison with NaN is False: the run was read as "not reached"
+        assert main(["simulate", lazy_file, "--epsilon", "nan"]) == 2
+        captured = capsys.readouterr()
+        assert "trajectory.reached" not in captured.out
+        assert "epsilon must be positive" in captured.err
 
     def test_constant_x0_exits_at_zero(self, lazy_file, capsys):
         assert main(["simulate", lazy_file, "--epsilon", "1e-3", "--x0", "2,2"]) == 0

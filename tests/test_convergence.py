@@ -6,7 +6,6 @@ import pytest
 
 from ergocert import convergence
 from ergocert.convergence import (
-    COMPOUND_SLACK,
     consensus_row,
     contraction_certificate,
     disagreement_trajectory,
@@ -15,8 +14,6 @@ from ergocert.convergence import (
     partial_product,
     run_to_tolerance,
     saturation_floor,
-    support_onsets,
-    support_profile,
 )
 from ergocert.digraph import wielandt_bound
 from ergocert.errors import CertificationRefused, ContractViolation, DimensionError
@@ -30,7 +27,10 @@ from ergocert.stochastic import (
     min_positive_entry,
 )
 
-from oracles import random_stochastic, time_varying_walk_exists
+from oracles import random_stochastic, supports_and_minima, time_varying_walk_exists
+
+# Slack for inequalities compounded over the length of a sequence.
+COMPOUND_SLACK = 1e-9
 
 LAZY = StochasticMatrix([[0.9, 0.1], [0.1, 0.9]])
 SWAP = StochasticMatrix([[0.0, 1.0], [1.0, 0.0]])
@@ -89,27 +89,6 @@ class TestPartialProduct:
             assert state.seminorm == matrix_seminorm(state.matrix)
 
 
-class TestSupportProfile:
-    def test_identity(self):
-        profile = support_profile(identity_matrix(3))
-        for j in (1, 2, 3):
-            assert profile.support(j) == {j}
-            assert profile.minimum(j) == 1.0
-
-    def test_full_support(self):
-        profile = support_profile(LAZY)
-        for j in (1, 2):
-            assert profile.support(j) == {1, 2}
-            assert profile.minimum(j) == 0.1
-
-    def test_partial_support(self):
-        profile = support_profile(StochasticMatrix([[0.5, 0.5], [0.0, 1.0]]))
-        assert profile.support(1) == {1}
-        assert profile.minimum(1) == 0.5
-        assert profile.support(2) == {1, 2}
-        assert profile.minimum(2) == 0.5
-
-
 class TestSaturation:
     def test_rank_one_saturates_immediately(self):
         seq = seq_of(RANK1, RANK1)
@@ -128,6 +107,11 @@ class TestSaturation:
     def test_alpha_must_be_positive(self):
         with pytest.raises(ContractViolation):
             find_saturation_K(seq_of(LAZY), 0.0)
+
+    @pytest.mark.parametrize("alpha, tol_pos", [(np.nan, 0.0), (0.1, -0.5), (0.1, np.nan)])
+    def test_alpha_and_threshold_validated(self, alpha, tol_pos):
+        with pytest.raises(ContractViolation):
+            find_saturation_K(seq_of(SWAP, SWAP), alpha, tol_pos=tol_pos)
 
     def test_positivity_is_read_from_patterns(self):
         # w = 1e-200: the C^2 entries of P(2) are about 1e-400, 0.0 in floats
@@ -192,6 +176,12 @@ class TestCertificate:
         cert = contraction_certificate(seq_of(RANK1, RANK1), alpha=0.25)
         assert cert.alpha == 0.25
         assert cert.entry_floor == 0.25**6
+
+    @pytest.mark.parametrize("alpha", [0.0, -0.1, 0.2, 1.5, np.nan, np.inf])
+    def test_alpha_override_must_bound_the_entries(self, alpha):
+        # the smallest entry of LAZY is 0.1; 1.5 overflowed the floor
+        with pytest.raises(ContractViolation, match="at most the minimum positive entry 0.1"):
+            contraction_certificate(seq_of(LAZY, LAZY), alpha=alpha)
 
     def test_vacuous_when_the_contraction_rounds_to_one(self):
         # n = 8, alpha = 0.1: the floor 0.1 ** 296 is below machine epsilon
@@ -341,7 +331,6 @@ class TestLazySeminorm:
         alpha = min_positive_entry(seq.items)
         with self.count_seminorms() as counted:
             assert find_saturation_K(seq, alpha) is not None
-            support_onsets(seq, alpha)
             assert counted.call_count == 0
 
     def test_certificate_measures_the_scanned_product_once(self):
@@ -356,32 +345,19 @@ class TestLazySeminorm:
 
 
 class TestSupportOnsets:
-    def test_identity_column_onsets(self):
-        seq = seq_of(identity_matrix(2), identity_matrix(2))
-        onsets = support_onsets(seq, 1.0)
-        assert onsets[0].first_support == (0, None)
-        assert onsets[1].first_support == (None, 0)
-        assert onsets[0].onsets == (0,)
-        assert onsets[0].floor_satisfied
-
     def test_floors_hold_on_mixing_fixture(self):
+        # the proof's induction: when the m-th row (m = 0, 1, ...) joins the
+        # support of a column, the column minimum is at least alpha ** (m * (W + 1))
         seq = preset_fixture("cycle-core", 3, 20, 0.2, seed=45)
         alpha = min_positive_entry(seq.items)
-        for column in support_onsets(seq, alpha):
-            assert column.first_support[column.column - 1] == 0
-            assert column.floor_satisfied
-
-    def test_alpha_validated(self):
-        with pytest.raises(ContractViolation):
-            support_onsets(seq_of(LAZY), -1.0)
-
-    def test_supports_are_read_from_patterns(self):
-        # w = 1e-200: the C^2 entries of P(2) are 0.0 in floats, yet every
-        # row joins every column's support by k = 2 in the boolean product
-        seq = seq_of(*[lazy_cycle(3, 1e-200)] * 6)
-        columns = support_onsets(seq, 1e-200)
-        assert [c.first_support for c in columns] == [(0, 2, 1), (1, 0, 2), (2, 1, 0)]
-        assert all(c.onsets == (0, 1, 2) for c in columns)
+        step = wielandt_bound(seq.n) + 1
+        supports, minima = supports_and_minima(seq)
+        for j in range(seq.n):
+            joined = supports[:, :, j].any(axis=0)
+            onsets = sorted(supports[:, :, j].argmax(axis=0)[joined])
+            assert supports[0, j, j]
+            for m, k in enumerate(onsets):
+                assert minima[k, j] >= alpha ** (m * step) - 1e-12
 
 
 @pytest.fixture(scope="module", params=[("positive-diagonal", 3), ("cycle-core", 3), ("cycle-core", 4)])
@@ -389,40 +365,35 @@ def fixture(request):
     preset, n = request.param
     seq = preset_fixture(preset, n, 3 * wielandt_bound(n) + 5, 1.0 / (2 * n), seed=50 + n)
     assert analyze(seq).holds
-    profiles = [support_profile(s.matrix) for s in iter_products(seq)]
-    return seq, profiles
+    return (seq, *supports_and_minima(seq))
 
 
 class TestSupportInequalities:
     """Structural inequalities on fixtures that satisfy all four conditions."""
 
     def test_supports_grow_across_wielandt_gaps(self, fixture):
-        seq, profiles = fixture
+        seq, supports, _ = fixture
         w = wielandt_bound(seq.n)
         for l in range(len(seq) + 1):
             for k in range(l + w, len(seq) + 1):
-                for j in range(1, seq.n + 1):
-                    assert profiles[l].support(j) <= profiles[k].support(j)
+                assert (supports[l] <= supports[k]).all()
 
     def test_minima_monotone_when_support_stalls(self, fixture):
-        seq, profiles = fixture
+        seq, supports, minima = fixture
         assert analyze(seq).reducibility_failures == ()
         for k in range(len(seq)):
-            for j in range(1, seq.n + 1):
-                if profiles[k].support(j) == profiles[k + 1].support(j):
-                    assert profiles[k + 1].minimum(j) >= profiles[k].minimum(j) - 1e-12
+            stalled = (supports[k] == supports[k + 1]).all(axis=0)
+            assert (minima[k + 1, stalled] >= minima[k, stalled] - 1e-12).all()
 
     def test_alpha_decay_lower_bound(self, fixture):
-        seq, profiles = fixture
+        seq, _, minima = fixture
         alpha = min_positive_entry(seq.items)
         for l in range(len(seq) + 1):
             for k in range(l, len(seq) + 1):
-                for j in range(1, seq.n + 1):
-                    mu_l, mu_k = profiles[l].minimum(j), profiles[k].minimum(j)
-                    assert mu_k >= alpha ** (k - l) * mu_l - 1e-12
+                assert (minima[k] >= alpha ** (k - l) * minima[l] - 1e-12).all()
 
     def test_positivity_matches_walk_oracle(self, fixture):
-        seq, _ = fixture
+        seq = fixture[0]
         graphs = [digraph_of(m) for m in seq]
         for l in range(0, len(seq) + 1, 3):
             for k in range(l, min(l + 6, len(seq) + 1)):

@@ -288,6 +288,16 @@ class TestThresholdedPatterns:
             # every row keeps an entry of at least 1/n >= 0.2
             self.assert_same_structure(seq, float(rng.uniform(0.02, 0.19)))
 
+    @pytest.mark.parametrize("tol_pos", [-0.5, np.nan, np.inf])
+    def test_threshold_finite_and_nonnegative(self, tol_pos):
+        # at tol_pos = -0.5 the zeros of alternating swaps would be edges and
+        # every condition would hold
+        seq = seq_of(SWAP, SWAP, SWAP, SWAP)
+        with pytest.raises(ContractViolation):
+            analyze(seq, tol_pos=tol_pos)
+        with pytest.raises(ContractViolation):
+            check_eventual_positivity(seq, 1, tol_pos=tol_pos)
+
 
 class TestAnalyze:
     def test_lazy_walk_all_conditions_hold(self):

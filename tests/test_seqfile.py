@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ergocert.errors import ContractViolation
 from ergocert.seqfile import (
     SequenceFileError,
     format_sequence,
@@ -67,6 +68,13 @@ class TestParsing:
             parse_sequence_text(text, tol_neg=1e-12)
         seqf = parse_sequence_text(text, tol_neg=1e-10)
         assert seqf.matrices[0].entries[0, 1] == 0.0
+
+    @pytest.mark.parametrize("tolerances", [
+        {"tol_row": np.nan, "tol_neg": np.nan}, {"tol_row": -1.0}, {"tol_neg": -np.inf},
+    ])
+    def test_tolerances_finite_and_nonnegative(self, tolerances):
+        with pytest.raises(ContractViolation):
+            parse_sequence_text("n=2\n0.5 0.2\n-0.3 1.3\n", **tolerances)
 
 
 class TestRoundTrip:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from ergocert import stochastic
 from ergocert.digraph import Digraph
-from ergocert.errors import DimensionError, NegativityError, StochasticityError
+from ergocert.errors import ContractViolation, DimensionError, NegativityError, StochasticityError
 from ergocert.stochastic import (
     StochasticMatrix,
     digraph_of,
@@ -57,6 +57,15 @@ class TestValidation:
         m = identity_matrix(2)
         with pytest.raises(ValueError):
             m.entries[0, 0] = 0.5
+
+    @pytest.mark.parametrize("tolerances", [
+        {"tol_row": np.nan}, {"tol_neg": np.nan}, {"tol_row": -1e-9}, {"tol_neg": np.inf},
+    ])
+    def test_tolerances_finite_and_nonnegative(self, tolerances):
+        # with NaN tolerances every comparison is False: -0.3 would be clamped
+        # and the 0.7 row sum renormalized
+        with pytest.raises(ContractViolation):
+            StochasticMatrix([[0.5, 0.2], [-0.3, 1.3]], **tolerances)
 
     def test_input_not_aliased(self):
         raw = np.eye(2)
