@@ -84,10 +84,9 @@ def _parse_x0(raw: str) -> np.ndarray:
     else:
         tokens = raw.replace(",", " ").split()
     try:
-        vec = np.array([float(t) for t in tokens])
+        return np.array([float(t) for t in tokens])
     except ValueError:
         raise ContractViolation(f"could not parse x0 vector from {raw!r}") from None
-    return vec
 
 
 def _finish(code: int) -> int:
@@ -145,6 +144,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     seq = seqf.to_sequence()
     x0 = _parse_x0(args.x0) if args.x0 else None
     run = run_to_tolerance(seq, args.epsilon, x0)
+    if args.emit_csv:
+        values = run.matrix_seminorms if x0 is None else run.vector_seminorms
+        csv_text = "k,seminorm\n" + "".join(f"{k},{_fmt(v)}\n" for k, v in enumerate(values))
+        if args.emit_csv != "-":  # before the report: a failed write prints no exit_status
+            Path(args.emit_csv).write_text(csv_text, encoding="utf-8")
 
     _emit_input(args.path, seqf)
     _emit("trajectory.epsilon", args.epsilon)
@@ -161,15 +165,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         _emit("consensus.value", run.consensus_value)
     _emit("numerics.row_sum_drift", run.state.row_sum_drift)
     code = _finish(EXIT_OK if run.reached else EXIT_EXHAUSTED)
-
-    if args.emit_csv:
-        criterion_values = run.matrix_seminorms if x0 is None else run.vector_seminorms
-        csv_lines = ["k,seminorm"] + [f"{k},{_fmt(v)}" for k, v in enumerate(criterion_values)]
-        csv_text = "\n".join(csv_lines) + "\n"
-        if args.emit_csv == "-":
-            sys.stdout.write(csv_text)
-        else:
-            Path(args.emit_csv).write_text(csv_text, encoding="utf-8")
+    if args.emit_csv == "-":
+        sys.stdout.write(csv_text)
     return code
 
 
@@ -234,10 +231,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (SequenceFileError, StochasticityError, DimensionError, ContractViolation) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as err:
+    except (SequenceFileError, StochasticityError, DimensionError, ContractViolation, OSError, UnicodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -19,9 +19,10 @@ from .errors import CertificationRefused, ContractViolation, DimensionError
 from .hypotheses import HypothesisReport, MatrixSequence, analyze
 from .stochastic import (
     StochasticMatrix,
-    check_tolerance,
+    factor_patterns,
     identity_matrix,
     matrix_seminorm,
+    min_positive_entry,
     multiply,
     vector_seminorm,
 )
@@ -124,34 +125,37 @@ def saturation_floor(n: int, alpha: float) -> float:
     return alpha ** (n * (wielandt_bound(n) + 1))
 
 
-def find_saturation_K(seq: MatrixSequence, alpha: float, tol_pos: float = 0.0) -> int | None:
+def find_saturation_K(seq: MatrixSequence, alpha: float) -> int | None:
     """Least K in 1..L with every entry of P(K) positive and at the
     saturation floor alpha ** (n * (wielandt + 1)) or above (slack 1e-12).
 
     alpha must be the realized minimum positive entry or a positive lower
-    bound for it. None means the prefix never saturates. Positivity is read
-    from the boolean product of the factor patterns thresholded at tol_pos,
-    as in analyze, so entries that underflow to 0.0 still count as positive.
+    bound for it (ContractViolation otherwise). None means the prefix never
+    saturates. Positivity is read from the boolean product of the factor
+    patterns, as in analyze, so entries that underflow to 0.0 still count as
+    positive.
     """
-    saturated = _first_saturated(seq, alpha, tol_pos)
+    saturated = _first_saturated(seq, alpha)
     return None if saturated is None else saturated.k
 
 
-def _first_saturated(seq: MatrixSequence, alpha: float, tol_pos: float) -> ProductState | None:
+def _first_saturated(seq: MatrixSequence, alpha: float) -> ProductState | None:
     """The state P(K) for the K of find_saturation_K.
 
     Each product is scanned beside its boolean pattern, the product of the
-    factor patterns (entries > tol_pos), exact where the float product
-    underflows to 0.0.
+    factor patterns, exact where the float product underflows to 0.0.
     """
-    if not alpha > 0:
-        raise ContractViolation("alpha must be positive")
-    check_tolerance("tol_pos", tol_pos)
+    smallest = min_positive_entry(seq.items)
+    if not 0 < alpha <= smallest:
+        raise ContractViolation(
+            f"alpha must be positive and at most the minimum positive entry {smallest}, got {alpha}"
+        )
     threshold = saturation_floor(seq.n, alpha) - EXACT_SLACK
+    factors = factor_patterns(seq)
     pattern = np.eye(seq.n, dtype=np.float32)
     for state in iter_products(seq):
         if state.k:
-            pattern = pattern_product((seq.factor(state.k).entries > tol_pos).astype(np.float32), pattern)
+            pattern = pattern_product(factors[state.k - 1], pattern)
             if pattern.all() and state.matrix.entries.min() >= threshold:
                 return state
     return None
@@ -161,7 +165,6 @@ def contraction_certificate(
     seq: MatrixSequence,
     *,
     alpha: float | None = None,
-    tol_pos: float = 0.0,
     report: HypothesisReport | None = None,
 ) -> ConvergenceCertificate | None:
     """Certify a uniform contraction for the sequence, or refuse.
@@ -175,16 +178,12 @@ def contraction_certificate(
     semi-norm check guards the emitted certificate.
     """
     if report is None:
-        report = analyze(seq, tol_pos=tol_pos)
+        report = analyze(seq)
     structural = tuple(v for v in report.violations if not v.startswith("eventual-positivity"))
     if structural:
         raise CertificationRefused(structural)
     bound = report.alpha if alpha is None else float(alpha)
-    if not 0 < bound <= report.alpha:
-        raise ContractViolation(
-            f"alpha must be positive and at most the minimum positive entry {report.alpha}, got {bound}"
-        )
-    saturated = _first_saturated(seq, bound, tol_pos)
+    saturated = _first_saturated(seq, bound)
     if saturated is None:
         return None
     floor = saturation_floor(seq.n, bound)
@@ -250,6 +249,8 @@ def _checked_vector(x0, n: int) -> np.ndarray:
     vec = np.asarray(x0, dtype=float)
     if vec.ndim != 1 or vec.size != n:
         raise DimensionError(f"vector of length {vec.size} does not match dimension {n}")
+    if not np.all(np.isfinite(vec)):
+        raise ContractViolation("x0 entries must be finite")
     return vec
 
 

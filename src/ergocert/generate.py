@@ -177,25 +177,15 @@ def _wolfowitz_set(rng, n, length, alpha, attempts: int = 60):
     return matrices, metadata
 
 
-def _permutation_matrix(mapping: dict[int, int], n: int) -> StochasticMatrix:
-    out = np.zeros((n, n))
-    for u, v in mapping.items():
-        out[u - 1, v - 1] = 1.0
-    return StochasticMatrix(out)
-
-
 def _periodic_counterexample(n, length):
     if n % 2 == 0:
         half = n // 2
-        swap = {u: u + half for u in range(1, half + 1)}
-        swap.update({u + half: u for u in range(1, half + 1)})
-        shifted = {u: half + 1 + (u % half) for u in range(1, half + 1)}
-        shifted.update({half + u: u % half + 1 for u in range(1, half + 1)})
-        perms = [_permutation_matrix(swap, n), _permutation_matrix(shifted, n)]
+        step = (np.arange(half) + 1) % half
+        perms = [np.roll(np.arange(n), half), np.concatenate([step + half, step])]
         kind = "bipartite-2-periodic"
     else:
-        cycle = {u: u % n + 1 for u in range(1, n + 1)}
-        perms = [_permutation_matrix(cycle, n), _permutation_matrix(cycle, n)]
+        perms = [np.roll(np.arange(n), -1)] * 2
         kind = f"full-cycle-{n}-periodic"
-    matrices = [perms[k % 2] for k in range(length)]
+    factors = [StochasticMatrix(np.eye(n)[perm]) for perm in perms]
+    matrices = [factors[k % 2] for k in range(length)]
     return matrices, {"pattern": kind}

@@ -15,7 +15,7 @@ import numpy as np
 
 from .digraph import Digraph, completely_reducible, component_periods, pattern_product
 from .errors import ContractViolation, DimensionError
-from .stochastic import StochasticMatrix, check_tolerance, min_positive_entry
+from .stochastic import StochasticMatrix, factor_patterns, min_positive_entry
 
 
 @dataclass(frozen=True)
@@ -71,13 +71,7 @@ class HypothesisReport:
         return "all-conditions-hold" if self.holds else "conditions-violated"
 
 
-def _patterns(matrices: Iterable[StochasticMatrix], tol_pos: float) -> np.ndarray:
-    """The (L, n, n) float32 0/1 stack of factor patterns: entry (i, j) > tol_pos."""
-    check_tolerance("tol_pos", tol_pos)
-    return np.stack([m.entries > tol_pos for m in matrices]).astype(np.float32)
-
-
-def check_eventual_positivity(seq: MatrixSequence, k: int, tol_pos: float = 0.0) -> int | None:
+def check_eventual_positivity(seq: MatrixSequence, k: int) -> int | None:
     """Least K >= k such that sum_{k'=k}^{K} A(k')...A(k) is entrywise positive.
 
     Positive means inside the factor patterns: the sum's pattern is the union
@@ -87,7 +81,7 @@ def check_eventual_positivity(seq: MatrixSequence, k: int, tol_pos: float = 0.0)
     """
     if not 1 <= k <= len(seq):
         raise ContractViolation(f"start index k={k} outside 1..{len(seq)}")
-    return _positivity_onset(_patterns(seq.items[k - 1 :], tol_pos), k)
+    return _positivity_onset(factor_patterns(seq.items[k - 1 :]), k)
 
 
 def _positivity_onset(factors: np.ndarray, k: int) -> int | None:
@@ -133,7 +127,7 @@ def analyze(
             raise ContractViolation(f"positivity start {k} outside 1..{len(seq)}")
 
     alpha = min_positive_entry(seq.items, tol_pos)
-    patterns = _patterns(seq, tol_pos)
+    patterns = factor_patterns(seq, tol_pos)
     failures = tuple((np.flatnonzero(~completely_reducible(patterns)) + 1).tolist())
     common = np.logical_and.reduce(patterns, axis=0)
     labels, periods = component_periods(common)

@@ -97,23 +97,29 @@ def multiply(a: StochasticMatrix, b: StochasticMatrix) -> StochasticMatrix:
     return StochasticMatrix._trusted(a.entries @ b.entries)
 
 
-def digraph_of(a: StochasticMatrix, tol_pos: float = 0.0) -> Digraph:
-    """Positivity pattern of the matrix: edge (i, j) iff entry (i, j) > tol_pos."""
-    return Digraph.from_adjacency(a.entries > tol_pos)
+def digraph_of(a: StochasticMatrix) -> Digraph:
+    """Positivity pattern of the matrix: edge (i, j) iff entry (i, j) > 0."""
+    return Digraph.from_adjacency(a.entries > 0)
+
+
+def factor_patterns(matrices, tol_pos: float = 0.0) -> np.ndarray:
+    """The (L, n, n) float32 0/1 stack of factor patterns: entry (i, j) > tol_pos.
+
+    Every condition check and the saturation scan read their factor patterns
+    from this stack, so all of them draw the edge line in the same place.
+    """
+    check_tolerance("tol_pos", tol_pos)
+    return np.stack([m.entries > tol_pos for m in matrices]).astype(np.float32)
 
 
 def min_positive_entry(matrices, tol_pos: float = 0.0) -> float | None:
     """Smallest entry above tol_pos across all matrices; None if there is none."""
+    check_tolerance("tol_pos", tol_pos)
     mats = list(matrices)
     if not mats:
         raise DimensionError("at least one matrix required")
-    smallest = None
-    for m in mats:
-        positive = m.entries[m.entries > tol_pos]
-        if positive.size:
-            local = float(positive.min())
-            smallest = local if smallest is None else min(smallest, local)
-    return smallest
+    smallest = min(float(m.entries[m.entries > tol_pos].min(initial=np.inf)) for m in mats)
+    return None if smallest == np.inf else smallest
 
 
 def vector_seminorm(x) -> float:

@@ -76,6 +76,15 @@ class TestValidate:
         assert main(["validate", str(path)]) == 2
         assert main(["validate", str(path), "--tol-neg", "1e-10"]) == 0
 
+    def test_undecodable_file_is_an_input_error(self, tmp_path, capsys):
+        # a UnicodeDecodeError escaped with a traceback and exit 1
+        path = tmp_path / "binary.seq"
+        path.write_bytes(b"n=2\n1 0\n0 1\xff\n")
+        assert main(["validate", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
     def test_nan_tolerances_rejected(self, tmp_path, capsys):
         path = tmp_path / "nonstochastic.seq"
         path.write_text("n=2\n0.5 0.2\n-0.3 1.3\n")
@@ -236,8 +245,32 @@ class TestSimulate:
         assert len(rows) == 33  # header + k = 0..31
         assert float(rows[-1].split(",")[1]) == pytest.approx(0.8**31)
 
+    def test_csv_to_a_directory_fails_before_the_report(self, lazy_file, tmp_path, capsys):
+        # the CSV was written after the report, which then ended in
+        # exit_status = 0 while the command exited 2
+        assert main(["simulate", lazy_file, "--epsilon", "1e-3", "--emit-csv", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert "exit_status" not in captured.out
+        assert captured.err.startswith("error:")
+
     def test_x0_dimension_mismatch(self, lazy_file, capsys):
         assert main(["simulate", lazy_file, "--x0", "1,2,3"]) == 2
+
+    @pytest.mark.parametrize("x0", ["nan,1", "inf,1"])
+    def test_non_finite_x0_rejected(self, lazy_file, capsys, x0):
+        # the NaN semi-norm never reached epsilon: exit 3, "horizon exhausted"
+        assert main(["simulate", lazy_file, "--x0", x0]) == 2
+        captured = capsys.readouterr()
+        assert "trajectory.reached" not in captured.out
+        assert "x0 entries must be finite" in captured.err
+
+    def test_undecodable_x0_file_is_an_input_error(self, lazy_file, tmp_path, capsys):
+        vec = tmp_path / "x0.txt"
+        vec.write_bytes(b"0.0 \xff1.0\n")
+        assert main(["simulate", lazy_file, "--x0", f"@{vec}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
     def test_x0_from_file(self, lazy_file, tmp_path, capsys):
         vec = tmp_path / "x0.txt"

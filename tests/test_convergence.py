@@ -108,10 +108,12 @@ class TestSaturation:
         with pytest.raises(ContractViolation):
             find_saturation_K(seq_of(LAZY), 0.0)
 
-    @pytest.mark.parametrize("alpha, tol_pos", [(np.nan, 0.0), (0.1, -0.5), (0.1, np.nan)])
-    def test_alpha_and_threshold_validated(self, alpha, tol_pos):
-        with pytest.raises(ContractViolation):
-            find_saturation_K(seq_of(SWAP, SWAP), alpha, tol_pos=tol_pos)
+    @pytest.mark.parametrize("alpha", [np.nan, 0.5, 1.5, np.inf])
+    def test_alpha_must_bound_the_entries(self, alpha):
+        # the smallest entry of LAZY is 0.1: at 0.5 the scan saturated at
+        # K = 1 on a floor the entries never promised, and 1.5 overflowed it
+        with pytest.raises(ContractViolation, match="at most the minimum positive entry 0.1"):
+            find_saturation_K(seq_of(LAZY, LAZY), alpha)
 
     def test_positivity_is_read_from_patterns(self):
         # w = 1e-200: the C^2 entries of P(2) are about 1e-400, 0.0 in floats
@@ -120,11 +122,10 @@ class TestSaturation:
         assert find_saturation_K(seq, 1e-200) == 2
 
     def test_positivity_thresholds_each_factor(self):
-        # no factor entry of the 3-cycle is above tol_pos = 0.05, but the
-        # float products' are by k = 60; analyze reads factor patterns too
+        # the factor patterns I + C fill at K = 2, long before every float
+        # entry of the products passes 0.05
         seq = seq_of(*[lazy_cycle(3, 0.01)] * 60)
         assert partial_product(seq, 0, 60).entries.min() > 0.05
-        assert find_saturation_K(seq, 0.01, tol_pos=0.05) is None
         assert find_saturation_K(seq, 0.01) == 2
 
     def test_floor_holds_at_saturation(self):
@@ -269,6 +270,14 @@ class TestRunToTolerance:
     def test_x0_dimension_checked(self):
         with pytest.raises(DimensionError):
             run_to_tolerance(seq_of(LAZY), 0.1, [1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_x0_must_be_finite(self, bad):
+        # a NaN semi-norm never reaches epsilon: the run read as exhausted
+        with pytest.raises(ContractViolation, match="x0 entries must be finite"):
+            run_to_tolerance(seq_of(LAZY), 0.1, [bad, 1.0])
+        with pytest.raises(ContractViolation, match="x0 entries must be finite"):
+            disagreement_trajectory(seq_of(LAZY), [bad, 1.0])
 
     def test_rows_within_epsilon_of_consensus(self):
         rng = np.random.default_rng(33)

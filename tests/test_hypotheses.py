@@ -295,8 +295,6 @@ class TestThresholdedPatterns:
         seq = seq_of(SWAP, SWAP, SWAP, SWAP)
         with pytest.raises(ContractViolation):
             analyze(seq, tol_pos=tol_pos)
-        with pytest.raises(ContractViolation):
-            check_eventual_positivity(seq, 1, tol_pos=tol_pos)
 
 
 class TestAnalyze:

@@ -12,6 +12,7 @@ from ergocert.errors import ContractViolation, DimensionError, NegativityError, 
 from ergocert.stochastic import (
     StochasticMatrix,
     digraph_of,
+    factor_patterns,
     identity_matrix,
     matrix_seminorm,
     min_positive_entry,
@@ -111,10 +112,6 @@ class TestDigraphOf:
     def test_swap_pattern(self):
         assert digraph_of(StochasticMatrix(SWAP)).edges == {(1, 2), (2, 1)}
 
-    def test_threshold(self):
-        m = StochasticMatrix([[0.999, 0.001], [0.0, 1.0]])
-        assert digraph_of(m, tol_pos=0.01).edges == {(1, 1), (2, 2)}
-
     def test_product_pattern_is_boolean_product(self):
         rng = np.random.default_rng(10)
         for _ in range(40):
@@ -124,6 +121,20 @@ class TestDigraphOf:
             left = digraph_of(multiply(a, b))
             bool_prod = (digraph_of(a).adjacency_matrix().astype(int) @ digraph_of(b).adjacency_matrix().astype(int)) > 0
             assert left == Digraph.from_adjacency(bool_prod)
+
+
+class TestFactorPatterns:
+    def test_threshold(self):
+        m = StochasticMatrix([[0.999, 0.001], [0.0, 1.0]])
+        assert factor_patterns([m], tol_pos=0.01).tolist() == [[[1.0, 0.0], [0.0, 1.0]]]
+
+    @pytest.mark.parametrize("tol_pos", [-0.5, np.nan, np.inf])
+    def test_threshold_finite_and_nonnegative(self, tol_pos):
+        # below zero the zeros of SWAP would become edges and entries
+        with pytest.raises(ContractViolation, match="tol_pos must be finite and nonnegative"):
+            factor_patterns([StochasticMatrix(SWAP)], tol_pos)
+        with pytest.raises(ContractViolation, match="tol_pos must be finite and nonnegative"):
+            min_positive_entry([StochasticMatrix(SWAP)], tol_pos)
 
 
 class TestMinPositiveEntry:
