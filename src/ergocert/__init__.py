@@ -4,34 +4,18 @@ Validates matrix sequences, checks the four convergence conditions
 (entry lower bound, eventual positivity, complete reducibility, and a
 common sink-free aperiodic spanning pattern), and produces explicit
 contraction certificates and disagreement trajectories.
+
+The package root exports the documented calls, their types and exceptions;
+every other name is imported from its module (`ergocert.stochastic`, ...).
 """
 
 from .convergence import (
     ConvergenceCertificate,
     ProductState,
     ToleranceRun,
-    consensus_row,
     contraction_certificate,
     disagreement_trajectory,
-    find_saturation_K,
-    iter_products,
-    partial_product,
     run_to_tolerance,
-    saturation_floor,
-)
-from .digraph import (
-    AperiodicityReport,
-    Digraph,
-    SccPartition,
-    completely_reducible,
-    component_periods,
-    intersection,
-    is_aperiodic,
-    pattern_product,
-    reachability,
-    strongly_connected_components,
-    wielandt_bound,
-    wielandt_graph,
 )
 from .errors import (
     CertificationRefused,
@@ -40,29 +24,8 @@ from .errors import (
     NegativityError,
     StochasticityError,
 )
-from .generate import PRESETS, generate_sequence
-from .hypotheses import (
-    HypothesisReport,
-    MatrixSequence,
-    analyze,
-    check_eventual_positivity,
-)
-from .seqfile import (
-    SequenceFile,
-    SequenceFileError,
-    format_sequence,
-    parse_sequence_text,
-    read_sequence_file,
-    write_sequence_file,
-)
-from .stochastic import (
-    StochasticMatrix,
-    digraph_of,
-    identity_matrix,
-    matrix_seminorm,
-    min_positive_entry,
-    multiply,
-    vector_seminorm,
-)
+from .hypotheses import HypothesisReport, MatrixSequence, analyze
+from .seqfile import SequenceFile, SequenceFileError, read_sequence_file
+from .stochastic import StochasticMatrix
 
 __version__ = "0.1.0"

@@ -26,6 +26,7 @@ from .hypotheses import HypothesisReport, analyze
 from .seqfile import (
     SequenceFile,
     SequenceFileError,
+    parse_numbers,
     read_sequence_file,
     write_sequence_file,
 )
@@ -79,12 +80,9 @@ def _emit_hypotheses(report: HypothesisReport) -> None:
 
 
 def _parse_x0(raw: str) -> np.ndarray:
-    if raw.startswith("@"):
-        tokens = Path(raw[1:]).read_text(encoding="utf-8").split()
-    else:
-        tokens = raw.replace(",", " ").split()
+    text = Path(raw[1:]).read_text(encoding="utf-8") if raw.startswith("@") else raw.replace(",", " ")
     try:
-        return np.array([float(t) for t in tokens])
+        return parse_numbers(" ".join(text.split()))
     except ValueError:
         raise ContractViolation(f"could not parse x0 vector from {raw!r}") from None
 
@@ -105,8 +103,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 def cmd_analyze(args: argparse.Namespace) -> int:
     seqf = read_sequence_file(args.path)
     seq = seqf.to_sequence()
-    starts = range(1, len(seq) + 1) if args.all_starts else None
-    report = analyze(seq, positivity_starts=starts, tol_pos=args.tol_pos)
+    report = analyze(seq, all_starts=args.all_starts, tol_pos=args.tol_pos)
     _emit_input(args.path, seqf)
     _emit_hypotheses(report)
     return _finish(EXIT_OK if report.holds else EXIT_HYPOTHESIS)
@@ -142,7 +139,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     seqf = read_sequence_file(args.path)
     seq = seqf.to_sequence()
-    x0 = _parse_x0(args.x0) if args.x0 else None
+    x0 = _parse_x0(args.x0) if args.x0 is not None else None
     run = run_to_tolerance(seq, args.epsilon, x0)
     if args.emit_csv:
         values = run.matrix_seminorms if x0 is None else run.vector_seminorms

@@ -84,9 +84,6 @@ class AperiodicityReport:
     components: tuple[frozenset[int], ...]
     periods: tuple[int, ...]
 
-    def __bool__(self) -> bool:
-        return self.aperiodic
-
 
 def pattern_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pattern of the product of two float32 0/1 patterns (or stacks of them).

@@ -102,15 +102,16 @@ def _positivity_onset(factors: np.ndarray, k: int) -> int | None:
 
 def analyze(
     seq: MatrixSequence,
-    positivity_starts: Iterable[int] | None = None,
+    all_starts: bool = False,
     tol_pos: float = 0.0,
 ) -> HypothesisReport:
     """Run all four condition checks and assemble the verdict.
 
     Condition (1) is reported as the realized lower bound alpha rather than
     pass/fail. Conditions (2) to (4) all read one stack of factor patterns,
-    thresholded at tol_pos. Individual failures are report content, not
-    errors.
+    thresholded at tol_pos. Eventual positivity is checked from start 1, or
+    from every start 1..L with all_starts. Individual failures are report
+    content, not errors.
 
     The core test reads the intersection of the factor patterns. A sink-free
     aperiodic spanning subgraph common to all factors exists iff every node
@@ -121,11 +122,7 @@ def analyze(
     (every node of a cycle-carrying component keeps an out-edge), and it is
     the maximal one.
     """
-    starts = sorted(set(positivity_starts)) if positivity_starts is not None else [1]
-    for k in starts:
-        if not 1 <= k <= len(seq):
-            raise ContractViolation(f"positivity start {k} outside 1..{len(seq)}")
-
+    starts = range(1, len(seq) + 1) if all_starts else (1,)
     alpha = min_positive_entry(seq.items, tol_pos)
     patterns = factor_patterns(seq, tol_pos)
     failures = tuple((np.flatnonzero(~completely_reducible(patterns)) + 1).tolist())

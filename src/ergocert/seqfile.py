@@ -14,9 +14,10 @@ Format, line oriented and diffable:
 
 All data lines are converted by one numpy call and all records are
 validated as one stack; only rejected input is scanned again, line by line,
-to name the first bad line or record. Records and rows in error messages are
-1-based. Writes are atomic: content goes to a temporary file in the target
-directory and is renamed into place.
+to name the first bad line or record, with `parse_numbers`, which also reads
+the CLI's x0 vectors. Records and rows in error messages are 1-based. Writes
+are atomic: content goes to a temporary file in the target directory and is
+renamed into place.
 """
 
 from __future__ import annotations
@@ -117,6 +118,16 @@ def _normalize(rows: np.ndarray, tol_row: float, tol_neg: float) -> bool:
     return True
 
 
+def parse_numbers(line: str) -> np.ndarray:
+    """The numbers on one line, in the grammar of the one-call parse.
+
+    ValueError if a token is not a number; an empty line holds no numbers.
+    """
+    if not line.strip():
+        return np.empty(0)
+    return np.loadtxt([line], dtype=float, comments=None, ndmin=2)[0]
+
+
 def _diagnose(data_lines: list[str], line_numbers: list[int], n: int, tol_row: float, tol_neg: float) -> NoReturn:
     """Raise the error of data the one-call parse rejected, line by line.
 
@@ -126,7 +137,7 @@ def _diagnose(data_lines: list[str], line_numbers: list[int], n: int, tol_row: f
     rows = []
     for lineno, line in zip(line_numbers, data_lines):
         try:
-            rows.append(np.loadtxt([line], dtype=float, comments=None, ndmin=2)[0])
+            rows.append(parse_numbers(line))
         except ValueError:
             raise SequenceFileError(f"line {lineno}: non-numeric value in {line!r}") from None
     if len(rows) % n != 0:

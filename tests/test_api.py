@@ -4,15 +4,19 @@
 Removing or renaming one of those names breaks `perfbench/run.py --trace 1`
 and no other test, so this module imports each of them, checks that the
 list below still covers the file, and reads the result attributes the
-traced run reads. It also checks that the package exports no name that
-only tests use.
+traced run reads. It also checks that the package root exports exactly the
+documented library, that the README's library example resolves, and that
+the package exports no name that only tests use.
 """
 
 import ast
+import re
 from pathlib import Path
+from types import ModuleType
 
 import numpy as np
 
+import ergocert
 from ergocert import convergence, digraph, generate, hypotheses, seqfile, stochastic
 from ergocert.cli import main  # noqa: F401  (perfbench/bench.py runs commands in process)
 from ergocert.convergence import (
@@ -35,6 +39,14 @@ MODULES = {"convergence": convergence, "digraph": digraph, "generate": generate,
 ROOT = Path(__file__).resolve().parents[1]
 LAYERS = ROOT / "perfbench" / "layers.py"
 PACKAGE = ROOT / "src" / "ergocert"
+README = ROOT / "README.md"
+DOCUMENTED = {
+    "read_sequence_file", "analyze", "contraction_certificate", "run_to_tolerance", "disagreement_trajectory",
+    "StochasticMatrix", "MatrixSequence",
+    "SequenceFile", "HypothesisReport", "ConvergenceCertificate", "ToleranceRun", "ProductState",
+    "SequenceFileError", "ContractViolation", "CertificationRefused", "DimensionError", "StochasticityError",
+    "NegativityError",
+}
 
 
 def referenced_names(path: Path) -> set[str]:
@@ -58,6 +70,19 @@ def test_every_export_has_a_non_test_caller():
     callers = [path for path in PACKAGE.glob("*.py") if path != init] + [LAYERS]
     used = set().union(*(referenced_names(path) for path in callers))
     assert exported - used == set()
+
+
+def test_root_exports_the_documented_library():
+    public = {
+        name for name in dir(ergocert)
+        if not name.startswith("_") and not isinstance(getattr(ergocert, name), ModuleType)
+    }
+    assert public == DOCUMENTED
+    library = README.read_text(encoding="utf-8").split("## Library", 1)[1]
+    example = re.search(r"```python\n(.*?)```", library, re.S).group(1)
+    shown = set(re.findall(r"\bec\.(\w+)", example))
+    assert shown
+    assert {name for name in shown if not hasattr(ergocert, name)} == set()
 
 
 def test_imports_cover_the_traced_run():

@@ -264,6 +264,22 @@ class TestSimulate:
         assert "trajectory.reached" not in captured.out
         assert "x0 entries must be finite" in captured.err
 
+    @pytest.mark.parametrize("x0", ["1_0,2", "١,2"])
+    def test_x0_uses_the_file_number_grammar(self, lazy_file, capsys, x0):
+        # float() read '1_0' as 10 and the Arabic-Indic digit as 1; a
+        # sequence file rejects both as non-numeric
+        assert main(["simulate", lazy_file, "--x0", x0]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: could not parse x0 vector from {x0!r}\n"
+
+    def test_empty_x0_is_an_input_error(self, lazy_file, capsys):
+        # an empty --x0 fell back to the matrix criterion and exited 0
+        assert main(["simulate", lazy_file, "--x0", ""]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: vector of length 0 does not match dimension 2\n"
+
     def test_undecodable_x0_file_is_an_input_error(self, lazy_file, tmp_path, capsys):
         vec = tmp_path / "x0.txt"
         vec.write_bytes(b"0.0 \xff1.0\n")

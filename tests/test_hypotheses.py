@@ -239,7 +239,7 @@ class TestExactPositivity:
         graphs = [digraph_of(m) for m in seq]
         onsets = {k: onset_by_oracle(graphs, k) for k in range(1, length + 1)}
         assert {k: check_eventual_positivity(seq, k) for k in onsets} == onsets
-        assert analyze(seq, positivity_starts=onsets).eventual_positivity == onsets
+        assert analyze(seq, all_starts=True).eventual_positivity == onsets
 
 
 class TestThresholdedPatterns:
@@ -252,9 +252,8 @@ class TestThresholdedPatterns:
         return seq_of(*(StochasticMatrix(p / p.sum(axis=1, keepdims=True)) for p in patterns))
 
     def assert_same_structure(self, seq, tol_pos):
-        starts = range(1, len(seq) + 1)
-        a = analyze(seq, positivity_starts=starts, tol_pos=tol_pos)
-        b = analyze(self.pattern_sequence(seq, tol_pos), positivity_starts=starts)
+        a = analyze(seq, all_starts=True, tol_pos=tol_pos)
+        b = analyze(self.pattern_sequence(seq, tol_pos), all_starts=True)
         assert a.reducibility_failures == b.reducibility_failures
         assert a.core == b.core
         assert a.node_periods == b.node_periods
@@ -327,13 +326,9 @@ class TestAnalyze:
 
     def test_multiple_starts(self):
         seq = seq_of(LAZY, identity_matrix(2), identity_matrix(2))
-        report = analyze(seq, positivity_starts=range(1, 4))
+        report = analyze(seq, all_starts=True)
         assert report.eventual_positivity == {1: 1, 2: None, 3: None}
         assert not report.holds
-
-    def test_start_validation(self):
-        with pytest.raises(ContractViolation):
-            analyze(seq_of(LAZY), positivity_starts=[5])
 
     def test_verdict_iff_all_parts_pass(self):
         rng = np.random.default_rng(24)
