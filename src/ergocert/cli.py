@@ -80,9 +80,9 @@ def _emit_hypotheses(report: HypothesisReport) -> None:
 
 
 def _parse_x0(raw: str) -> np.ndarray:
-    text = Path(raw[1:]).read_text(encoding="utf-8") if raw.startswith("@") else raw.replace(",", " ")
+    text = Path(raw[1:]).read_text(encoding="utf-8") if raw.startswith("@") else raw
     try:
-        return parse_numbers(" ".join(text.split()))
+        return parse_numbers(" ".join(text.replace(",", " ").split()))
     except ValueError:
         raise ContractViolation(f"could not parse x0 vector from {raw!r}") from None
 
@@ -141,7 +141,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     seq = seqf.to_sequence()
     x0 = _parse_x0(args.x0) if args.x0 is not None else None
     run = run_to_tolerance(seq, args.epsilon, x0)
-    if args.emit_csv:
+    if args.emit_csv is not None:
         values = run.matrix_seminorms if x0 is None else run.vector_seminorms
         csv_text = "k,seminorm\n" + "".join(f"{k},{_fmt(v)}\n" for k, v in enumerate(values))
         if args.emit_csv != "-":  # before the report: a failed write prints no exit_status

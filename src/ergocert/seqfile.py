@@ -2,7 +2,7 @@
 
 Format, line oriented and diffable:
 
-    n=3                  header: the dimension, first content line
+    n=3                  header: the dimension in ASCII digits, first content line
     # key=value          optional metadata, one pair per comment line
     0.2 0.3 0.5          one matrix = n data lines of n decimal reals
     0.1 0.8 0.1
@@ -12,12 +12,12 @@ Format, line oriented and diffable:
     0 1 0
     0 0 1
 
-All data lines are converted by one numpy call and all records are
-validated as one stack; only rejected input is scanned again, line by line,
-to name the first bad line or record, with `parse_numbers`, which also reads
-the CLI's x0 vectors. Records and rows in error messages are 1-based. Writes
-are atomic: content goes to a temporary file in the target directory and is
-renamed into place.
+All data lines are converted by one numpy call and checked at once by
+`stochastic.normalize_rows`, the rule every StochasticMatrix passes; only
+rejected input is scanned again, line by line, to name the first bad line
+or record, with `parse_numbers`, which also reads the CLI's x0 vectors.
+Records and rows in error messages are 1-based. Writes are atomic: content
+goes to a temporary file in the target directory and is renamed into place.
 """
 
 from __future__ import annotations
@@ -30,9 +30,9 @@ from typing import Iterable, NoReturn, Sequence
 
 import numpy as np
 
-from .errors import StochasticityError
+from .errors import DimensionError, StochasticityError
 from .hypotheses import MatrixSequence
-from .stochastic import NEGATIVITY_TOL, ROW_SUM_TOL, StochasticMatrix, check_tolerance
+from .stochastic import NEGATIVITY_TOL, ROW_SUM_TOL, StochasticMatrix, check_tolerance, normalize_rows
 
 
 class SequenceFileError(ValueError):
@@ -81,10 +81,9 @@ def parse_sequence_text(
         if n is None:
             if not line.startswith("n="):
                 raise SequenceFileError(f"line {lineno}: expected header 'n=<int>', got {line!r}")
-            try:
-                n = int(line[2:])
-            except ValueError:
-                raise SequenceFileError(f"line {lineno}: malformed header {line!r}") from None
+            if not (line[2:].isascii() and line[2:].strip().isdigit()):
+                raise SequenceFileError(f"line {lineno}: malformed header {line!r}")
+            n = int(line[2:])
             if n < 1:
                 raise SequenceFileError(f"line {lineno}: dimension must be at least 1")
             continue
@@ -97,25 +96,14 @@ def parse_sequence_text(
         raise SequenceFileError("no matrices")
     try:
         values = np.loadtxt(data_lines, dtype=float, comments=None, ndmin=2)
+        if values.shape[1] != n or len(values) % n:
+            raise ValueError("the rows do not form n x n records")
+        normalize_rows(values, tol_row, tol_neg)
     except ValueError:
-        _diagnose(data_lines, line_numbers, n, tol_row, tol_neg)
-    if values.shape[1] != n or len(values) % n or not _normalize(values, tol_row, tol_neg):
         _diagnose(data_lines, line_numbers, n, tol_row, tol_neg)
     stack = values.reshape(-1, n, n)
     stack.setflags(write=False)
     return SequenceFile(n, metadata, tuple(StochasticMatrix._trusted(m) for m in stack))
-
-
-def _normalize(rows: np.ndarray, tol_row: float, tol_neg: float) -> bool:
-    """StochasticMatrix's checks on all rows at once, in place; False on any failure."""
-    if not np.isfinite(rows).all() or (rows < -tol_neg).any():
-        return False
-    rows[rows < 0] = 0.0
-    sums = rows.sum(axis=1)
-    if (np.abs(sums - 1.0) > tol_row).any():
-        return False
-    rows /= sums[:, None]
-    return True
 
 
 def parse_numbers(line: str) -> np.ndarray:
@@ -173,13 +161,20 @@ def format_sequence(
     matrices: Sequence[StochasticMatrix] | Iterable[StochasticMatrix],
     metadata: dict[str, str] | None = None,
 ) -> str:
-    """Render matrices in the file format; floats use shortest round-trip form."""
+    """Render matrices in the file format; floats use shortest round-trip form.
+
+    Refuses mixed dimensions and metadata that would not read back unchanged.
+    """
     mats = list(matrices)
     if not mats:
         raise SequenceFileError("no matrices")
     n = mats[0].n
+    if any(m.n != n for m in mats):
+        raise DimensionError(f"matrices of dimensions {sorted({m.n for m in mats})} in one sequence")
     lines = [f"n={n}"]
     for key, value in (metadata or {}).items():
+        if not key or "=" in key or any(len(s.splitlines()) > 1 or s != s.strip() for s in (key, value)):
+            raise SequenceFileError(f"metadata {key!r}: {value!r} would not read back unchanged")
         lines.append(f"# {key}={value}")
     for m in mats:
         lines.append("")

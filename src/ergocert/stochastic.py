@@ -28,14 +28,30 @@ def check_tolerance(name: str, value: float) -> None:
         raise ContractViolation(f"{name} must be finite and nonnegative, got {value}")
 
 
-class StochasticMatrix:
-    """Dense n x n matrix with nonnegative entries and unit row sums.
+def normalize_rows(rows: np.ndarray, tol_row: float, tol_neg: float) -> None:
+    """The stochasticity rule, in place on a 2-D array of rows: one matrix or a stack's rows.
 
-    Construction validates the input: entries in [-tol_neg, 0) are clamped
-    to zero, anything more negative is rejected, each row sum must lie
-    within tol_row of 1, and rows are then renormalized to sum to exactly 1
-    up to machine rounding. Both tolerances must be finite and nonnegative
-    (ContractViolation otherwise). The entry array is read-only afterwards.
+    Entries must be finite; entries in [-tol_neg, 0) are clamped to zero and
+    anything more negative is rejected; each row sum must lie within tol_row
+    of 1, and rows are then renormalized to sum to 1 up to machine rounding.
+    """
+    if not np.isfinite(rows).all():
+        raise StochasticityError("all entries must be finite")
+    if (rows < -tol_neg).any():
+        i, j = np.argwhere(rows < -tol_neg)[0]
+        raise NegativityError(f"entry ({i + 1},{j + 1}) = {rows[i, j]} is below the negativity tolerance {-tol_neg}")
+    rows[rows < 0] = 0.0
+    sums = rows.sum(axis=1)
+    bad = np.flatnonzero(np.abs(sums - 1.0) > tol_row)
+    if bad.size:
+        raise StochasticityError(f"row {bad[0] + 1} sums to {float(sums[bad[0]])}, not 1 within {tol_row}")
+    rows /= sums[:, None]
+
+
+class StochasticMatrix:
+    """Dense n x n matrix that passed normalize_rows; the entries are read-only.
+
+    Both tolerances must be finite and nonnegative (ContractViolation otherwise).
     """
 
     __slots__ = ("_entries",)
@@ -48,20 +64,7 @@ class StochasticMatrix:
             raise DimensionError(f"expected a square matrix, got shape {arr.shape}")
         if arr.shape[0] < 1:
             raise DimensionError("dimension must be at least 1")
-        if not np.all(np.isfinite(arr)):
-            raise StochasticityError("all entries must be finite")
-        if np.any(arr < -tol_neg):
-            i, j = np.argwhere(arr < -tol_neg)[0]
-            raise NegativityError(
-                f"entry ({i + 1},{j + 1}) = {arr[i, j]} is below the negativity tolerance {-tol_neg}"
-            )
-        arr[arr < 0] = 0.0
-        sums = arr.sum(axis=1)
-        bad = np.abs(sums - 1.0) > tol_row
-        if np.any(bad):
-            r = int(np.flatnonzero(bad)[0])
-            raise StochasticityError(f"row {r + 1} sums to {float(sums[r])}, not 1 within {tol_row}")
-        arr /= sums[:, None]
+        normalize_rows(arr, tol_row, tol_neg)
         arr.setflags(write=False)
         self._entries = arr
 

@@ -299,10 +299,9 @@ def parse_per_token(text: str, *, tol_row: float = ROW_SUM_TOL, tol_neg: float =
         if header_n is None:
             if not line.startswith("n="):
                 raise SequenceFileError(f"line {lineno}: expected header 'n=<int>', got {line!r}")
-            try:
-                header_n = int(line[2:])
-            except ValueError:
-                raise SequenceFileError(f"line {lineno}: malformed header {line!r}") from None
+            if not (line[2:].isascii() and line[2:].strip().isdigit()):
+                raise SequenceFileError(f"line {lineno}: malformed header {line!r}")
+            header_n = int(line[2:])
             if header_n < 1:
                 raise SequenceFileError(f"line {lineno}: dimension must be at least 1")
             continue

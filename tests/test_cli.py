@@ -253,6 +253,13 @@ class TestSimulate:
         assert "exit_status" not in captured.out
         assert captured.err.startswith("error:")
 
+    def test_empty_csv_path_fails_before_the_report(self, lazy_file, capsys):
+        # an empty path was read as "no CSV": full report, exit 3, nothing written
+        assert main(["simulate", lazy_file, "--emit-csv", ""]) == 2
+        captured = capsys.readouterr()
+        assert "exit_status" not in captured.out
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
     def test_x0_dimension_mismatch(self, lazy_file, capsys):
         assert main(["simulate", lazy_file, "--x0", "1,2,3"]) == 2
 
@@ -294,6 +301,13 @@ class TestSimulate:
         assert main(["simulate", lazy_file, "--epsilon", "1e-3", "--x0", f"@{vec}"]) == 0
         lines = report_lines(capsys)
         assert float(lines["trajectory_x0.0"]) == 0.5
+
+    def test_x0_file_takes_the_inline_separators(self, lazy_file, tmp_path, capsys):
+        # commas became spaces only in the inline form: '@file' exited 2
+        vec = tmp_path / "x0.txt"
+        vec.write_text("0.0,1.0\n")
+        assert main(["simulate", lazy_file, "--epsilon", "1e-3", "--x0", f"@{vec}"]) == 0
+        assert float(report_lines(capsys)["trajectory_x0.0"]) == 0.5
 
 
 class TestNumerics:

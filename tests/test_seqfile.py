@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ergocert.errors import ContractViolation
+from ergocert.errors import ContractViolation, DimensionError
 from ergocert.seqfile import (
     SequenceFileError,
     format_sequence,
@@ -108,6 +108,22 @@ class TestRoundTrip:
     def test_formatting_rejects_empty(self):
         with pytest.raises(SequenceFileError):
             format_sequence([])
+
+    @pytest.mark.parametrize("metadata", [
+        {"": "x"}, {"a=b": "c"}, {"a\nb": "c"}, {" a": "c"},
+        {"note": "x\n0.5 0.5\n0.5 0.5"}, {"note": "x "},
+    ])
+    def test_writer_refuses_metadata_that_does_not_read_back(self, tmp_path, metadata):
+        # each was written, then read back as other metadata or matrices
+        with pytest.raises(SequenceFileError, match="would not read back unchanged"):
+            write_sequence_file(tmp_path / "seq.txt", [identity_matrix(2)], metadata)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_writer_refuses_mixed_dimensions(self, tmp_path):
+        # written under the first matrix's n=, the file could not be read back
+        with pytest.raises(DimensionError):
+            write_sequence_file(tmp_path / "seq.txt", [identity_matrix(2), identity_matrix(3)])
+        assert list(tmp_path.iterdir()) == []
 
     def test_to_sequence(self):
         seqf = parse_sequence_text(GOOD)
@@ -241,6 +257,14 @@ class TestAgainstPerTokenParse:
         text = "n=1\n1_0\n"
         assert outcome(parse_sequence_text, text) == "line 2: non-numeric value in '1_0'"
         assert outcome(parse_per_token, text).startswith("record 1: row 1 sums to")
+
+    @pytest.mark.parametrize("digits, k", [("1_0", 10), ("٢", 2), ("+3", 3)])
+    def test_header_takes_only_ascii_digits(self, digits, k):
+        # int() read each as the dimension k; data lines reject '1_0' and the
+        # Arabic-Indic digit as non-numeric
+        text = f"n={digits}\n" + "".join(" ".join("1" if i == j else "0" for j in range(k)) + "\n" for i in range(k))
+        for parse in (parse_sequence_text, parse_per_token):
+            assert outcome(parse, text) == f"line 1: malformed header 'n={digits}'"
 
     def test_records_are_read_only(self):
         seqf = parse_sequence_text(GOOD)
