@@ -30,7 +30,7 @@ from .seqfile import (
     read_sequence_file,
     write_sequence_file,
 )
-from .stochastic import NEGATIVITY_TOL, ROW_SUM_TOL, min_positive_entry
+from .stochastic import min_positive_entry
 
 EXIT_OK = 0
 EXIT_HYPOTHESIS = 1
@@ -93,7 +93,7 @@ def _finish(code: int) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    seqf = read_sequence_file(args.path, tol_row=args.tol_row, tol_neg=args.tol_neg)
+    seqf = read_sequence_file(args.path)
     _emit_input(args.path, seqf)
     _emit("input.alpha", min_positive_entry(seqf.matrices))
     _emit("validation", "ok")
@@ -190,8 +190,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="parse and validate a sequence file")
     p.add_argument("path")
-    p.add_argument("--tol-row", type=float, default=ROW_SUM_TOL, help="row sum tolerance")
-    p.add_argument("--tol-neg", type=float, default=NEGATIVITY_TOL, help="negative entry clamping tolerance")
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("analyze", help="check the four convergence conditions")

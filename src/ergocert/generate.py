@@ -55,6 +55,8 @@ def generate_sequence(preset: str, n: int, length: int, alpha: float, seed: int)
         raise ContractViolation("length must be at least 1")
     if not 0 < alpha <= 1.0 / n:
         raise ContractViolation(f"alpha must lie in (0, 1/n] = (0, {1.0 / n!r}]")
+    if seed < 0:
+        raise ContractViolation(f"seed must be nonnegative, got {seed}")
 
     rng = np.random.default_rng(seed)
     if preset == "positive-diagonal":

@@ -23,7 +23,6 @@ goes to a temporary file in the target directory and is renamed into place.
 from __future__ import annotations
 
 import os
-import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, NoReturn, Sequence
@@ -32,7 +31,7 @@ import numpy as np
 
 from .errors import DimensionError, StochasticityError
 from .hypotheses import MatrixSequence
-from .stochastic import NEGATIVITY_TOL, ROW_SUM_TOL, StochasticMatrix, check_tolerance, normalize_rows
+from .stochastic import StochasticMatrix, normalize_rows
 
 
 class SequenceFileError(ValueError):
@@ -55,14 +54,7 @@ class SequenceFile:
         return MatrixSequence(self.matrices)
 
 
-def parse_sequence_text(
-    text: str,
-    *,
-    tol_row: float = ROW_SUM_TOL,
-    tol_neg: float = NEGATIVITY_TOL,
-) -> SequenceFile:
-    check_tolerance("tol_row", tol_row)
-    check_tolerance("tol_neg", tol_neg)
+def parse_sequence_text(text: str) -> SequenceFile:
     n: int | None = None
     metadata: dict[str, str] = {}
     data_lines: list[str] = []
@@ -98,9 +90,9 @@ def parse_sequence_text(
         values = np.loadtxt(data_lines, dtype=float, comments=None, ndmin=2)
         if values.shape[1] != n or len(values) % n:
             raise ValueError("the rows do not form n x n records")
-        normalize_rows(values, tol_row, tol_neg)
+        normalize_rows(values)
     except ValueError:
-        _diagnose(data_lines, line_numbers, n, tol_row, tol_neg)
+        _diagnose(data_lines, line_numbers, n)
     stack = values.reshape(-1, n, n)
     stack.setflags(write=False)
     return SequenceFile(n, metadata, tuple(StochasticMatrix._trusted(m) for m in stack))
@@ -116,7 +108,7 @@ def parse_numbers(line: str) -> np.ndarray:
     return np.loadtxt([line], dtype=float, comments=None, ndmin=2)[0]
 
 
-def _diagnose(data_lines: list[str], line_numbers: list[int], n: int, tol_row: float, tol_neg: float) -> NoReturn:
+def _diagnose(data_lines: list[str], line_numbers: list[int], n: int) -> NoReturn:
     """Raise the error of data the one-call parse rejected, line by line.
 
     A non-numeric line anywhere comes first; then records in order, a wrong
@@ -142,19 +134,14 @@ def _diagnose(data_lines: list[str], line_numbers: list[int], n: int, tol_row: f
                     f"expected {n} values, got {len(row)}"
                 )
         try:
-            StochasticMatrix(block, tol_row=tol_row, tol_neg=tol_neg)
+            StochasticMatrix(block)
         except StochasticityError as err:
             raise SequenceFileError(f"record {record_index + 1}: {err}") from err
     raise RuntimeError("internal error: every record passed the checks the whole stack failed")
 
 
-def read_sequence_file(
-    path: str | Path,
-    *,
-    tol_row: float = ROW_SUM_TOL,
-    tol_neg: float = NEGATIVITY_TOL,
-) -> SequenceFile:
-    return parse_sequence_text(Path(path).read_text(encoding="utf-8"), tol_row=tol_row, tol_neg=tol_neg)
+def read_sequence_file(path: str | Path) -> SequenceFile:
+    return parse_sequence_text(Path(path).read_text(encoding="utf-8"))
 
 
 def format_sequence(
@@ -163,7 +150,8 @@ def format_sequence(
 ) -> str:
     """Render matrices in the file format; floats use shortest round-trip form.
 
-    Refuses mixed dimensions and metadata that would not read back unchanged.
+    Refuses mixed dimensions, and metadata keys or values that are not str
+    or would not read back unchanged.
     """
     mats = list(matrices)
     if not mats:
@@ -173,7 +161,8 @@ def format_sequence(
         raise DimensionError(f"matrices of dimensions {sorted({m.n for m in mats})} in one sequence")
     lines = [f"n={n}"]
     for key, value in (metadata or {}).items():
-        if not key or "=" in key or any(len(s.splitlines()) > 1 or s != s.strip() for s in (key, value)):
+        readable = all(isinstance(s, str) and len(s.splitlines()) <= 1 and s == s.strip() for s in (key, value))
+        if not readable or not key or "=" in key:
             raise SequenceFileError(f"metadata {key!r}: {value!r} would not read back unchanged")
         lines.append(f"# {key}={value}")
     for m in mats:
@@ -188,10 +177,14 @@ def write_sequence_file(
     matrices: Sequence[StochasticMatrix] | Iterable[StochasticMatrix],
     metadata: dict[str, str] | None = None,
 ) -> None:
-    """Atomically write a sequence file (temp file + rename)."""
+    """Atomically write a sequence file (temp file + rename).
+
+    A new file gets the mode open(path, "w") would give, 0o666 less the umask.
+    """
     target = Path(path)
     content = format_sequence(matrices, metadata)
-    fd, tmp_name = tempfile.mkstemp(dir=target.parent or Path("."), prefix=target.name, suffix=".tmp")
+    tmp_name = target.parent / f"{target.name}.{os.urandom(8).hex()}.tmp"
+    fd = os.open(tmp_name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(content)

@@ -28,43 +28,41 @@ def check_tolerance(name: str, value: float) -> None:
         raise ContractViolation(f"{name} must be finite and nonnegative, got {value}")
 
 
-def normalize_rows(rows: np.ndarray, tol_row: float, tol_neg: float) -> None:
+def normalize_rows(rows: np.ndarray) -> None:
     """The stochasticity rule, in place on a 2-D array of rows: one matrix or a stack's rows.
 
-    Entries must be finite; entries in [-tol_neg, 0) are clamped to zero and
-    anything more negative is rejected; each row sum must lie within tol_row
-    of 1, and rows are then renormalized to sum to 1 up to machine rounding.
+    Entries must be finite; entries in [-NEGATIVITY_TOL, 0) are clamped to
+    zero and anything more negative is rejected; each row sum must lie within
+    ROW_SUM_TOL of 1, and rows are then renormalized to sum to 1 up to
+    machine rounding. The tolerances are fixed: every command reads the same inputs.
     """
     if not np.isfinite(rows).all():
         raise StochasticityError("all entries must be finite")
-    if (rows < -tol_neg).any():
-        i, j = np.argwhere(rows < -tol_neg)[0]
-        raise NegativityError(f"entry ({i + 1},{j + 1}) = {rows[i, j]} is below the negativity tolerance {-tol_neg}")
+    if (rows < -NEGATIVITY_TOL).any():
+        i, j = np.argwhere(rows < -NEGATIVITY_TOL)[0]
+        raise NegativityError(
+            f"entry ({i + 1},{j + 1}) = {rows[i, j]} is below the negativity tolerance {-NEGATIVITY_TOL}"
+        )
     rows[rows < 0] = 0.0
     sums = rows.sum(axis=1)
-    bad = np.flatnonzero(np.abs(sums - 1.0) > tol_row)
+    bad = np.flatnonzero(np.abs(sums - 1.0) > ROW_SUM_TOL)
     if bad.size:
-        raise StochasticityError(f"row {bad[0] + 1} sums to {float(sums[bad[0]])}, not 1 within {tol_row}")
+        raise StochasticityError(f"row {bad[0] + 1} sums to {float(sums[bad[0]])}, not 1 within {ROW_SUM_TOL}")
     rows /= sums[:, None]
 
 
 class StochasticMatrix:
-    """Dense n x n matrix that passed normalize_rows; the entries are read-only.
-
-    Both tolerances must be finite and nonnegative (ContractViolation otherwise).
-    """
+    """Dense n x n matrix that passed normalize_rows; the entries are read-only."""
 
     __slots__ = ("_entries",)
 
-    def __init__(self, raw, *, tol_row: float = ROW_SUM_TOL, tol_neg: float = NEGATIVITY_TOL) -> None:
-        check_tolerance("tol_row", tol_row)
-        check_tolerance("tol_neg", tol_neg)
+    def __init__(self, raw) -> None:
         arr = np.array(raw, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise DimensionError(f"expected a square matrix, got shape {arr.shape}")
         if arr.shape[0] < 1:
             raise DimensionError("dimension must be at least 1")
-        normalize_rows(arr, tol_row, tol_neg)
+        normalize_rows(arr)
         arr.setflags(write=False)
         self._entries = arr
 

@@ -22,7 +22,7 @@ from ergocert.convergence import iter_products
 from ergocert.digraph import Digraph, is_aperiodic, wielandt_bound
 from ergocert.errors import ContractViolation, DimensionError, StochasticityError
 from ergocert.seqfile import SequenceFile, SequenceFileError
-from ergocert.stochastic import NEGATIVITY_TOL, ROW_SUM_TOL, StochasticMatrix
+from ergocert.stochastic import StochasticMatrix
 
 
 def complete_digraph(n: int) -> Digraph:
@@ -277,7 +277,7 @@ def stochastic_matrix_power(entries: np.ndarray, exponent: int) -> np.ndarray:
     return result
 
 
-def parse_per_token(text: str, *, tol_row: float = ROW_SUM_TOL, tol_neg: float = NEGATIVITY_TOL) -> SequenceFile:
+def parse_per_token(text: str) -> SequenceFile:
     """The sequence-file parse token by token: Python float() on every token,
     then one validated StochasticMatrix per record, raising at the first bad
     line, record or row exactly as the library's messages do."""
@@ -333,7 +333,7 @@ def parse_per_token(text: str, *, tol_row: float = ROW_SUM_TOL, tol_neg: float =
                     f"expected {header_n} values, got {len(row)}"
                 )
         try:
-            matrices.append(StochasticMatrix(block, tol_row=tol_row, tol_neg=tol_neg))
+            matrices.append(StochasticMatrix(block))
         except StochasticityError as err:
             raise SequenceFileError(f"record {record_index + 1}: {err}") from err
     return SequenceFile(header_n, metadata, tuple(matrices))

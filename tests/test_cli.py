@@ -74,7 +74,9 @@ class TestValidate:
         path = tmp_path / "neg.seq"
         path.write_text("n=2\n1.0 -1e-11\n0 1\n")
         assert main(["validate", str(path)]) == 2
-        assert main(["validate", str(path), "--tol-neg", "1e-10"]) == 0
+        with pytest.raises(SystemExit) as usage_error:
+            main(["validate", str(path), "--tol-neg", "1e-10"])
+        assert usage_error.value.code == 2
 
     def test_undecodable_file_is_an_input_error(self, tmp_path, capsys):
         # a UnicodeDecodeError escaped with a traceback and exit 1
@@ -85,13 +87,32 @@ class TestValidate:
         assert captured.out == ""
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
-    def test_nan_tolerances_rejected(self, tmp_path, capsys):
-        path = tmp_path / "nonstochastic.seq"
-        path.write_text("n=2\n0.5 0.2\n-0.3 1.3\n")
-        assert main(["validate", str(path), "--tol-row", "nan", "--tol-neg", "nan"]) == 2
-        captured = capsys.readouterr()
-        assert "validation" not in captured.out
-        assert "tol_row must be finite and nonnegative" in captured.err
+
+TRIDIAGONAL = StochasticMatrix([[0.8, 0.2, 0.0], [0.1, 0.8, 0.1], [0.0, 0.2, 0.8]])
+
+
+# a replacement for the first row of the second record ("0.8 0.2 0.0"), or
+# None to delete it, and the exit code every command gives on the result
+@pytest.mark.parametrize("row,code", [
+    ("0.8 x 0.0", 2),
+    ("0.8 0.2", 2),
+    (None, 2),
+    ("0.8 nan 0.0", 2),
+    ("0.8 0.2 -0.5", 2),
+    ("0.8 0.2 0.25", 2),
+    ("0.8 0.2 -1e-11", 2),
+    ("0.8 0.2 -1e-13", 0),
+], ids=["non-numeric", "ragged", "incomplete", "nan", "negative", "row-sum", "below-tolerance", "clamped"])
+def test_validate_accepts_what_every_command_reads(tmp_path, capsys, row, code):
+    path = tmp_path / "tri.seq"
+    write_sequence_file(path, [TRIDIAGONAL] * 80)
+    lines = path.read_text().splitlines()
+    at = lines.index("0.8 0.2 0.0", lines.index("0.8 0.2 0.0") + 1)
+    lines[at : at + 1] = [] if row is None else [row]
+    path.write_text("\n".join(lines) + "\n")
+    codes = {command: main([command, str(path)]) for command in ("validate", "analyze", "certify", "simulate")}
+    capsys.readouterr()
+    assert codes == dict.fromkeys(codes, code)
 
 
 class TestAnalyze:
@@ -367,6 +388,15 @@ class TestGenerate:
         out = tmp_path / "x.seq"
         assert main(["generate", "cycle-core", "--n", "1", "--out", str(out)]) == 2
         assert main(["generate", "cycle-core", "--alpha", "0.9", "--out", str(out)]) == 2
+
+    def test_negative_seed_is_an_input_error(self, tmp_path, capsys):
+        # numpy's ValueError escaped with a traceback and exit 1
+        out = tmp_path / "x.seq"
+        assert main(["generate", "cycle-core", "--seed", "-1", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: seed must be nonnegative, got -1\n"
+        assert not out.exists()
 
     def test_analyze_verdicts_per_regime(self, tmp_path, capsys):
         for preset, n, length in [("positive-diagonal", 3, 12), ("cycle-core", 4, 30)]:
