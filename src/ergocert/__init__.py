@@ -24,8 +24,8 @@ from .errors import (
     NegativityError,
     StochasticityError,
 )
-from .hypotheses import HypothesisReport, MatrixSequence, analyze
+from .hypotheses import HypothesisReport, analyze
 from .seqfile import SequenceFile, SequenceFileError, read_sequence_file
-from .stochastic import StochasticMatrix
+from .stochastic import MatrixSequence, StochasticMatrix
 
 __version__ = "0.1.0"

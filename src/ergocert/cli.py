@@ -95,15 +95,14 @@ def _finish(code: int) -> int:
 def cmd_validate(args: argparse.Namespace) -> int:
     seqf = read_sequence_file(args.path)
     _emit_input(args.path, seqf)
-    _emit("input.alpha", min_positive_entry(seqf.matrices))
+    _emit("input.alpha", min_positive_entry(seqf.to_sequence().stack))
     _emit("validation", "ok")
     return _finish(EXIT_OK)
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     seqf = read_sequence_file(args.path)
-    seq = seqf.to_sequence()
-    report = analyze(seq, all_starts=args.all_starts, tol_pos=args.tol_pos)
+    report = analyze(seqf.to_sequence(), all_starts=args.all_starts, tol_pos=args.tol_pos)
     _emit_input(args.path, seqf)
     _emit_hypotheses(report)
     return _finish(EXIT_OK if report.holds else EXIT_HYPOTHESIS)
@@ -138,9 +137,8 @@ def cmd_certify(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     seqf = read_sequence_file(args.path)
-    seq = seqf.to_sequence()
     x0 = _parse_x0(args.x0) if args.x0 is not None else None
-    run = run_to_tolerance(seq, args.epsilon, x0)
+    run = run_to_tolerance(seqf.to_sequence(), args.epsilon, x0)
     if args.emit_csv is not None:
         values = run.matrix_seminorms if x0 is None else run.vector_seminorms
         csv_text = "k,seminorm\n" + "".join(f"{k},{_fmt(v)}\n" for k, v in enumerate(values))
@@ -169,7 +167,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_generate(args: argparse.Namespace) -> int:
     seqf = generate_sequence(args.preset, args.n, args.length, args.alpha, args.seed)
-    write_sequence_file(args.out, seqf.matrices, seqf.metadata)
+    write_sequence_file(args.out, seqf.to_sequence().stack, seqf.metadata)
     _emit("generated.path", args.out)
     _emit("generated.preset", args.preset)
     _emit("generated.n", seqf.n)

@@ -17,15 +17,7 @@ import numpy as np
 from .digraph import pattern_product, wielandt_bound
 from .errors import CertificationRefused, ContractViolation, DimensionError
 from .hypotheses import HypothesisReport, MatrixSequence, analyze
-from .stochastic import (
-    StochasticMatrix,
-    factor_patterns,
-    identity_matrix,
-    matrix_seminorm,
-    min_positive_entry,
-    multiply,
-    vector_seminorm,
-)
+from .stochastic import StochasticMatrix, factor_patterns, matrix_seminorm, min_positive_entry, vector_seminorm
 
 # Slack for exact inequalities.
 EXACT_SLACK = 1e-12
@@ -101,23 +93,21 @@ class ToleranceRun:
 
 def iter_products(seq: MatrixSequence) -> Iterator[ProductState]:
     """ProductState for k = 0..L, starting from the identity."""
-    current = identity_matrix(seq.n)
-    drift = 0.0
-    yield ProductState(0, current, drift)
-    for k, factor in enumerate(seq, start=1):
-        current = multiply(factor, current)
-        drift = max(drift, float(np.abs(current.entries.sum(axis=1) - 1.0).max()))
-        yield ProductState(k, current, drift)
+    current, drift = np.eye(seq.n), 0.0
+    yield ProductState(0, StochasticMatrix._trusted(current), drift)
+    for k, factor in enumerate(seq.stack, start=1):
+        current = factor @ current
+        drift = max(drift, float(np.abs(current.sum(axis=1) - 1.0).max()))
+        yield ProductState(k, StochasticMatrix._trusted(current), drift)
 
 
 def partial_product(seq: MatrixSequence, l: int, k: int) -> StochasticMatrix:
     """The product A(k)...A(l+1); the identity when l == k."""
     if not 0 <= l <= k <= len(seq):
         raise ContractViolation(f"need 0 <= l <= k <= {len(seq)}, got l={l}, k={k}")
-    product = identity_matrix(seq.n)
-    for m in range(l + 1, k + 1):
-        product = multiply(seq.factor(m), product)
-    return product
+    for state in iter_products(MatrixSequence._of_stack(seq.stack[l:k])):
+        pass
+    return state.matrix
 
 
 def saturation_floor(n: int, alpha: float) -> float:
@@ -140,18 +130,14 @@ def find_saturation_K(seq: MatrixSequence, alpha: float) -> int | None:
 
 
 def _first_saturated(seq: MatrixSequence, alpha: float) -> ProductState | None:
-    """The state P(K) for the K of find_saturation_K.
-
-    Each product is scanned beside its boolean pattern, the product of the
-    factor patterns, exact where the float product underflows to 0.0.
-    """
-    smallest = min_positive_entry(seq.items)
+    """The state P(K) for the K of find_saturation_K."""
+    smallest = min_positive_entry(seq.stack)
     if not 0 < alpha <= smallest:
         raise ContractViolation(
             f"alpha must be positive and at most the minimum positive entry {smallest}, got {alpha}"
         )
     threshold = saturation_floor(seq.n, alpha) - EXACT_SLACK
-    factors = factor_patterns(seq)
+    factors = factor_patterns(seq.stack)
     pattern = np.eye(seq.n, dtype=np.float32)
     for state in iter_products(seq):
         if state.k:
@@ -229,7 +215,7 @@ def run_to_tolerance(seq: MatrixSequence, epsilon: float, x0=None) -> ToleranceR
         matrix_values.append(state.seminorm)
         if vec is not None:
             if state.k:
-                vec = seq.factor(state.k).entries @ vec
+                vec = seq.stack[state.k - 1] @ vec
             vector_values.append(vector_seminorm(vec))
         reached = (matrix_values if vec is None else vector_values)[-1] <= epsilon
         if reached:
@@ -258,7 +244,7 @@ def disagreement_trajectory(seq: MatrixSequence, x0) -> list[float]:
     """vector_seminorm(P(k).x0) for k = 0..L, iterated as x(k) = A(k).x(k-1)."""
     vec = _checked_vector(x0, seq.n)
     values = [vector_seminorm(vec)]
-    for factor in seq:
-        vec = factor.entries @ vec
+    for factor in seq.stack:
+        vec = factor @ vec
         values.append(vector_seminorm(vec))
     return values

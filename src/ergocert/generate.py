@@ -31,7 +31,7 @@ import numpy as np
 from .digraph import pattern_product, wielandt_bound, wielandt_graph
 from .errors import ContractViolation
 from .seqfile import SequenceFile
-from .stochastic import StochasticMatrix
+from .stochastic import MatrixSequence, StochasticMatrix
 
 PRESETS = (
     "positive-diagonal",
@@ -75,7 +75,7 @@ def generate_sequence(preset: str, n: int, length: int, alpha: float, seed: int)
         "seed": str(seed),
         **metadata,
     }
-    return SequenceFile(n, metadata, tuple(matrices))
+    return SequenceFile(metadata, MatrixSequence(matrices))
 
 
 def _fill_pattern(rng: np.random.Generator, pattern: np.ndarray, alpha: float) -> StochasticMatrix:

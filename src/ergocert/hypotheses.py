@@ -4,50 +4,20 @@ The conditions: (1) positive entries bounded below by some alpha > 0,
 (2) eventual positivity of accumulated products from each checked start,
 (3) every factor completely reducible, and (4) a common sink-free aperiodic
 spanning subgraph (the core) inside every factor's positivity pattern.
+Every check reads `MatrixSequence.stack`, the sequence's one validated (L, n, n)
+array; `.items`, iteration and `.factor(k)` are views of it kept for the traced benchmark.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Mapping
 
 import numpy as np
 
 from .digraph import Digraph, completely_reducible, component_periods, pattern_product
-from .errors import ContractViolation, DimensionError
-from .stochastic import StochasticMatrix, factor_patterns, min_positive_entry
-
-
-@dataclass(frozen=True)
-class MatrixSequence:
-    """Ordered factors A(1), ..., A(L) sharing one dimension; indices are 1-based."""
-
-    items: tuple[StochasticMatrix, ...]
-
-    def __init__(self, items: Iterable[StochasticMatrix]) -> None:
-        object.__setattr__(self, "items", tuple(items))
-        if not self.items:
-            raise DimensionError("a sequence needs at least one matrix")
-        n = self.items[0].n
-        for idx, m in enumerate(self.items, start=1):
-            if m.n != n:
-                raise DimensionError(f"matrix {idx} has dimension {m.n}, expected {n}")
-
-    @property
-    def n(self) -> int:
-        return self.items[0].n
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-    def __iter__(self) -> Iterator[StochasticMatrix]:
-        return iter(self.items)
-
-    def factor(self, k: int) -> StochasticMatrix:
-        """A(k), 1-based."""
-        if not 1 <= k <= len(self.items):
-            raise ContractViolation(f"index k={k} outside 1..{len(self.items)}")
-        return self.items[k - 1]
+from .errors import ContractViolation
+from .stochastic import MatrixSequence, factor_patterns, min_positive_entry
 
 
 @dataclass(frozen=True)
@@ -81,7 +51,7 @@ def check_eventual_positivity(seq: MatrixSequence, k: int) -> int | None:
     """
     if not 1 <= k <= len(seq):
         raise ContractViolation(f"start index k={k} outside 1..{len(seq)}")
-    return _positivity_onset(factor_patterns(seq.items[k - 1 :]), k)
+    return _positivity_onset(factor_patterns(seq.stack[k - 1 :]), k)
 
 
 def _positivity_onset(factors: np.ndarray, k: int) -> int | None:
@@ -123,8 +93,8 @@ def analyze(
     the maximal one.
     """
     starts = range(1, len(seq) + 1) if all_starts else (1,)
-    alpha = min_positive_entry(seq.items, tol_pos)
-    patterns = factor_patterns(seq, tol_pos)
+    alpha = min_positive_entry(seq.stack, tol_pos)
+    patterns = factor_patterns(seq.stack, tol_pos)
     failures = tuple((np.flatnonzero(~completely_reducible(patterns)) + 1).tolist())
     common = np.logical_and.reduce(patterns, axis=0)
     labels, periods = component_periods(common)

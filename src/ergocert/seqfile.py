@@ -13,25 +13,28 @@ Format, line oriented and diffable:
     0 0 1
 
 All data lines are converted by one numpy call and checked at once by
-`stochastic.normalize_rows`, the rule every StochasticMatrix passes; only
-rejected input is scanned again, line by line, to name the first bad line
-or record, with `parse_numbers`, which also reads the CLI's x0 vectors.
+`stochastic.normalize_rows`, the rule every StochasticMatrix passes, into
+one validated (L, n, n) stack, which the file's MatrixSequence takes over;
+`SequenceFile.matrices` are views of it kept for the benchmark's traced run.
+Only rejected input is scanned again, line by line, to name the first bad
+line or record, with `parse_numbers`, which also reads the CLI's x0 vectors.
 Records and rows in error messages are 1-based. Writes are atomic: content
 goes to a temporary file in the target directory and is renamed into place.
 """
 
 from __future__ import annotations
 
+import contextlib
+import errno
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, NoReturn, Sequence
+from typing import NoReturn
 
 import numpy as np
 
-from .errors import DimensionError, StochasticityError
-from .hypotheses import MatrixSequence
-from .stochastic import StochasticMatrix, normalize_rows
+from .errors import StochasticityError
+from .stochastic import MatrixSequence, StochasticMatrix, as_stack, normalize_rows
 
 
 class SequenceFileError(ValueError):
@@ -40,18 +43,26 @@ class SequenceFileError(ValueError):
 
 @dataclass
 class SequenceFile:
-    """Parsed file: dimension, metadata pairs, and the validated matrices."""
+    """Parsed file: metadata pairs and the validated sequence."""
 
-    n: int
-    metadata: dict[str, str] = field(default_factory=dict)
-    matrices: tuple[StochasticMatrix, ...] = ()
+    metadata: dict[str, str]
+    sequence: MatrixSequence
+
+    @property
+    def n(self) -> int:
+        return self.sequence.n
 
     @property
     def length(self) -> int:
-        return len(self.matrices)
+        return len(self.sequence)
+
+    @property
+    def matrices(self) -> tuple[StochasticMatrix, ...]:
+        """StochasticMatrix views of the stack, kept for the benchmark's traced run."""
+        return self.sequence.items
 
     def to_sequence(self) -> MatrixSequence:
-        return MatrixSequence(self.matrices)
+        return self.sequence
 
 
 def parse_sequence_text(text: str) -> SequenceFile:
@@ -93,9 +104,7 @@ def parse_sequence_text(text: str) -> SequenceFile:
         normalize_rows(values)
     except ValueError:
         _diagnose(data_lines, line_numbers, n)
-    stack = values.reshape(-1, n, n)
-    stack.setflags(write=False)
-    return SequenceFile(n, metadata, tuple(StochasticMatrix._trusted(m) for m in stack))
+    return SequenceFile(metadata, MatrixSequence._of_stack(values.reshape(-1, n, n)))
 
 
 def parse_numbers(line: str) -> np.ndarray:
@@ -144,45 +153,33 @@ def read_sequence_file(path: str | Path) -> SequenceFile:
     return parse_sequence_text(Path(path).read_text(encoding="utf-8"))
 
 
-def format_sequence(
-    matrices: Sequence[StochasticMatrix] | Iterable[StochasticMatrix],
-    metadata: dict[str, str] | None = None,
-) -> str:
-    """Render matrices in the file format; floats use shortest round-trip form.
-
-    Refuses mixed dimensions, and metadata keys or values that are not str
-    or would not read back unchanged.
-    """
-    mats = list(matrices)
-    if not mats:
-        raise SequenceFileError("no matrices")
-    n = mats[0].n
-    if any(m.n != n for m in mats):
-        raise DimensionError(f"matrices of dimensions {sorted({m.n for m in mats})} in one sequence")
-    lines = [f"n={n}"]
+def format_sequence(factors, metadata: dict[str, str] | None = None) -> str:
+    """Render a validated (L, n, n) stack, or StochasticMatrix items stacked as by MatrixSequence,
+    in the file format; floats use shortest round-trip form. Refuses metadata keys or values
+    that are not str or would not read back unchanged."""
+    stack = as_stack(factors)
+    lines = [f"n={stack.shape[1]}"]
     for key, value in (metadata or {}).items():
         readable = all(isinstance(s, str) and len(s.splitlines()) <= 1 and s == s.strip() for s in (key, value))
         if not readable or not key or "=" in key:
             raise SequenceFileError(f"metadata {key!r}: {value!r} would not read back unchanged")
         lines.append(f"# {key}={value}")
-    for m in mats:
+    for matrix in stack:
         lines.append("")
-        for row in m.entries:
-            lines.append(" ".join(repr(float(v)) for v in row))
+        lines.extend(" ".join(map(repr, row)) for row in matrix.tolist())
     return "\n".join(lines) + "\n"
 
 
-def write_sequence_file(
-    path: str | Path,
-    matrices: Sequence[StochasticMatrix] | Iterable[StochasticMatrix],
-    metadata: dict[str, str] | None = None,
-) -> None:
-    """Atomically write a sequence file (temp file + rename).
+def write_sequence_file(path: str | Path, factors, metadata: dict[str, str] | None = None) -> None:
+    """Atomically write format_sequence(factors, metadata) (temp file + rename).
 
     A new file gets the mode open(path, "w") would give, 0o666 less the umask.
+    A path ending in a separator names a directory: IsADirectoryError, as from open.
     """
+    if os.fspath(path).endswith(os.sep):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), os.fspath(path))
     target = Path(path)
-    content = format_sequence(matrices, metadata)
+    content = format_sequence(factors, metadata)
     tmp_name = target.parent / f"{target.name}.{os.urandom(8).hex()}.tmp"
     fd = os.open(tmp_name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
@@ -190,8 +187,6 @@ def write_sequence_file(
             handle.write(content)
         os.replace(tmp_name, target)
     except BaseException:
-        try:
+        with contextlib.suppress(OSError):
             os.unlink(tmp_name)
-        except OSError:
-            pass
         raise

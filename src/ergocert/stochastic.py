@@ -3,10 +3,13 @@
 The semi-norm of a vector is its distance to the constant vectors in the
 sup norm, which works out to half its spread. The induced matrix semi-norm
 has the closed form of the coefficient of ergodicity: half the largest L1
-distance between two rows. Matrices are immutable after validation.
+distance between two rows. Matrices and sequences are immutable after validation.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -77,7 +80,7 @@ class StochasticMatrix:
 
     @classmethod
     def _trusted(cls, entries: np.ndarray) -> StochasticMatrix:
-        """Take over a product of stochastic matrices: no copy, checks or renormalization."""
+        """Take over a product of stochastic matrices, or a stack's view: no copy, checks or renormalization."""
         entries.setflags(write=False)
         out = cls.__new__(cls)
         out._entries = entries
@@ -85,6 +88,51 @@ class StochasticMatrix:
 
     def __repr__(self) -> str:
         return f"StochasticMatrix(n={self.n})"
+
+
+@dataclass(frozen=True, eq=False)
+class MatrixSequence:
+    """Factors A(1), ..., A(L) of one dimension as one read-only (L, n, n) stack of validated
+    entries, A(k) = stack[k - 1]; the constructor stacks StochasticMatrix items, not renormalized."""
+
+    stack: np.ndarray
+
+    def __init__(self, items: Iterable[StochasticMatrix]) -> None:
+        entries = [m.entries for m in items]
+        dims = sorted({len(e) for e in entries})
+        if len(dims) != 1:
+            raise DimensionError(f"a sequence needs matrices of one dimension, got {dims}")
+        object.__setattr__(self, "stack", np.stack(entries))
+        self.stack.setflags(write=False)
+
+    @classmethod
+    def _of_stack(cls, stack: np.ndarray) -> MatrixSequence:
+        """Take over an already validated stack, as the parser does: no copy, checks or renormalization."""
+        stack.setflags(write=False)
+        out = cls.__new__(cls)
+        object.__setattr__(out, "stack", stack)
+        return out
+
+    @property
+    def n(self) -> int:
+        return self.stack.shape[1]
+
+    def __len__(self) -> int:
+        return len(self.stack)
+
+    @property
+    def items(self) -> tuple[StochasticMatrix, ...]:
+        """Views of the stack, kept for the benchmark's traced run as are iteration and factor(k)."""
+        return tuple(map(StochasticMatrix._trusted, self.stack))
+
+    def __iter__(self) -> Iterator[StochasticMatrix]:
+        return iter(self.items)
+
+    def factor(self, k: int) -> StochasticMatrix:
+        """A(k), 1-based."""
+        if not 1 <= k <= len(self):
+            raise ContractViolation(f"index k={k} outside 1..{len(self)}")
+        return StochasticMatrix._trusted(self.stack[k - 1])
 
 
 def identity_matrix(n: int) -> StochasticMatrix:
@@ -103,23 +151,26 @@ def digraph_of(a: StochasticMatrix) -> Digraph:
     return Digraph.from_adjacency(a.entries > 0)
 
 
-def factor_patterns(matrices, tol_pos: float = 0.0) -> np.ndarray:
+def as_stack(factors) -> np.ndarray:
+    """A sequence's (L, n, n) stack: an array as it is, StochasticMatrix items stacked by MatrixSequence."""
+    return factors if isinstance(factors, np.ndarray) else MatrixSequence(factors).stack
+
+
+def factor_patterns(factors, tol_pos: float = 0.0) -> np.ndarray:
     """The (L, n, n) float32 0/1 stack of factor patterns: entry (i, j) > tol_pos.
 
     Every condition check and the saturation scan read their factor patterns
     from this stack, so all of them draw the edge line in the same place.
     """
     check_tolerance("tol_pos", tol_pos)
-    return np.stack([m.entries > tol_pos for m in matrices]).astype(np.float32)
+    return (as_stack(factors) > tol_pos).astype(np.float32)
 
 
-def min_positive_entry(matrices, tol_pos: float = 0.0) -> float | None:
-    """Smallest entry above tol_pos across all matrices; None if there is none."""
+def min_positive_entry(factors, tol_pos: float = 0.0) -> float | None:
+    """Smallest entry above tol_pos across the factors; None if there is none."""
     check_tolerance("tol_pos", tol_pos)
-    mats = list(matrices)
-    if not mats:
-        raise DimensionError("at least one matrix required")
-    smallest = min(float(m.entries[m.entries > tol_pos].min(initial=np.inf)) for m in mats)
+    stack = as_stack(factors)
+    smallest = float(stack.min(where=stack > tol_pos, initial=np.inf))
     return None if smallest == np.inf else smallest
 
 

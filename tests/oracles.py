@@ -22,7 +22,7 @@ from ergocert.convergence import iter_products
 from ergocert.digraph import Digraph, is_aperiodic, wielandt_bound
 from ergocert.errors import ContractViolation, DimensionError, StochasticityError
 from ergocert.seqfile import SequenceFile, SequenceFileError
-from ergocert.stochastic import StochasticMatrix
+from ergocert.stochastic import MatrixSequence, StochasticMatrix
 
 
 def complete_digraph(n: int) -> Digraph:
@@ -336,4 +336,4 @@ def parse_per_token(text: str) -> SequenceFile:
             matrices.append(StochasticMatrix(block))
         except StochasticityError as err:
             raise SequenceFileError(f"record {record_index + 1}: {err}") from err
-    return SequenceFile(header_n, metadata, tuple(matrices))
+    return SequenceFile(metadata, MatrixSequence(matrices))

@@ -398,6 +398,19 @@ class TestGenerate:
         assert captured.err == "error: seed must be nonnegative, got -1\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_out_ending_in_a_separator_is_refused(self, tmp_path, capsys, existing):
+        # Path("sub/") is "sub": with no directory sub, a regular file sub was written and exit 0
+        sub = tmp_path / "sub"
+        if existing:
+            sub.mkdir()
+        assert main(["generate", "cycle-core", "--out", f"{sub}/"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: [Errno 21] Is a directory: '{sub}/'\n"
+        assert sub.is_dir() == existing
+        assert [p.name for p in tmp_path.rglob("*")] == (["sub"] if existing else [])
+
     def test_analyze_verdicts_per_regime(self, tmp_path, capsys):
         for preset, n, length in [("positive-diagonal", 3, 12), ("cycle-core", 4, 30)]:
             good = tmp_path / f"{preset}.seq"
@@ -415,8 +428,8 @@ class TestGenerate:
 
 
 # SHA-256 of each report's stdout without its input.path line, on the four
-# presets at n=6, length 40, alpha 0.05, seed 5; a refactor that claims to
-# leave reports unchanged must leave these unchanged
+# presets at n=6, length 40, alpha 0.05, seed 5, and of the generated files;
+# a refactor that claims to leave reports and files unchanged must leave these unchanged
 PINNED_REPORTS = {
     ("positive-diagonal", "analyze --all-starts"): "a30f172bb8cef55fc0340aed515207dc69997344d7f40b86af38a864d40ea580",
     ("positive-diagonal", "analyze --tol-pos 0.1"): "62cfacb0ab88d461dd76656d3699a606c44e1feb6a677bcae5dfef152e15fa2d",
@@ -430,18 +443,38 @@ PINNED_REPORTS = {
     ("periodic-counterexample", "analyze --all-starts"): "36d2c954a2046c9e82813f8d7889b07064d4137f740327fb0e3b8683553bac07",
     ("periodic-counterexample", "analyze --tol-pos 0.1"): "a41c9656d0610e638bff3587f6dca8239ee87703808e736bcbc886226bde867a",
     ("periodic-counterexample", "certify"): "37cfe98b29f3601aa42b41e259dc4ad7a969f0f2e4f56b475765a06e9feead13",
+    ("positive-diagonal", "validate"): "10c34f94c8cda90dadb24f23f2e9f9682b6d98b7bd482ea3c4245a897ef0b06a",
+    ("positive-diagonal", "simulate"): "d71e278735bb6b89ca9e3434ed6505c39fe26d5750f6e7151e7ee50d85083c54",
+    ("positive-diagonal", "simulate --x0 0,1,2,3,4,5"): "2e0a59c7d4e323154d2c2613d9c9de23e39d9a774570b6da72ebbfef0f2b6e1d",
+    ("cycle-core", "validate"): "6c3aa66b65815d8db3e343de478d27ee1ed2ecdc7e7681c492a36f1a93ea3a26",
+    ("cycle-core", "simulate"): "28c8b013b75a662c3b0c2e5382f7cf88dcf700948c1fa047ca0c954d74c9ccf4",
+    ("cycle-core", "simulate --x0 0,1,2,3,4,5"): "69f846123579068966ec34e315b85a75c4fd962d853d98498f7088cfeb760f05",
+    ("wolfowitz-set", "validate"): "f8e9e77648ca4f1b8a68bff539e6e3db78fc9aca26a07bed63705fcb16b0a8ce",
+    ("wolfowitz-set", "simulate"): "041380e6620d02d238549f132d47f99849669cbac92c0c3c95d4d26f35572b9a",
+    ("wolfowitz-set", "simulate --x0 0,1,2,3,4,5"): "2300ec0d302e6688010d79961f861f9eb8977688d51867423cb30e4aa9eda3c0",
+    ("periodic-counterexample", "validate"): "6f2a8c335fbf0918d8a32d52318f6f2b14e45b4489611d46406292eeb7281db8",
+    ("periodic-counterexample", "simulate"): "28cf7746c9ee8f4b80fee3f7ec76915d16fb42872e3824333aa33dc4de430dd7",
+    ("periodic-counterexample", "simulate --x0 0,1,2,3,4,5"): "54cfdc1537dea280d12a3e816680f40e02eecb38be88c74aecd33ad9a6255778",
+}
+PINNED_FILES = {
+    "positive-diagonal": "c0ca5410c0da885f765b1a53088a7c6622ae2fd99a7284995c96ea5006406b1a",
+    "cycle-core": "7ff495c4867c127246f9ffb806325b2e1edb4e705883aa6adb731ac09fb4554b",
+    "wolfowitz-set": "3a72b3e0def9810b3a23cd60d9294b6d6aa0e8f069c87a3fd72c62469ac92ec2",
+    "periodic-counterexample": "6485931c80ca2869ee02874b51c8f511621dd58770e6f15619b9f0c6095a7d5d",
 }
 
 
 def test_reports_pinned(tmp_path, capsys):
-    assert {preset for preset, _ in PINNED_REPORTS} == set(PRESETS)
+    assert {preset for preset, _ in PINNED_REPORTS} == set(PINNED_FILES) == set(PRESETS)
     mismatches = []
     for (preset, command), expected in PINNED_REPORTS.items():
-        path = str(tmp_path / f"{preset}.seq")
-        main(["generate", preset, "--n", "6", "--length", "40", "--alpha", "0.05", "--seed", "5", "--out", path])
+        path = tmp_path / f"{preset}.seq"
+        main(["generate", preset, "--n", "6", "--length", "40", "--alpha", "0.05", "--seed", "5", "--out", str(path)])
         capsys.readouterr()
+        if hashlib.sha256(path.read_bytes()).hexdigest() != PINNED_FILES[preset]:
+            mismatches.append(f"{preset}: generated file")
         name, *flags = command.split()
-        main([name, path, *flags])
+        main([name, str(path), *flags])
         report = "".join(
             line for line in capsys.readouterr().out.splitlines(keepends=True) if not line.startswith("input.path = ")
         )

@@ -1,5 +1,6 @@
 import os
 import stat
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ergocert.errors import DimensionError
+from ergocert.generate import generate_sequence
 from ergocert.seqfile import (
     SequenceFileError,
     format_sequence,
@@ -101,7 +103,8 @@ class TestRoundTrip:
         assert list(tmp_path.iterdir()) == [path]
 
     def test_formatting_rejects_empty(self):
-        with pytest.raises(SequenceFileError):
+        # the items are stacked first, as a MatrixSequence is
+        with pytest.raises(DimensionError, match=r"one dimension, got \[\]"):
             format_sequence([])
 
     @pytest.mark.parametrize("metadata", [
@@ -272,5 +275,16 @@ class TestAgainstPerTokenParse:
             assert outcome(parse, text) == f"line 1: malformed header 'n={digits}'"
 
     def test_records_are_read_only(self):
-        seqf = parse_sequence_text(GOOD)
-        assert not any(m.entries.flags.writeable for m in seqf.matrices)
+        # one stack per sequence, parsed or built from StochasticMatrix items: the parse
+        # builds no per-record matrices, and records, items and factors are views of it
+        with mock.patch.object(StochasticMatrix, "_trusted", side_effect=AssertionError("per-record matrix")):
+            parsed = parse_sequence_text(GOOD)
+        for seqf in (parsed, generate_sequence("wolfowitz-set", 3, 6, 0.1, 0)):
+            seq = seqf.to_sequence()
+            views = [*seqf.matrices, *seq.items, *seq, seq.factor(1)]
+            assert len(views) == 3 * seqf.length + 1
+            assert not seq.stack.flags.writeable
+            assert not any(m.entries.flags.writeable for m in views)
+            assert all(np.shares_memory(m.entries, seq.stack) for m in views)
+            with pytest.raises(ValueError, match="read-only"):
+                seq.stack[0, 0, 0] = 0.5
