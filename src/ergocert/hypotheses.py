@@ -48,6 +48,8 @@ def check_eventual_positivity(seq: MatrixSequence, k: int) -> int | None:
     of the products' patterns, and a product's pattern is the boolean product
     of the factor patterns, so the answer is exact and never lost to float
     underflow. None if the accumulated sum never fills within the sequence.
+    One forward scan from k that stops once the sum fills; positivity_onsets
+    answers every start at once.
     """
     if not 1 <= k <= len(seq):
         raise ContractViolation(f"start index k={k} outside 1..{len(seq)}")
@@ -70,6 +72,40 @@ def _positivity_onset(factors: np.ndarray, k: int) -> int | None:
     return None
 
 
+def positivity_onsets(patterns: np.ndarray) -> list[int | None]:
+    """check_eventual_positivity's answer for every start 1..L, in one backward pass.
+
+    f[i, j] is the least K with (i, j) in the pattern of A(K)...A(k), or L + 1
+    for never: f = where(A(k), k, via) with via[i, j] = min{f[i, l] : A(k)[l, j]}
+    taken from step k + 1, and K*(k) = max f. O(L) steps on one n x n array.
+    """
+    length, n = patterns.shape[:2]
+    never = length + 1
+    f = np.full((n, n), never, dtype=np.int32)
+    onsets: list[int | None] = [None] * length
+    for k in range(length, 0, -1):
+        factor = patterns[k - 1]
+        via = np.full_like(f, never)
+        ranked = np.sort(f, axis=None)
+        levels = ranked[np.concatenate(([True], ranked[1:] != ranked[:-1])) & (ranked < never)]
+        # Levels cost one BLAS product per distinct finite value of f (D of them),
+        # gathering n * nnz(A(k)) reads; the rule picks the faster of these whole
+        # passes (2-vCPU Xeon): sparse periodic-n101, D up to 101, 0.023 s gathered
+        # against 0.58 s in levels; dense large-n200, D <= 3, 0.068 s against 0.014 s.
+        if len(levels) * f.size <= 64 * np.count_nonzero(factor):
+            weights = factor.astype(np.float32, copy=False)
+            for t in levels[::-1]:
+                via[pattern_product((f == t).astype(np.float32), weights) > 0] = t
+        else:
+            cols, rows = np.nonzero(factor.T)
+            if cols.size:
+                starts = np.flatnonzero(np.concatenate(([True], cols[1:] != cols[:-1])))
+                via[:, cols[starts]] = np.minimum.reduceat(f[:, rows], starts, axis=1)
+        f = np.where(factor, k, via)
+        onsets[k - 1] = int(f.max()) if f.max() < never else None
+    return onsets
+
+
 def analyze(
     seq: MatrixSequence,
     all_starts: bool = False,
@@ -79,8 +115,9 @@ def analyze(
 
     Condition (1) is reported as the realized lower bound alpha rather than
     pass/fail. Conditions (2) to (4) all read one stack of factor patterns,
-    thresholded at tol_pos. Eventual positivity is checked from start 1, or
-    from every start 1..L with all_starts. Individual failures are report
+    thresholded at tol_pos. Eventual positivity is checked from start 1 by
+    the early-exit forward scan, or with all_starts from every start 1..L by
+    positivity_onsets' one backward pass. Individual failures are report
     content, not errors.
 
     The core test reads the intersection of the factor patterns. A sink-free
@@ -101,7 +138,8 @@ def analyze(
     node_period = periods[labels]
     offenders = tuple((np.flatnonzero(node_period != 1) + 1).tolist())
     core = None if offenders else Digraph.from_adjacency(common & (labels[:, None] == labels[None, :]))
-    positivity = {k: _positivity_onset(patterns[k - 1 :], k) for k in starts}
+    onsets = positivity_onsets(patterns) if all_starts else [_positivity_onset(patterns, 1)]
+    positivity = dict(zip(starts, onsets))
 
     violations: list[str] = []
     if alpha is None:

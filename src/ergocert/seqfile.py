@@ -175,18 +175,22 @@ def write_sequence_file(path: str | Path, factors, metadata: dict[str, str] | No
 
     A new file gets the mode open(path, "w") would give, 0o666 less the umask.
     A path ending in a separator names a directory: IsADirectoryError, as from open.
+    An OSError names the path given, not the randomly named temporary file.
     """
     if os.fspath(path).endswith(os.sep):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), os.fspath(path))
     target = Path(path)
     content = format_sequence(factors, metadata)
     tmp_name = target.parent / f"{target.name}.{os.urandom(8).hex()}.tmp"
-    fd = os.open(tmp_name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(content)
-        os.replace(tmp_name, target)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp_name)
-        raise
+        fd = os.open(tmp_name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                handle.write(content)
+            os.replace(tmp_name, target)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp_name)
+            raise
+    except OSError as err:
+        raise OSError(err.errno, err.strerror, os.fspath(path)) from err

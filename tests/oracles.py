@@ -119,6 +119,22 @@ def time_varying_walk_exists(graphs, i: int, j: int) -> bool:
     return j in frontier
 
 
+def first_reach_by_walks(graphs, k: int) -> np.ndarray:
+    """f_k by walk search: [i-1, j-1] is the least K >= k with a walk from i to j
+    over graphs k..K (the pattern of A(K)...A(k)), or len(graphs) + 1 for never.
+
+    Every (i, j, K) is its own time_varying_walk_exists call; nothing is carried
+    from one horizon or one start to the next.
+    """
+    n, never = graphs[0].n, len(graphs) + 1
+    first = np.full((n, n), never)
+    for i, j in iter_product(range(1, n + 1), repeat=2):
+        first[i - 1, j - 1] = next(
+            (K for K in range(k, never) if time_varying_walk_exists(graphs[k - 1 : K], i, j)), never
+        )
+    return first
+
+
 def supports_and_minima(seq) -> tuple[np.ndarray, np.ndarray]:
     """Column supports and support minima of every product P(0..L), read
     from the float entries: supports[k, i, j] is True iff row i is in the

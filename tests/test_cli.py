@@ -411,6 +411,24 @@ class TestGenerate:
         assert sub.is_dir() == existing
         assert [p.name for p in tmp_path.rglob("*")] == (["sub"] if existing else [])
 
+    @pytest.mark.parametrize("out, reason", [
+        ("nodir/x.seq", "[Errno 2] No such file or directory"),
+        ("d", "[Errno 21] Is a directory"),
+    ])
+    def test_failed_write_names_the_given_path(self, tmp_path, monkeypatch, capsys, out, reason):
+        # the message named the temporary file, 'nodir/x.seq.<16 hex>.tmp',
+        # and so differed on every run
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "d").mkdir()
+        errors = []
+        for _ in range(2):
+            assert main(["generate", "cycle-core", "--out", out]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            errors.append(captured.err)
+        assert errors == [f"error: {reason}: '{out}'\n"] * 2
+        assert [p.name for p in tmp_path.rglob("*")] == ["d"]
+
     def test_analyze_verdicts_per_regime(self, tmp_path, capsys):
         for preset, n, length in [("positive-diagonal", 3, 12), ("cycle-core", 4, 30)]:
             good = tmp_path / f"{preset}.seq"

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ergocert.digraph import Digraph, intersection, is_aperiodic
@@ -9,6 +9,7 @@ from ergocert.hypotheses import (
     MatrixSequence,
     analyze,
     check_eventual_positivity,
+    positivity_onsets,
 )
 from ergocert.stochastic import StochasticMatrix, digraph_of, identity_matrix
 
@@ -17,6 +18,7 @@ from oracles import (
     component_period_by_cycles,
     components_by_bfs,
     core_exists_exhaustive,
+    first_reach_by_walks,
     is_subgraph,
     random_stochastic,
     relabel_entries,
@@ -219,6 +221,100 @@ class TestEventualPositivity:
                 running += product
                 if kk >= reached:
                     assert (running > 0).all()
+
+
+def pattern_stack(rng, n, length, sparse, drop):
+    """A boolean (length, n, n) stack. Sparse: permutation patterns with a few
+    entries added and a share `drop` of the permutation's removed (few nonzeros,
+    many distinct onsets; with drop > 0, empty rows and columns). Dense: random
+    patterns with a positive diagonal."""
+    if sparse:
+        stack = np.stack([np.eye(n, dtype=bool)[rng.permutation(n)] for _ in range(length)])
+        return (stack & (rng.random(stack.shape) >= drop)) | (rng.random(stack.shape) < 0.02)
+    stack = rng.random((length, n, n)) < rng.uniform(0.2, 0.9)
+    stack[:, np.arange(n), np.arange(n)] = True
+    return stack
+
+
+class TestPositivityOnsets:
+    """positivity_onsets' backward pass against per-start forward scans and walk search."""
+
+    @staticmethod
+    def weighted(stack, light):
+        """A sequence whose entries > light are exactly the stack: each off-pattern
+        entry weighs `light` (0 for none), the pattern shares the rest of its row."""
+        m = stack.sum(axis=2, keepdims=True)
+        rows = np.where(stack, (1.0 - light * (stack.shape[2] - m)) / m, light)
+        return seq_of(*(StochasticMatrix(r) for r in rows))
+
+    @settings(deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 24), st.booleans(),
+           st.sampled_from([0.0, 0.5]), st.integers(0, 2**32 - 1))
+    def test_matches_scans_and_walks(self, n, length, sparse, drop, seed):
+        stack = pattern_stack(np.random.default_rng(seed), n, length, sparse, drop)
+        onsets = positivity_onsets(stack.astype(np.float32))
+        assert positivity_onsets(stack) == onsets
+        graphs = [Digraph.from_adjacency(p) for p in stack]
+        never = length + 1
+        by_walks = []
+        for k in range(1, length + 1):
+            reached = int(first_reach_by_walks(graphs, k).max())
+            by_walks.append(reached if reached < never else None)
+        assert onsets == by_walks
+        if stack.any(axis=2).all():
+            # every row has an entry: the stack is the pattern of a stochastic sequence
+            by_start = dict(enumerate(onsets, start=1))
+            seq = self.weighted(stack, 0.0)
+            assert {k: check_eventual_positivity(seq, k) for k in by_start} == by_start
+            assert analyze(seq, all_starts=True).eventual_positivity == by_start
+            # entries of 0.005 < tol_pos are no edges, though positive
+            seq = self.weighted(stack, 0.005)
+            assert analyze(seq, all_starts=True, tol_pos=0.01).eventual_positivity == by_start
+            assert analyze(seq, all_starts=True).eventual_positivity == {k: k for k in by_start}
+
+    def test_strategies_reach_both_kernels(self):
+        # each step takes the levels kernel iff D n^2 <= 64 nnz(A(k)), D the
+        # distinct finite values of f_{k+1}; the stacks above must meet both
+        rng = np.random.default_rng(31)
+        kernels = {"levels": 0, "gather": 0}
+        for sparse, drop in ((True, 0.0), (True, 0.5), (False, 0.0)):
+            for _ in range(20):
+                n, length = int(rng.integers(1, 7)), int(rng.integers(1, 25))
+                stack = pattern_stack(rng, n, length, sparse, drop)
+                graphs = [Digraph.from_adjacency(p) for p in stack]
+                for k in range(1, length):
+                    after = first_reach_by_walks(graphs, k + 1)
+                    distinct = len(set(after[after <= length].tolist()))
+                    levels = distinct * n * n <= 64 * np.count_nonzero(stack[k - 1])
+                    kernels["levels" if levels else "gather"] += 1
+        assert min(kernels.values()) >= 10, kernels
+
+    def test_sparse_stacks_at_larger_n_match_scans(self):
+        # at n = 20 sparse steps take the gather kernel with several in-edges
+        # per column, where the minimum over them decides the onsets
+        rng = np.random.default_rng(32)
+        stack = pattern_stack(rng, 20, 60, True, 0.0) | (rng.random((60, 20, 20)) < 0.05)
+        seq = self.weighted(stack, 0.0)
+        onsets = analyze(seq, all_starts=True).eventual_positivity
+        assert onsets == {k: check_eventual_positivity(seq, k) for k in onsets}
+        assert None in onsets.values() and len(set(onsets.values())) > 10
+
+    def test_edge_cases(self):
+        # n = 1 and L = 1; an empty pattern never fills; an empty column stays unreached
+        assert positivity_onsets(np.ones((1, 1, 1))) == [1]
+        assert positivity_onsets(np.zeros((1, 1, 1))) == [None]
+        assert positivity_onsets(np.ones((3, 1, 1))) == [1, 2, 3]
+        swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+        to_first = np.array([[1.0, 0.0], [1.0, 0.0]])
+        assert positivity_onsets(np.stack([swap, swap, np.eye(2)])) == [2, None, None]
+        assert positivity_onsets(np.stack([to_first] * 4)) == [None] * 4
+
+    def test_long_identity_never_fills(self):
+        # one scan per start was quadratic in L: 5.4 s at L = 1200
+        seq = seq_of(*[identity_matrix(5)] * 2400)
+        report = analyze(seq, all_starts=True)
+        assert report.eventual_positivity == dict.fromkeys(range(1, 2401))
+        assert report.violations == tuple(f"eventual-positivity:start={k}" for k in range(1, 2401))
 
 
 class TestExactPositivity:
