@@ -102,7 +102,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     seqf = read_sequence_file(args.path)
-    report = analyze(seqf.to_sequence(), all_starts=args.all_starts, tol_pos=args.tol_pos)
+    report = analyze(seqf.to_sequence(), all_starts=args.all_starts)
     _emit_input(args.path, seqf)
     _emit_hypotheses(report)
     return _finish(EXIT_OK if report.holds else EXIT_HYPOTHESIS)
@@ -112,13 +112,15 @@ def cmd_certify(args: argparse.Namespace) -> int:
     seqf = read_sequence_file(args.path)
     seq = seqf.to_sequence()
     report = analyze(seq)
-    _emit_input(args.path, seqf)
-    _emit_hypotheses(report)
-    try:
+    try:  # before the report: a bad --alpha-override prints nothing on stdout
         certificate = contraction_certificate(seq, alpha=args.alpha_override, report=report)
     except CertificationRefused as refusal:
+        certificate = refusal
+    _emit_input(args.path, seqf)
+    _emit_hypotheses(report)
+    if isinstance(certificate, CertificationRefused):
         _emit("certificate.status", "refused")
-        _emit("certificate.refusals", " ".join(refusal.reasons))
+        _emit("certificate.refusals", " ".join(certificate.reasons))
         return _finish(EXIT_HYPOTHESIS)
     if certificate is None:
         _emit("certificate.status", "horizon-exhausted")
@@ -193,7 +195,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="check the four convergence conditions")
     p.add_argument("path")
     p.add_argument("--all-starts", action="store_true", help="check eventual positivity from every start index")
-    p.add_argument("--tol-pos", type=float, default=0.0, help="positivity threshold for pattern edges")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("certify", help="emit a contraction certificate")

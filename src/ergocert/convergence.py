@@ -125,17 +125,20 @@ def find_saturation_K(seq: MatrixSequence, alpha: float) -> int | None:
     patterns, as in analyze, so entries that underflow to 0.0 still count as
     positive.
     """
-    saturated = _first_saturated(seq, alpha)
+    saturated = _first_saturated(seq, _checked_alpha(alpha, min_positive_entry(seq.stack)))
     return None if saturated is None else saturated.k
 
 
-def _first_saturated(seq: MatrixSequence, alpha: float) -> ProductState | None:
-    """The state P(K) for the K of find_saturation_K."""
-    smallest = min_positive_entry(seq.stack)
+def _checked_alpha(alpha: float, smallest: float) -> float:
     if not 0 < alpha <= smallest:
         raise ContractViolation(
             f"alpha must be positive and at most the minimum positive entry {smallest}, got {alpha}"
         )
+    return alpha
+
+
+def _first_saturated(seq: MatrixSequence, alpha: float) -> ProductState | None:
+    """The state P(K) for the K of find_saturation_K, alpha already checked."""
     threshold = saturation_floor(seq.n, alpha) - EXACT_SLACK
     factors = factor_patterns(seq.stack)
     pattern = np.eye(seq.n, dtype=np.float32)
@@ -155,20 +158,20 @@ def contraction_certificate(
 ) -> ConvergenceCertificate | None:
     """Certify a uniform contraction for the sequence, or refuse.
 
-    Structural condition failures (lower-boundedness, complete reducibility,
-    core existence) raise CertificationRefused; eventual positivity that
-    merely ran out of prefix is not refuted, so the search proceeds and the
-    function returns None when no saturation index exists within the prefix.
     An alpha given in place of the realized minimum positive entry must be a
-    positive lower bound for it (ContractViolation otherwise). A measured
-    semi-norm check guards the emitted certificate.
+    positive lower bound for it (ContractViolation otherwise, before any
+    refusal). Structural condition failures (complete reducibility, core
+    existence) raise CertificationRefused; eventual positivity that merely ran
+    out of prefix is not refuted, so the search proceeds and the function
+    returns None when no saturation index exists within the prefix. A
+    measured semi-norm check guards the emitted certificate.
     """
     if report is None:
         report = analyze(seq)
+    bound = report.alpha if alpha is None else _checked_alpha(float(alpha), report.alpha)
     structural = tuple(v for v in report.violations if not v.startswith("eventual-positivity"))
     if structural:
         raise CertificationRefused(structural)
-    bound = report.alpha if alpha is None else float(alpha)
     saturated = _first_saturated(seq, bound)
     if saturated is None:
         return None

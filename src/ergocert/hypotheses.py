@@ -24,7 +24,7 @@ from .stochastic import MatrixSequence, factor_patterns, min_positive_entry
 class HypothesisReport:
     """Structured result of all four condition checks."""
 
-    alpha: float | None
+    alpha: float
     reducibility_failures: tuple[int, ...]
     core: Digraph | None
     node_periods: Mapping[int, int]
@@ -106,17 +106,14 @@ def positivity_onsets(patterns: np.ndarray) -> list[int | None]:
     return onsets
 
 
-def analyze(
-    seq: MatrixSequence,
-    all_starts: bool = False,
-    tol_pos: float = 0.0,
-) -> HypothesisReport:
+def analyze(seq: MatrixSequence, all_starts: bool = False) -> HypothesisReport:
     """Run all four condition checks and assemble the verdict.
 
     Condition (1) is reported as the realized lower bound alpha rather than
-    pass/fail. Conditions (2) to (4) all read one stack of factor patterns,
-    thresholded at tol_pos. Eventual positivity is checked from start 1 by
-    the early-exit forward scan, or with all_starts from every start 1..L by
+    pass/fail: every row of a validated factor has a positive entry.
+    Conditions (2) to (4) all read one stack of factor patterns, edge (i, j)
+    iff entry (i, j) > 0. Eventual positivity is checked from start 1 by the
+    early-exit forward scan, or with all_starts from every start 1..L by
     positivity_onsets' one backward pass. Individual failures are report
     content, not errors.
 
@@ -130,8 +127,8 @@ def analyze(
     the maximal one.
     """
     starts = range(1, len(seq) + 1) if all_starts else (1,)
-    alpha = min_positive_entry(seq.stack, tol_pos)
-    patterns = factor_patterns(seq.stack, tol_pos)
+    alpha = min_positive_entry(seq.stack)
+    patterns = factor_patterns(seq.stack)
     failures = tuple((np.flatnonzero(~completely_reducible(patterns)) + 1).tolist())
     common = np.logical_and.reduce(patterns, axis=0)
     labels, periods = component_periods(common)
@@ -141,10 +138,7 @@ def analyze(
     onsets = positivity_onsets(patterns) if all_starts else [_positivity_onset(patterns, 1)]
     positivity = dict(zip(starts, onsets))
 
-    violations: list[str] = []
-    if alpha is None:
-        violations.append("positive-entries")
-    violations.extend(f"eventual-positivity:start={k}" for k in starts if positivity[k] is None)
+    violations = [f"eventual-positivity:start={k}" for k in starts if positivity[k] is None]
     violations.extend(f"complete-reducibility:k={k}" for k in failures)
     if offenders:
         violations.append("aperiodic-core")

@@ -24,13 +24,6 @@ NEGATIVITY_TOL = 1e-12
 _SEMINORM_BLOCK_BYTES = 2**20
 
 
-def check_tolerance(name: str, value: float) -> None:
-    """Tolerances are finite and nonnegative: with a NaN every check it guards
-    would pass, and a negative positivity threshold would count zeros as edges."""
-    if not 0 <= value < np.inf:
-        raise ContractViolation(f"{name} must be finite and nonnegative, got {value}")
-
-
 def normalize_rows(rows: np.ndarray) -> None:
     """The stochasticity rule, in place on a 2-D array of rows: one matrix or a stack's rows.
 
@@ -156,21 +149,20 @@ def as_stack(factors) -> np.ndarray:
     return factors if isinstance(factors, np.ndarray) else MatrixSequence(factors).stack
 
 
-def factor_patterns(factors, tol_pos: float = 0.0) -> np.ndarray:
-    """The (L, n, n) float32 0/1 stack of factor patterns: entry (i, j) > tol_pos.
+def factor_patterns(factors) -> np.ndarray:
+    """The (L, n, n) float32 0/1 stack of factor patterns: edge (i, j) iff entry (i, j) > 0.
 
     Every condition check and the saturation scan read their factor patterns
     from this stack, so all of them draw the edge line in the same place.
     """
-    check_tolerance("tol_pos", tol_pos)
-    return (as_stack(factors) > tol_pos).astype(np.float32)
+    return (as_stack(factors) > 0).astype(np.float32)
 
 
-def min_positive_entry(factors, tol_pos: float = 0.0) -> float | None:
-    """Smallest entry above tol_pos across the factors; None if there is none."""
-    check_tolerance("tol_pos", tol_pos)
+def min_positive_entry(factors) -> float | None:
+    """Smallest positive entry across the factors; None if there is none, which
+    a validated factor never gives: each of its rows sums to 1."""
     stack = as_stack(factors)
-    smallest = float(stack.min(where=stack > tol_pos, initial=np.inf))
+    smallest = float(stack.min(where=stack > 0, initial=np.inf))
     return None if smallest == np.inf else smallest
 
 

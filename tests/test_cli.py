@@ -146,15 +146,12 @@ class TestAnalyze:
         assert lines["hypotheses.eventual_positivity.start_1"] == "1"
         assert lines["hypotheses.eventual_positivity.start_2"] == "-"
 
-    def test_negative_tol_pos_rejected(self, tmp_path, capsys):
-        # below zero, zero entries would count as edges and every condition hold
-        path = tmp_path / "periodic.seq"
-        assert main(["generate", "periodic-counterexample", "--n", "6", "--length", "40", "--out", str(path)]) == 0
-        capsys.readouterr()
-        assert main(["analyze", str(path), "--tol-pos", "-0.5"]) == 2
-        captured = capsys.readouterr()
-        assert "hypotheses.verdict" not in captured.out
-        assert "tol_pos must be finite and nonnegative" in captured.err
+    def test_tol_pos_is_a_usage_error(self, lazy_file, capsys):
+        # every command reads an edge as a positive entry: there is no threshold
+        with pytest.raises(SystemExit) as exit_info:
+            main(["analyze", lazy_file, "--tol-pos", "0.1"])
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().out == ""
 
     def test_report_is_stable(self, lazy_file, capsys):
         main(["analyze", lazy_file])
@@ -214,18 +211,25 @@ class TestCertify:
         assert main(["certify", lazy_file, "--alpha-override", "0.05"]) == 0
         assert report_lines(capsys)["certificate.alpha"] == "0.05"
 
-    @pytest.mark.parametrize("alpha", ["1.5", "nan", "inf", "0.2"])
+    @pytest.mark.parametrize("alpha", ["1.5", "nan", "inf", "0.2", "-1"])
     def test_alpha_override_must_bound_the_entries(self, tmp_path, capsys, alpha):
         # 1.5 overflowed the floor 1.5 ** (n * (W + 1)); nan never saturated;
-        # 0.2 is above the smallest entry 0.005
+        # 0.2 is above the smallest entry 0.005 of both files. The report was
+        # printed before the check, and a file certify refuses hid the error
+        # behind certificate.status = refused and exit 1
         path = tmp_path / "pd.seq"
         args = ["--n", "50", "--length", "5", "--alpha", "0.005", "--out", str(path)]
         assert main(["generate", "positive-diagonal", *args]) == 0
+        refused = tmp_path / "triangular.seq"
+        write_sequence_file(refused, [StochasticMatrix([[1.0, 0.0], [0.005, 0.995]])] * 3)
+        assert main(["certify", str(refused)]) == 1
         capsys.readouterr()
-        assert main(["certify", str(path), "--alpha-override", alpha]) == 2
-        captured = capsys.readouterr()
-        assert "certificate.status" not in captured.out
-        assert "alpha must be positive and at most the minimum positive entry" in captured.err
+        for target in (path, refused):
+            assert main(["certify", str(target), "--alpha-override", alpha]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: alpha must be positive and at most the minimum positive entry")
+            assert captured.err.count("\n") == 1
 
 
 class TestSimulate:
@@ -265,6 +269,20 @@ class TestSimulate:
         assert rows[1] == "0,1.0"
         assert len(rows) == 33  # header + k = 0..31
         assert float(rows[-1].split(",")[1]) == pytest.approx(0.8**31)
+
+    @pytest.mark.parametrize("fixture, code", [("lazy_file", 0), ("swap_file", 3)])
+    def test_csv_to_stdout_follows_the_report(self, request, capsys, fixture, code):
+        path = request.getfixturevalue(fixture)
+        assert main(["simulate", path, "--epsilon", "1e-3"]) == code
+        report = capsys.readouterr().out
+        assert main(["simulate", path, "--epsilon", "1e-3", "--emit-csv", "-"]) == code
+        out = capsys.readouterr().out
+        assert report.endswith(f"exit_status = {code}\n") and out.startswith(report)
+        # one row per step, with the value of its trajectory.<k> line
+        steps = [line[len("trajectory."):].replace(" = ", ",") for line in report.splitlines()
+                 if line.startswith("trajectory.") and line[len("trajectory.")].isdigit()]
+        assert len(steps) > 1
+        assert out[len(report):].splitlines() == ["k,seminorm", *steps]
 
     def test_csv_to_a_directory_fails_before_the_report(self, lazy_file, tmp_path, capsys):
         # the CSV was written after the report, which then ended in
@@ -450,16 +468,12 @@ class TestGenerate:
 # a refactor that claims to leave reports and files unchanged must leave these unchanged
 PINNED_REPORTS = {
     ("positive-diagonal", "analyze --all-starts"): "a30f172bb8cef55fc0340aed515207dc69997344d7f40b86af38a864d40ea580",
-    ("positive-diagonal", "analyze --tol-pos 0.1"): "62cfacb0ab88d461dd76656d3699a606c44e1feb6a677bcae5dfef152e15fa2d",
     ("positive-diagonal", "certify"): "e1a1f6095930f2ce6c079bb0f7d1eb29306ca09814b6487fd4fa0e8210250f1c",
     ("cycle-core", "analyze --all-starts"): "5b30714b79d5bd0f8213661910496c7c9e26c6dab85200860d45a7ec1e18ba32",
-    ("cycle-core", "analyze --tol-pos 0.1"): "41f875b835d19edd067eef100e7c4775b658902251a5499d380edbc1fd40c1dd",
     ("cycle-core", "certify"): "080e2c181417b57882c641fc906da1147809851e76d8bfbb6e4c0e67b8cc9f60",
     ("wolfowitz-set", "analyze --all-starts"): "5fb790599b460d9bc243081981f4498c3a5b23e28664752ea49d8eeb68843de3",
-    ("wolfowitz-set", "analyze --tol-pos 0.1"): "c4b8f6ef2943ea32adb7f5b71a2bec970d85a122d38a1998351550e79e42110b",
     ("wolfowitz-set", "certify"): "9b1ce895ed1b0da29a3ad2d02b4b111fef2a8c69f01ebb18a280e917126ba728",
     ("periodic-counterexample", "analyze --all-starts"): "36d2c954a2046c9e82813f8d7889b07064d4137f740327fb0e3b8683553bac07",
-    ("periodic-counterexample", "analyze --tol-pos 0.1"): "a41c9656d0610e638bff3587f6dca8239ee87703808e736bcbc886226bde867a",
     ("periodic-counterexample", "certify"): "37cfe98b29f3601aa42b41e259dc4ad7a969f0f2e4f56b475765a06e9feead13",
     ("positive-diagonal", "validate"): "10c34f94c8cda90dadb24f23f2e9f9682b6d98b7bd482ea3c4245a897ef0b06a",
     ("positive-diagonal", "simulate"): "d71e278735bb6b89ca9e3434ed6505c39fe26d5750f6e7151e7ee50d85083c54",

@@ -180,9 +180,15 @@ class TestCertificate:
 
     @pytest.mark.parametrize("alpha", [0.0, -0.1, 0.2, 1.5, np.nan, np.inf])
     def test_alpha_override_must_bound_the_entries(self, alpha):
-        # the smallest entry of LAZY is 0.1; 1.5 overflowed the floor
-        with pytest.raises(ContractViolation, match="at most the minimum positive entry 0.1"):
-            contraction_certificate(seq_of(LAZY, LAZY), alpha=alpha)
+        # the smallest entry of both sequences is 0.1; 1.5 overflowed the floor.
+        # The second is refused (its triangular factor is not completely
+        # reducible), which hid the bad alpha behind CertificationRefused
+        triangular = StochasticMatrix([[1.0, 0.0], [0.1, 0.9]])
+        for seq in (seq_of(LAZY, LAZY), seq_of(LAZY, triangular)):
+            with pytest.raises(ContractViolation, match="at most the minimum positive entry 0.1"):
+                contraction_certificate(seq, alpha=alpha)
+        with pytest.raises(CertificationRefused):
+            contraction_certificate(seq_of(LAZY, triangular))
 
     def test_vacuous_when_the_contraction_rounds_to_one(self):
         # n = 8, alpha = 0.1: the floor 0.1 ** 296 is below machine epsilon

@@ -267,9 +267,8 @@ class TestPositivityOnsets:
             seq = self.weighted(stack, 0.0)
             assert {k: check_eventual_positivity(seq, k) for k in by_start} == by_start
             assert analyze(seq, all_starts=True).eventual_positivity == by_start
-            # entries of 0.005 < tol_pos are no edges, though positive
+            # with every entry positive, every start fills at once
             seq = self.weighted(stack, 0.005)
-            assert analyze(seq, all_starts=True, tol_pos=0.01).eventual_positivity == by_start
             assert analyze(seq, all_starts=True).eventual_positivity == {k: k for k in by_start}
 
     def test_strategies_reach_both_kernels(self):
@@ -339,60 +338,6 @@ class TestExactPositivity:
         assert analyze(seq, all_starts=True).eventual_positivity == onsets
 
 
-class TestThresholdedPatterns:
-    """With tol_pos > 0 every structural check reads the factor patterns entry > tol_pos."""
-
-    @staticmethod
-    def pattern_sequence(seq, tol_pos):
-        """Uniform weights on each factor's thresholded pattern, analyzed at tol_pos = 0."""
-        patterns = [m.entries > tol_pos for m in seq]
-        return seq_of(*(StochasticMatrix(p / p.sum(axis=1, keepdims=True)) for p in patterns))
-
-    def assert_same_structure(self, seq, tol_pos):
-        a = analyze(seq, all_starts=True, tol_pos=tol_pos)
-        b = analyze(self.pattern_sequence(seq, tol_pos), all_starts=True)
-        assert a.reducibility_failures == b.reducibility_failures
-        assert a.core == b.core
-        assert a.node_periods == b.node_periods
-        assert a.eventual_positivity == b.eventual_positivity
-        return a
-
-    def test_products_below_the_threshold_still_count(self):
-        # C^2 has weight 0.01 in A(2)A(1), below tol_pos = 0.05, but lies in
-        # the boolean product of the patterns I + C; the float sums of the
-        # products only passed 0.05 at K = 4
-        seq = seq_of(*[lazy_cycle(3, 0.1)] * 6)
-        report = self.assert_same_structure(seq, 0.05)
-        assert report.eventual_positivity[1] == 2
-        assert report.core == Digraph(3, {(1, 1), (2, 2), (3, 3), (1, 2), (2, 3), (3, 1)})
-
-    def test_entries_below_the_threshold_never_count(self):
-        # the off-diagonal 0.01 is dropped from every pattern, so the
-        # accumulated sum can never fill, however large the float sum grows
-        seq = seq_of(*[lazy_cycle(3, 0.01)] * 20)
-        report = self.assert_same_structure(seq, 0.05)
-        assert set(report.eventual_positivity.values()) == {None}
-        assert report.core == Digraph(3, {(1, 1), (2, 2), (3, 3)})
-        assert report.reducibility_failures == ()
-
-    def test_random_sequences(self):
-        rng = np.random.default_rng(26)
-        for _ in range(40):
-            n = int(rng.integers(2, 6))
-            seq = seq_of(*(StochasticMatrix(random_stochastic(rng, n, density=0.7))
-                           for _ in range(int(rng.integers(1, 6)))))
-            # every row keeps an entry of at least 1/n >= 0.2
-            self.assert_same_structure(seq, float(rng.uniform(0.02, 0.19)))
-
-    @pytest.mark.parametrize("tol_pos", [-0.5, np.nan, np.inf])
-    def test_threshold_finite_and_nonnegative(self, tol_pos):
-        # at tol_pos = -0.5 the zeros of alternating swaps would be edges and
-        # every condition would hold
-        seq = seq_of(SWAP, SWAP, SWAP, SWAP)
-        with pytest.raises(ContractViolation):
-            analyze(seq, tol_pos=tol_pos)
-
-
 class TestAnalyze:
     def test_lazy_walk_all_conditions_hold(self):
         report = analyze(seq_of(LAZY, LAZY, LAZY))
@@ -435,7 +380,7 @@ class TestAnalyze:
                            for _ in range(int(rng.integers(1, 6)))))
             report = analyze(seq)
             expected = (
-                report.alpha is not None
+                report.alpha > 0
                 and not report.reducibility_failures
                 and report.core is not None
                 and all(v is not None for v in report.eventual_positivity.values())

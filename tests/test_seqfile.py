@@ -39,12 +39,17 @@ class TestParsing:
         assert np.allclose(seqf.matrices[0].entries, [[0.5, 0.5], [0.25, 0.75]])
 
     def test_missing_header(self):
-        with pytest.raises(SequenceFileError, match="header"):
-            parse_sequence_text("0.5 0.5\n0.5 0.5\n")
+        # a data line before the header, and a text of only comments and blank lines
+        for text, message in [("0.5 0.5\n0.5 0.5\n", "line 1: expected header 'n=<int>'"),
+                              ("# preset: demo\n\n#\n", "missing header line 'n=<int>'")]:
+            with pytest.raises(SequenceFileError, match=message):
+                parse_sequence_text(text)
 
     def test_malformed_header(self):
-        with pytest.raises(SequenceFileError, match="malformed"):
-            parse_sequence_text("n=two\n1 0\n0 1\n")
+        for text, message in [("n=two\n1 0\n0 1\n", "line 1: malformed header"),
+                              ("n=0\n", "line 1: dimension must be at least 1")]:
+            with pytest.raises(SequenceFileError, match=message):
+                parse_sequence_text(text)
 
     def test_empty_body(self):
         with pytest.raises(SequenceFileError, match="no matrices"):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from ergocert import stochastic
 from ergocert.digraph import Digraph
-from ergocert.errors import ContractViolation, DimensionError, NegativityError, StochasticityError
+from ergocert.errors import DimensionError, NegativityError, StochasticityError
 from ergocert.stochastic import (
     NEGATIVITY_TOL,
     StochasticMatrix,
@@ -117,17 +117,9 @@ class TestDigraphOf:
 
 
 class TestFactorPatterns:
-    def test_threshold(self):
-        m = StochasticMatrix([[0.999, 0.001], [0.0, 1.0]])
-        assert factor_patterns([m], tol_pos=0.01).tolist() == [[[1.0, 0.0], [0.0, 1.0]]]
-
-    @pytest.mark.parametrize("tol_pos", [-0.5, np.nan, np.inf])
-    def test_threshold_finite_and_nonnegative(self, tol_pos):
-        # below zero the zeros of SWAP would become edges and entries
-        with pytest.raises(ContractViolation, match="tol_pos must be finite and nonnegative"):
-            factor_patterns([StochasticMatrix(SWAP)], tol_pos)
-        with pytest.raises(ContractViolation, match="tol_pos must be finite and nonnegative"):
-            min_positive_entry([StochasticMatrix(SWAP)], tol_pos)
+    def test_edge_is_any_positive_entry(self):
+        m = StochasticMatrix([[1.0 - 1e-300, 1e-300], [0.0, 1.0]])
+        assert factor_patterns([m]).tolist() == [[[1.0, 1.0], [0.0, 1.0]]]
 
 
 class TestMinPositiveEntry:
