@@ -112,15 +112,13 @@ def cmd_certify(args: argparse.Namespace) -> int:
     seqf = read_sequence_file(args.path)
     seq = seqf.to_sequence()
     report = analyze(seq)
-    try:  # before the report: a bad --alpha-override prints nothing on stdout
-        certificate = contraction_certificate(seq, alpha=args.alpha_override, report=report)
-    except CertificationRefused as refusal:
-        certificate = refusal
     _emit_input(args.path, seqf)
     _emit_hypotheses(report)
-    if isinstance(certificate, CertificationRefused):
+    try:
+        certificate = contraction_certificate(seq, report=report)
+    except CertificationRefused as refusal:
         _emit("certificate.status", "refused")
-        _emit("certificate.refusals", " ".join(certificate.reasons))
+        _emit("certificate.refusals", " ".join(refusal.reasons))
         return _finish(EXIT_HYPOTHESIS)
     if certificate is None:
         _emit("certificate.status", "horizon-exhausted")
@@ -169,7 +167,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_generate(args: argparse.Namespace) -> int:
     seqf = generate_sequence(args.preset, args.n, args.length, args.alpha, args.seed)
-    write_sequence_file(args.out, seqf.to_sequence().stack, seqf.metadata)
+    write_sequence_file(args.out, seqf.to_sequence(), seqf.metadata)
     _emit("generated.path", args.out)
     _emit("generated.preset", args.preset)
     _emit("generated.n", seqf.n)
@@ -199,7 +197,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("certify", help="emit a contraction certificate")
     p.add_argument("path")
-    p.add_argument("--alpha-override", type=float, default=None, help="use this lower bound instead of the realized one")
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("simulate", help="run products to a disagreement tolerance")

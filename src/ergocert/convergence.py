@@ -67,8 +67,11 @@ class ConvergenceCertificate:
         return self.contraction >= 1.0
 
     def envelope(self, k: int) -> float:
-        """Certified bound contraction ** (k // saturation_index) at step k."""
+        """Certified bound contraction ** (k // saturation_index) at step k, in log space;
+        at n = 1 the contraction is exactly 0.0, which has no logarithm."""
         blocks = k // self.saturation_index
+        if self.contraction == 0.0:
+            return 0.0**blocks
         return math.exp(blocks * math.log1p(-self.n * self.entry_floor))
 
 
@@ -119,26 +122,21 @@ def find_saturation_K(seq: MatrixSequence, alpha: float) -> int | None:
     """Least K in 1..L with every entry of P(K) positive and at the
     saturation floor alpha ** (n * (wielandt + 1)) or above (slack 1e-12).
 
-    alpha must be the realized minimum positive entry or a positive lower
-    bound for it (ContractViolation otherwise). None means the prefix never
-    saturates. Positivity is read from the boolean product of the factor
-    patterns, as in analyze, so entries that underflow to 0.0 still count as
-    positive.
+    alpha must lie in (0, m], m the realized minimum positive entry
+    (ContractViolation otherwise): a larger value promises a floor the
+    entries never gave. None means the prefix never saturates. Positivity is
+    read from the boolean product of the factor patterns, as in analyze, so
+    entries that underflow to 0.0 still count as positive.
     """
-    saturated = _first_saturated(seq, _checked_alpha(alpha, min_positive_entry(seq.stack)))
+    smallest = min_positive_entry(seq.stack)
+    if not 0 < alpha <= smallest:
+        raise ContractViolation(f"alpha must be positive and at most the minimum positive entry {smallest}, got {alpha}")
+    saturated = _first_saturated(seq, alpha)
     return None if saturated is None else saturated.k
 
 
-def _checked_alpha(alpha: float, smallest: float) -> float:
-    if not 0 < alpha <= smallest:
-        raise ContractViolation(
-            f"alpha must be positive and at most the minimum positive entry {smallest}, got {alpha}"
-        )
-    return alpha
-
-
 def _first_saturated(seq: MatrixSequence, alpha: float) -> ProductState | None:
-    """The state P(K) for the K of find_saturation_K, alpha already checked."""
+    """The state P(K) for the K of find_saturation_K, alpha already in range."""
     threshold = saturation_floor(seq.n, alpha) - EXACT_SLACK
     factors = factor_patterns(seq.stack)
     pattern = np.eye(seq.n, dtype=np.float32)
@@ -151,31 +149,25 @@ def _first_saturated(seq: MatrixSequence, alpha: float) -> ProductState | None:
 
 
 def contraction_certificate(
-    seq: MatrixSequence,
-    *,
-    alpha: float | None = None,
-    report: HypothesisReport | None = None,
+    seq: MatrixSequence, *, report: HypothesisReport | None = None
 ) -> ConvergenceCertificate | None:
-    """Certify a uniform contraction for the sequence, or refuse.
+    """Certify a uniform contraction for the sequence at its realized alpha, or refuse.
 
-    An alpha given in place of the realized minimum positive entry must be a
-    positive lower bound for it (ContractViolation otherwise, before any
-    refusal). Structural condition failures (complete reducibility, core
-    existence) raise CertificationRefused; eventual positivity that merely ran
-    out of prefix is not refuted, so the search proceeds and the function
-    returns None when no saturation index exists within the prefix. A
-    measured semi-norm check guards the emitted certificate.
+    Structural condition failures (complete reducibility, core existence)
+    raise CertificationRefused; eventual positivity that merely ran out of
+    prefix is not refuted, so the search proceeds and the function returns
+    None when no saturation index exists within the prefix. A measured
+    semi-norm check guards the emitted certificate.
     """
     if report is None:
         report = analyze(seq)
-    bound = report.alpha if alpha is None else _checked_alpha(float(alpha), report.alpha)
     structural = tuple(v for v in report.violations if not v.startswith("eventual-positivity"))
     if structural:
         raise CertificationRefused(structural)
-    saturated = _first_saturated(seq, bound)
+    saturated = _first_saturated(seq, report.alpha)
     if saturated is None:
         return None
-    floor = saturation_floor(seq.n, bound)
+    floor = saturation_floor(seq.n, report.alpha)
     contraction = 1.0 - seq.n * floor
     measured = saturated.seminorm
     if measured > contraction + EXACT_SLACK:
@@ -184,7 +176,7 @@ def contraction_certificate(
         )
     return ConvergenceCertificate(
         n=seq.n,
-        alpha=bound,
+        alpha=report.alpha,
         wielandt=wielandt_bound(seq.n),
         saturation_index=saturated.k,
         entry_floor=floor,

@@ -42,6 +42,8 @@ PRESETS = (
 
 _EXTRA_EDGE_DENSITY = 0.25
 _WOLFOWITZ_SET_SIZE = 3
+_WOLFOWITZ_SET_ATTEMPTS = 60
+_PRIMITIVE_PATTERN_ATTEMPTS = 500
 _WOLFOWITZ_PATTERN_DENSITY = 0.55
 
 
@@ -129,8 +131,8 @@ def _is_primitive_pattern(pattern: np.ndarray) -> bool:
     return bool(power.all())
 
 
-def _random_primitive_pattern(rng: np.random.Generator, n: int, attempts: int = 500) -> np.ndarray:
-    for _ in range(attempts):
+def _random_primitive_pattern(rng: np.random.Generator, n: int) -> np.ndarray:
+    for _ in range(_PRIMITIVE_PATTERN_ATTEMPTS):
         pattern = rng.random((n, n)) < _WOLFOWITZ_PATTERN_DENSITY
         for i in np.flatnonzero(~pattern.any(axis=1)):
             pattern[i, rng.integers(n)] = True
@@ -164,9 +166,9 @@ def _products_primitive_to_depth(patterns: list[np.ndarray], depth: int) -> bool
     return True
 
 
-def _wolfowitz_set(rng, n, length, alpha, attempts: int = 60):
+def _wolfowitz_set(rng, n, length, alpha):
     depth = wielandt_bound(n) + 1
-    for _ in range(attempts):
+    for _ in range(_WOLFOWITZ_SET_ATTEMPTS):
         patterns = [_random_primitive_pattern(rng, n) for _ in range(_WOLFOWITZ_SET_SIZE)]
         if _products_primitive_to_depth(patterns, depth):
             break

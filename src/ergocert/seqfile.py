@@ -154,10 +154,14 @@ def read_sequence_file(path: str | Path) -> SequenceFile:
 
 
 def format_sequence(factors, metadata: dict[str, str] | None = None) -> str:
-    """Render a validated (L, n, n) stack, or StochasticMatrix items stacked as by MatrixSequence,
-    in the file format; floats use shortest round-trip form. Refuses metadata keys or values
-    that are not str or would not read back unchanged."""
-    stack = as_stack(factors)
+    """Render a MatrixSequence, StochasticMatrix items stacked as by MatrixSequence, or a raw
+    (L, n, n) array in the file format; floats use shortest round-trip form. A raw array's
+    original values are written, and their text is parsed back first, so the writer refuses
+    (SequenceFileError) what the parser would. Refuses metadata keys or values that are not
+    str or would not read back unchanged."""
+    stack = factors.stack if isinstance(factors, MatrixSequence) else as_stack(factors)
+    if stack.ndim != 3:
+        raise SequenceFileError(f"expected an (L, n, n) stack, got shape {stack.shape}")
     lines = [f"n={stack.shape[1]}"]
     for key, value in (metadata or {}).items():
         readable = all(isinstance(s, str) and len(s.splitlines()) <= 1 and s == s.strip() for s in (key, value))
@@ -167,7 +171,10 @@ def format_sequence(factors, metadata: dict[str, str] | None = None) -> str:
     for matrix in stack:
         lines.append("")
         lines.extend(" ".join(map(repr, row)) for row in matrix.tolist())
-    return "\n".join(lines) + "\n"
+    text = "\n".join(lines) + "\n"
+    if isinstance(factors, np.ndarray):
+        parse_sequence_text(text)
+    return text
 
 
 def write_sequence_file(path: str | Path, factors, metadata: dict[str, str] | None = None) -> None:

@@ -207,29 +207,13 @@ class TestCertify:
         assert main(["certify", identity_file]) == 3
         assert report_lines(capsys)["certificate.status"] == "horizon-exhausted"
 
-    def test_alpha_override(self, lazy_file, capsys):
-        assert main(["certify", lazy_file, "--alpha-override", "0.05"]) == 0
-        assert report_lines(capsys)["certificate.alpha"] == "0.05"
-
-    @pytest.mark.parametrize("alpha", ["1.5", "nan", "inf", "0.2", "-1"])
-    def test_alpha_override_must_bound_the_entries(self, tmp_path, capsys, alpha):
-        # 1.5 overflowed the floor 1.5 ** (n * (W + 1)); nan never saturated;
-        # 0.2 is above the smallest entry 0.005 of both files. The report was
-        # printed before the check, and a file certify refuses hid the error
-        # behind certificate.status = refused and exit 1
-        path = tmp_path / "pd.seq"
-        args = ["--n", "50", "--length", "5", "--alpha", "0.005", "--out", str(path)]
-        assert main(["generate", "positive-diagonal", *args]) == 0
-        refused = tmp_path / "triangular.seq"
-        write_sequence_file(refused, [StochasticMatrix([[1.0, 0.0], [0.005, 0.995]])] * 3)
-        assert main(["certify", str(refused)]) == 1
-        capsys.readouterr()
-        for target in (path, refused):
-            assert main(["certify", str(target), "--alpha-override", alpha]) == 2
-            captured = capsys.readouterr()
-            assert captured.out == ""
-            assert captured.err.startswith("error: alpha must be positive and at most the minimum positive entry")
-            assert captured.err.count("\n") == 1
+    def test_alpha_override_is_a_usage_error(self, lazy_file, capsys):
+        # the certificate always reads the realized alpha: a smaller value
+        # could only lower the floor and push the contraction toward 1.0
+        with pytest.raises(SystemExit) as exit_info:
+            main(["certify", lazy_file, "--alpha-override", "0.05"])
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().out == ""
 
 
 class TestSimulate:

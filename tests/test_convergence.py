@@ -108,10 +108,11 @@ class TestSaturation:
         with pytest.raises(ContractViolation):
             find_saturation_K(seq_of(LAZY), 0.0)
 
-    @pytest.mark.parametrize("alpha", [np.nan, 0.5, 1.5, np.inf])
+    @pytest.mark.parametrize("alpha", [np.nan, 0.5, 1.5, np.inf, 0.0, -0.1, 0.2])
     def test_alpha_must_bound_the_entries(self, alpha):
         # the smallest entry of LAZY is 0.1: at 0.5 the scan saturated at
-        # K = 1 on a floor the entries never promised, and 1.5 overflowed it
+        # K = 1 on a floor the entries never promised, and 1.5 overflowed it;
+        # nan never saturated
         with pytest.raises(ContractViolation, match="at most the minimum positive entry 0.1"):
             find_saturation_K(seq_of(LAZY, LAZY), alpha)
 
@@ -173,22 +174,19 @@ class TestCertificate:
         assert cert.envelope(1) == pytest.approx(0.96875)
         assert cert.envelope(5) == pytest.approx(0.96875**5)
 
-    def test_alpha_override(self):
-        cert = contraction_certificate(seq_of(RANK1, RANK1), alpha=0.25)
-        assert cert.alpha == 0.25
-        assert cert.entry_floor == 0.25**6
+    def test_alpha_is_not_a_parameter(self):
+        # the realized minimum is the largest alpha that holds; any other
+        # value could only weaken the certificate
+        with pytest.raises(TypeError):
+            contraction_certificate(seq_of(RANK1, RANK1), alpha=0.25)
 
-    @pytest.mark.parametrize("alpha", [0.0, -0.1, 0.2, 1.5, np.nan, np.inf])
-    def test_alpha_override_must_bound_the_entries(self, alpha):
-        # the smallest entry of both sequences is 0.1; 1.5 overflowed the floor.
-        # The second is refused (its triangular factor is not completely
-        # reducible), which hid the bad alpha behind CertificationRefused
-        triangular = StochasticMatrix([[1.0, 0.0], [0.1, 0.9]])
-        for seq in (seq_of(LAZY, LAZY), seq_of(LAZY, triangular)):
-            with pytest.raises(ContractViolation, match="at most the minimum positive entry 0.1"):
-                contraction_certificate(seq, alpha=alpha)
-        with pytest.raises(CertificationRefused):
-            contraction_certificate(seq_of(LAZY, triangular))
+    def test_envelope_at_dimension_one(self):
+        # n * entry_floor == 1: log1p(-1) raised a math domain error for every k
+        cert = contraction_certificate(MatrixSequence([StochasticMatrix([[1.0]])] * 3))
+        assert cert.contraction == 0.0
+        assert cert.envelope(0) == 1.0
+        assert cert.envelope(1) == 0.0
+        assert cert.envelope(5) == 0.0
 
     def test_vacuous_when_the_contraction_rounds_to_one(self):
         # n = 8, alpha = 0.1: the floor 0.1 ** 296 is below machine epsilon

@@ -138,6 +138,19 @@ class TestRoundTrip:
             write_sequence_file(tmp_path / "seq.txt", [identity_matrix(2), identity_matrix(3)])
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("raw, message", [
+        (np.zeros((0, 2, 2)), "no matrices"),
+        (np.full((1, 2, 2), 0.3), r"record 1: row 1 sums to 0.6"),
+        (np.ones((1, 2, 3)) / 3, "expected 2 values, got 3"),
+        (np.eye(2), r"expected an \(L, n, n\) stack, got shape \(2, 2\)"),
+    ], ids=["no-records", "row-sum", "not-square", "2-d"])
+    def test_writer_refuses_raw_arrays_the_parser_rejects(self, tmp_path, raw, message):
+        # a raw array went straight to the text: the first three were written
+        # and then refused by the parser, and the 2-D one raised a TypeError
+        with pytest.raises(SequenceFileError, match=message):
+            write_sequence_file(tmp_path / "seq.txt", raw)
+        assert list(tmp_path.iterdir()) == []
+
     def test_to_sequence(self):
         seqf = parse_sequence_text(GOOD)
         seq = seqf.to_sequence()
