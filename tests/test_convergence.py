@@ -108,11 +108,10 @@ class TestSaturation:
         with pytest.raises(ContractViolation):
             find_saturation_K(seq_of(LAZY), 0.0)
 
-    @pytest.mark.parametrize("alpha", [np.nan, 0.5, 1.5, np.inf, 0.0, -0.1, 0.2])
+    @pytest.mark.parametrize("alpha", [np.nan, 0.5, 1.5, np.inf])
     def test_alpha_must_bound_the_entries(self, alpha):
         # the smallest entry of LAZY is 0.1: at 0.5 the scan saturated at
-        # K = 1 on a floor the entries never promised, and 1.5 overflowed it;
-        # nan never saturated
+        # K = 1 on a floor the entries never promised, and 1.5 overflowed it
         with pytest.raises(ContractViolation, match="at most the minimum positive entry 0.1"):
             find_saturation_K(seq_of(LAZY, LAZY), alpha)
 
@@ -179,6 +178,20 @@ class TestCertificate:
         # value could only weaken the certificate
         with pytest.raises(TypeError):
             contraction_certificate(seq_of(RANK1, RANK1), alpha=0.25)
+
+    @pytest.mark.parametrize("alpha", [0.0, -0.1, 0.2, 1.5, np.nan, np.inf])
+    def test_alpha_override_must_bound_the_entries(self, alpha):
+        # an alpha other than the realized minimum 0.1 reaches the certificate's
+        # computation only through find_saturation_K, which refuses it on both
+        # sequences: 1.5 overflowed the floor, nan never saturated. The second
+        # sequence is refused by the certificate itself (its triangular factor
+        # is not completely reducible), so no bad alpha hides behind that
+        triangular = StochasticMatrix([[1.0, 0.0], [0.1, 0.9]])
+        for seq in (seq_of(LAZY, LAZY), seq_of(LAZY, triangular)):
+            with pytest.raises(ContractViolation, match="at most the minimum positive entry 0.1"):
+                find_saturation_K(seq, alpha)
+        with pytest.raises(CertificationRefused):
+            contraction_certificate(seq_of(LAZY, triangular))
 
     def test_envelope_at_dimension_one(self):
         # n * entry_floor == 1: log1p(-1) raised a math domain error for every k
