@@ -116,9 +116,19 @@ def reachability(patterns) -> np.ndarray:
 
 def completely_reducible(patterns) -> np.ndarray:
     """Per pattern of an (n, n) pattern or (L, n, n) stack: no edge joins two
-    strongly connected components, which holds iff reachability is symmetric."""
-    closure = reachability(patterns)
-    return (closure == np.swapaxes(closure, -1, -2)).all(axis=(-2, -1))
+    strongly connected components, which holds iff reachability is symmetric.
+
+    Each distinct pattern is closed once, in order of first occurrence, and
+    its answer is mapped back to every index where it occurs: a sequence
+    drawn from a finite set of factors repeats its patterns.
+    """
+    edges = np.asarray(patterns) != 0
+    flat = edges.reshape(-1, *edges.shape[-2:])
+    slots: dict[bytes, int] = {}
+    inverse = [slots.setdefault(key.tobytes(), len(slots)) for key in np.packbits(flat, axis=-1)]
+    closure = reachability(flat[np.unique(inverse, return_index=True)[1]])
+    symmetric = (closure == np.swapaxes(closure, -1, -2)).all(axis=(-2, -1))
+    return symmetric[inverse].reshape(edges.shape[:-2])
 
 
 def _component_labels(closure: np.ndarray) -> np.ndarray:

@@ -4,7 +4,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from ergocert import convergence
+from ergocert import convergence, stochastic
 from ergocert.convergence import (
     consensus_row,
     contraction_certificate,
@@ -27,7 +27,7 @@ from ergocert.stochastic import (
     min_positive_entry,
 )
 
-from oracles import random_stochastic, supports_and_minima, time_varying_walk_exists
+from oracles import random_stochastic, seminorm_one_shot, supports_and_minima, time_varying_walk_exists
 
 # Slack for inequalities compounded over the length of a sequence.
 COMPOUND_SLACK = 1e-9
@@ -283,6 +283,20 @@ class TestRunToTolerance:
                 for r in (run, with_x0):
                     drifts = [abs(partial_product(seq, 0, k).entries.sum(axis=1) - 1).max() for k in range(r.k + 1)]
                     assert r.state.row_sum_drift == max(drifts)
+
+    @pytest.mark.parametrize("preset, n, length", [("periodic-counterexample", 52, 40), ("positive-diagonal", 53, 12)])
+    def test_multi_block_trajectories_match_the_one_shot_oracle(self, preset, n, length):
+        # at n >= 52 the default budget splits matrix_seminorm into two row blocks;
+        # the counterexample's products are permutations, so every value is 1.0
+        assert n > stochastic._SEMINORM_BLOCK_BYTES // (8 * n * n)
+        seq = preset_fixture(preset, n, length, 0.001, 5)
+        run = run_to_tolerance(seq, 1e-300)
+        oracle = tuple(seminorm_one_shot(state.matrix.entries) for state in iter_products(seq))
+        assert run.matrix_seminorms == oracle[: run.k + 1]
+        if preset == "periodic-counterexample":
+            assert run.matrix_seminorms == (1.0,) * (length + 1)
+        else:
+            assert run.matrix_seminorms[-1] < 1.0
 
     def test_x0_dimension_checked(self):
         with pytest.raises(DimensionError):

@@ -1,8 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ergocert import digraph
 from ergocert.digraph import Digraph, intersection, is_aperiodic
 from ergocert.errors import ContractViolation, DimensionError
 from ergocert.hypotheses import (
@@ -16,6 +19,7 @@ from ergocert.stochastic import StochasticMatrix, digraph_of, identity_matrix
 from oracles import (
     boolean_product_pattern,
     component_period_by_cycles,
+    completely_reducible_by_bfs,
     components_by_bfs,
     core_exists_exhaustive,
     first_reach_by_walks,
@@ -93,6 +97,37 @@ class TestCompleteReducibility:
     def test_permutation_matrices(self):
         seq = seq_of(SWAP, SWAP)
         assert analyze(seq).reducibility_failures == ()
+
+    @settings(deadline=None)
+    @given(st.integers(2, 6), st.integers(1, 4), st.integers(0, 2**32 - 1), st.data())
+    def test_one_closure_per_distinct_pattern(self, n, size, seed, data):
+        # a set of `size` factors drawn in random order; the first is upper triangular
+        # with edge 1 -> 2 under a random relabelling, so never completely reducible,
+        # and it occurs at two indices or more
+        rng = np.random.default_rng(seed)
+        upper = np.triu(rng.uniform(0.1, 1.0, (n, n)) * (rng.random((n, n)) < 0.5))
+        upper[range(n), range(n)] = 1.0
+        upper[0, 1] = 1.0
+        perm = rng.permutation(n)
+        factors = [StochasticMatrix(upper[perm][:, perm] / upper.sum(axis=1)[perm, None])]
+        factors += [StochasticMatrix(random_stochastic(rng, n, float(rng.uniform(0.2, 0.9)))) for _ in range(size - 1)]
+        order = data.draw(st.permutations(data.draw(st.lists(st.integers(0, size - 1), max_size=10)) + [0, 0]))
+        seq = seq_of(*(factors[i] for i in order))
+        expected = tuple(
+            k for k, i in enumerate(order, start=1)
+            if not completely_reducible_by_bfs(Digraph.from_adjacency(factors[i].entries > 0))
+        )
+        with mock.patch.object(digraph, "reachability", wraps=digraph.reachability) as spy:
+            report = analyze(seq)
+        assert report.reducibility_failures == expected
+        assert len(expected) >= 2
+        # component_periods closes the one 2-D common pattern; complete reducibility
+        # closes one stack: each distinct factor pattern once, in order of first occurrence
+        closed = [c.args[0] for c in spy.call_args_list if np.ndim(c.args[0]) == 3]
+        distinct = list({p.tobytes(): p for p in seq.stack > 0}.values())
+        assert len(closed) == 1
+        assert len(distinct) <= size
+        assert np.array_equal(closed[0] != 0, distinct)
 
 
 class TestAperiodicCore:

@@ -232,6 +232,13 @@ def _rows_budget(rows: int, n: int) -> int:
     return rows * 8 * n * n
 
 
+def _seminorm_and_blocks(m: StochasticMatrix) -> tuple[float, int]:
+    """matrix_seminorm(m) and the number of row blocks it evaluated: one np.abs per block."""
+    with mock.patch.object(np, "abs", wraps=np.abs) as spy:
+        value = matrix_seminorm(m)
+    return value, spy.call_count
+
+
 class TestBlockedSeminorm:
     """The row-blocked matrix_seminorm against the one-shot n^3 evaluation, bit for bit."""
 
@@ -297,3 +304,45 @@ class TestBlockedSeminorm:
                     assert matrix_seminorm(product) == seminorm_one_shot(product.entries)
                     below_one += matrix_seminorm(product) < 1.0
         assert below_one >= 8
+
+    def test_permutation_products_stop_after_the_first_block(self):
+        # at n = 101 the default budget holds 12 rows, so 9 blocks; any two rows
+        # of a permutation are disjoint, so the first block reaches 2.0
+        n = 101
+        assert stochastic._SEMINORM_BLOCK_BYTES // _rows_budget(1, n) == 12
+        rng = np.random.default_rng(21)
+        product = identity_matrix(n)
+        for _ in range(3):
+            product = multiply(StochasticMatrix(np.eye(n)[rng.permutation(n)]), product)
+            value, blocks = _seminorm_and_blocks(product)
+            assert value == seminorm_one_shot(product.entries) == 1.0
+            assert blocks == 1
+
+    @pytest.mark.parametrize("rows", [1, 2])
+    def test_disjoint_pair_in_the_last_block_that_holds_a_pair(self, rows):
+        # rows 5 and 6 are the only pair with disjoint supports: every other row is positive;
+        # the dyadic entries make their distance exactly 2.0. The block of row 5 is the
+        # last that pairs two rows (at one row per block, the last holds row 6 alone)
+        rng = np.random.default_rng(22)
+        mixed = rng.uniform(0.1, 1.0, (4, 6))
+        raw = np.vstack([mixed / mixed.sum(axis=1, keepdims=True),
+                         [0.5, 0.25, 0.25, 0.0, 0.0, 0.0],
+                         [0.0, 0.0, 0.0, 0.25, 0.25, 0.5]])
+        m = StochasticMatrix(raw)
+        with mock.patch.object(stochastic, "_SEMINORM_BLOCK_BYTES", _rows_budget(rows, 6)):
+            value, blocks = _seminorm_and_blocks(m)
+        assert value == seminorm_one_shot(m.entries) == 1.0
+        assert blocks == 4 // rows + 1
+
+    def test_drift_just_below_two_does_not_stop(self):
+        # a product's rows drift from 1 by rounding: this disjoint pair is 2 - 2**-52
+        # apart, so every block is evaluated and the value is the float just below 1.0
+        entries = np.array([[0.5, 0.5, 0.0, 0.0],
+                            [0.0, 0.0, 0.5, 0.5 - 2.0**-52],
+                            [0.25, 0.25, 0.25, 0.25],
+                            [0.25, 0.25, 0.25, 0.25]])
+        m = StochasticMatrix._trusted(entries)
+        with mock.patch.object(stochastic, "_SEMINORM_BLOCK_BYTES", _rows_budget(1, 4)):
+            value, blocks = _seminorm_and_blocks(m)
+        assert value == seminorm_one_shot(entries) == np.nextafter(1.0, 0.0)
+        assert blocks == 4
