@@ -162,7 +162,7 @@ def min_positive_entry(factors) -> float | None:
     """Smallest positive entry across the factors; None if there is none, which
     a validated factor never gives: each of its rows sums to 1."""
     stack = as_stack(factors)
-    smallest = float(stack.min(where=stack > 0, initial=np.inf))
+    smallest = float(stack[stack > 0].min(initial=np.inf))
     return None if smallest == np.inf else smallest
 
 

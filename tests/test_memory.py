@@ -57,3 +57,13 @@ def test_parse_peak_at_n101_l150():
     del seqf
     # the 12 MiB text is allocated before tracing starts
     assert peak_mib(parse_sequence_text, text) < 40
+
+
+def test_parse_peak_of_a_periodic_file_at_n101_l150():
+    # 15 150 data lines repeat 101 distinct rows: those are converted once and gathered
+    # into the 11.7 MiB stack, after the text's 6 MiB of lines are released. Measured
+    # 12.6 MiB; a parse that held every line peaked at 19 MiB, one converting every line at 21
+    seqf = generate_sequence("periodic-counterexample", 101, 150, 0.001, seed=3)
+    text = format_sequence(seqf.matrices, seqf.metadata)
+    del seqf
+    assert peak_mib(parse_sequence_text, text) < 16

@@ -72,6 +72,20 @@ class TestParsing:
         with pytest.raises(SequenceFileError, match="non-numeric"):
             parse_sequence_text("n=2\n1 zero\n0 1\n")
 
+    def test_each_distinct_line_is_converted_once(self):
+        # a periodic sequence repeats n rows; the numpy call used to convert all n * L lines
+        seqf = generate_sequence("periodic-counterexample", 7, 30, 0.1, 0)
+        text = format_sequence(seqf.sequence, seqf.metadata)
+        data_lines = [line for line in text.splitlines()[1:] if line and not line.startswith("#")]
+        distinct = list(dict.fromkeys(data_lines))
+        assert (len(data_lines), len(distinct)) == (7 * 30, 7)
+        with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as spy:
+            parsed = parse_sequence_text(text)
+        spy.assert_called_once()
+        assert list(spy.call_args.args[0]) == distinct
+        assert_same_parse(parsed, parse_per_token(text))
+        assert np.array_equal(parsed.sequence.stack, seqf.sequence.stack)
+
     def test_tolerances_forwarded(self):
         with pytest.raises(SequenceFileError, match="record 1: entry \\(1,2\\) = -1e-11 is below"):
             parse_sequence_text("n=2\n1.0 -1e-11\n0 1\n")
@@ -151,6 +165,11 @@ class TestRoundTrip:
             write_sequence_file(tmp_path / "seq.txt", raw)
         assert list(tmp_path.iterdir()) == []
 
+    def test_writer_keeps_the_text_of_signed_zero_rows(self):
+        # each distinct row is formatted once, keyed by its bytes: -0.0 == 0.0, but its text differs
+        raw = np.array([[[0.0, 1.0], [-0.0, 1.0]], [[-0.0, 1.0], [0.0, 1.0]]])
+        assert format_sequence(raw) == "n=2\n\n0.0 1.0\n-0.0 1.0\n\n-0.0 1.0\n0.0 1.0\n"
+
     def test_to_sequence(self):
         seqf = parse_sequence_text(GOOD)
         seq = seqf.to_sequence()
@@ -167,7 +186,12 @@ TOKEN_FORMATS = ["{!r}", "{:.17e}", "{:.17E}", "{:.17g}"]
 
 @st.composite
 def sequence_lines(draw):
-    """Lines of a valid sequence file and the indices of its data lines."""
+    """Lines of a valid sequence file and the indices of its data lines.
+
+    Rows are drawn from a small pool, so values repeat. A repeat keeps the
+    text of an earlier row, up to surrounding whitespace, or writes the
+    values again in other token formats and gaps.
+    """
     n = draw(st.integers(1, 5))
     length = draw(st.integers(1, 4))
     entry = st.one_of(st.sampled_from(SPECIAL_ENTRIES), st.floats(0.0, 1.0 / n))
@@ -177,20 +201,33 @@ def sequence_lines(draw):
     def fillers():
         return draw(st.lists(st.sampled_from(FILLER_LINES), max_size=2))
 
-    lines = fillers() + [f"n={n}"]
-    data = []
-    for _ in range(length * n):
-        lines += fillers()
+    def row_values():
         values = draw(st.lists(entry, min_size=n, max_size=n))
         p = draw(st.integers(0, n - 1))
         # the row sum is 1 up to rounding, or off by less than ROW_SUM_TOL
         values[p] = 1.0 - sum(v for i, v in enumerate(values) if i != p) + draw(st.sampled_from([0.0, 4e-10, -4e-10]))
+        return values
+
+    def row_text(values):
         tokens = []
         for v in values:
             token = draw(st.sampled_from(TOKEN_FORMATS)).format(v)
             tokens.append(token if token.startswith("-") or not draw(st.booleans()) else "+" + token)
+        return "".join(t + draw(gap) for t in tokens[:-1]) + tokens[-1]
+
+    pool = [row_values() for _ in range(draw(st.integers(1, 4)))]
+    texts: list[str] = []
+    lines = fillers() + [f"n={n}"]
+    data = []
+    for _ in range(length * n):
+        lines += fillers()
+        if texts and draw(st.booleans()):
+            text = draw(st.sampled_from(texts))
+        else:
+            text = row_text(draw(st.sampled_from(pool)))
+            texts.append(text)
         data.append(len(lines))
-        lines.append(draw(edge) + "".join(t + draw(gap) for t in tokens[:-1]) + tokens[-1] + draw(edge))
+        lines.append(draw(edge) + text + draw(edge))
     return lines + fillers(), data
 
 
@@ -230,7 +267,8 @@ class TestAgainstPerTokenParse:
         lines = list(lines)
         for _ in range(data.draw(st.integers(1, 3))):
             index = data.draw(st.sampled_from(data_indices))
-            tokens = lines[index].split()
+            original = lines[index].strip()
+            tokens = original.split()
             kind = data.draw(st.sampled_from(["replace", "drop", "append", "comment", "delete", "duplicate"]))
             if kind == "replace" and tokens:
                 bad = data.draw(st.sampled_from(["x", "nan", "inf", "-inf", "0.7", "2", "-0.5", "1e", "--1", "0x1"]))
@@ -245,7 +283,11 @@ class TestAgainstPerTokenParse:
                 tokens = []
             elif kind == "duplicate":
                 tokens += ["\n"] + tokens
-            lines[index] = " ".join(tokens)
+            # a line that occurs more than once is corrupted at one occurrence or at every one
+            every = data.draw(st.booleans())
+            for i in data_indices:
+                if i == index or every and lines[i].strip() == original:
+                    lines[i] = " ".join(tokens)
         text = join_lines(lines)
         new, old = outcome(parse_sequence_text, text), outcome(parse_per_token, text)
         if isinstance(old, str):
