@@ -159,10 +159,12 @@ def factor_patterns(factors) -> np.ndarray:
 
 
 def min_positive_entry(factors) -> float | None:
-    """Smallest positive entry across the factors; None if there is none, which
-    a validated factor never gives: each of its rows sums to 1."""
+    """Smallest positive entry across the factors, read in chunks of records within the block
+    budget; None if there is none, which a validated factor never gives: each row sums to 1."""
     stack = as_stack(factors)
-    smallest = float(stack[stack > 0].min(initial=np.inf))
+    records = max(1, _SEMINORM_BLOCK_BYTES // (stack[:1].nbytes or 1))
+    chunks = (stack[start : start + records] for start in range(0, len(stack), records))
+    smallest = min((float(c[c > 0].min(initial=np.inf)) for c in chunks), default=np.inf)
     return None if smallest == np.inf else smallest
 
 
@@ -189,14 +191,17 @@ def matrix_seminorm(a: StochasticMatrix) -> float:
     covers every pair in O(n^2) memory; each pair's distance is summed along
     the contiguous column axis, as in a one-shot n x n x n evaluation. The
     loop stops early once a distance reaches 2.0, as for rows with disjoint
-    supports: the result is then 1.0 whatever the later blocks hold.
+    supports, the case of coefficient 1 (Hajnal 1958): the result is then 1.0
+    whatever the later blocks hold. The first block is the first row alone,
+    whose n^2 differences find any row disjoint from it, as in a permutation.
     """
     e = a.entries
     n = e.shape[0]
     rows = max(1, _SEMINORM_BLOCK_BYTES // (e.itemsize * n * n))
     largest = 0.0
-    for start in range(0, n, rows):
-        diff = e[start : start + rows, None, :] - e[None, start:, :]
+    bounds = (0, *range(1, n, rows), n)
+    for start, stop in zip(bounds, bounds[1:]):
+        diff = e[start:stop, None, :] - e[None, start:, :]
         largest = max(largest, float(np.abs(diff, out=diff).sum(axis=2).max()))
         if largest >= 2.0:
             break

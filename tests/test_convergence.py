@@ -286,8 +286,8 @@ class TestRunToTolerance:
 
     @pytest.mark.parametrize("preset, n, length", [("periodic-counterexample", 52, 40), ("positive-diagonal", 53, 12)])
     def test_multi_block_trajectories_match_the_one_shot_oracle(self, preset, n, length):
-        # at n >= 52 the default budget splits matrix_seminorm into two row blocks;
-        # the counterexample's products are permutations, so every value is 1.0
+        # at n >= 52 the default budget splits the rows after the first one into two
+        # blocks or more; the counterexample's products are permutations, so every value is 1.0
         assert n > stochastic._SEMINORM_BLOCK_BYTES // (8 * n * n)
         seq = preset_fixture(preset, n, length, 0.001, 5)
         run = run_to_tolerance(seq, 1e-300)

@@ -15,7 +15,7 @@ from ergocert.convergence import run_to_tolerance
 from ergocert.generate import generate_sequence
 from ergocert.hypotheses import MatrixSequence
 from ergocert.seqfile import format_sequence, parse_sequence_text
-from ergocert.stochastic import StochasticMatrix, matrix_seminorm
+from ergocert.stochastic import StochasticMatrix, matrix_seminorm, min_positive_entry
 
 from oracles import random_stochastic
 
@@ -67,3 +67,10 @@ def test_parse_peak_of_a_periodic_file_at_n101_l150():
     text = format_sequence(seqf.matrices, seqf.metadata)
     del seqf
     assert peak_mib(parse_sequence_text, text) < 16
+
+
+def test_min_positive_entry_peak_of_a_positive_stack_at_n101_l150():
+    # every entry of the 11.7 MiB stack is positive: a minimum over all of them at once
+    # would copy the whole stack (13.1 MiB); chunks of 12 records copy about 1 MiB each
+    stack = np.stack([random_stochastic(np.random.default_rng(62 + k), 101, density=1.0) for k in range(150)])
+    assert peak_mib(min_positive_entry, stack) < 2

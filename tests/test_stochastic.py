@@ -138,6 +138,23 @@ class TestMinPositiveEntry:
         with pytest.raises(DimensionError):
             min_positive_entry([])
 
+    def test_raw_array_without_a_positive_entry(self):
+        assert min_positive_entry(np.zeros((3, 2, 2))) is None
+        assert min_positive_entry(np.zeros((0, 2, 2))) is None
+
+    @pytest.mark.parametrize("records", [1, 2, 3, 7])
+    def test_minimum_in_any_chunk(self, records):
+        # the stack is read `records` records at a time: the minimum may sit in any
+        # chunk, the last one partial or not
+        rng = np.random.default_rng(23)
+        stack = np.stack([random_stochastic(rng, 4) for _ in range(7)])
+        with mock.patch.object(stochastic, "_SEMINORM_BLOCK_BYTES", records * 8 * 4 * 4):
+            for k in range(7):
+                planted = stack.copy()
+                planted[k, 1, 2] = 1e-300
+                assert min_positive_entry(planted) == 1e-300
+            assert min_positive_entry(stack) == stack[stack > 0].min()
+
 
 class TestVectorSeminorm:
     def test_constant_vector(self):
@@ -254,16 +271,18 @@ class TestBlockedSeminorm:
 
     @pytest.mark.parametrize("rows", [1, 2, 3, 5])
     def test_sizes_around_block_edges(self, rows):
+        # the first block is the first row alone and the other n - 1 rows fill blocks of
+        # `rows`: d = 0, 1, 2 put n - 1 one below, at and one above a multiple of `rows`
         rng = np.random.default_rng(17 + rows)
-        for n in sorted({m * rows + d for m in (1, 2, 3) for d in (-1, 0, 1)} - {0}):
+        for n in sorted({m * rows + d for m in (1, 2, 3) for d in (-1, 0, 1, 2)} - {0}):
             m = StochasticMatrix(random_stochastic(rng, n))
             with mock.patch.object(stochastic, "_SEMINORM_BLOCK_BYTES", _rows_budget(rows, n)):
                 blocked = matrix_seminorm(m)
             assert blocked == seminorm_one_shot(m.entries)
 
     def test_sizes_around_default_block_edge(self):
-        # the largest n whose blocks hold three rows leaves a two-row last block;
-        # one more and the blocks hold two rows
+        # the largest n whose blocks hold three rows: after the first row, its 208 rows
+        # leave a one-row last block; one more and the blocks hold two rows
         n = math.isqrt(stochastic._SEMINORM_BLOCK_BYTES // _rows_budget(3, 1))
         rng = np.random.default_rng(19)
         for size in (n, n + 1):
@@ -306,23 +325,54 @@ class TestBlockedSeminorm:
         assert below_one >= 8
 
     def test_permutation_products_stop_after_the_first_block(self):
-        # at n = 101 the default budget holds 12 rows, so 9 blocks; any two rows
-        # of a permutation are disjoint, so the first block reaches 2.0
+        # at n = 101 the default budget holds 12 rows: the first row alone, then 9 blocks
+        # of up to 12. Any two rows of a permutation are disjoint, so the first block
+        # reaches 2.0 after its n^2 differences (np.abs runs once per block, on all of them)
         n = 101
         assert stochastic._SEMINORM_BLOCK_BYTES // _rows_budget(1, n) == 12
         rng = np.random.default_rng(21)
         product = identity_matrix(n)
         for _ in range(3):
             product = multiply(StochasticMatrix(np.eye(n)[rng.permutation(n)]), product)
-            value, blocks = _seminorm_and_blocks(product)
+            with mock.patch.object(np, "abs", wraps=np.abs) as spy:
+                value = matrix_seminorm(product)
             assert value == seminorm_one_shot(product.entries) == 1.0
-            assert blocks == 1
+            assert sum(call.args[0].size for call in spy.call_args_list) == n * n
+
+    @given(
+        data=st.data(),
+        n=st.integers(min_value=2, max_value=12),
+        with_first=st.booleans(),
+        one_hot=st.booleans(),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_planted_disjoint_pair(self, data, n, with_first, one_hot, seed):
+        # rows i < j get disjoint supports, i the first row or not; one-hot rows are
+        # exactly 2.0 apart, rows of several entries may round to either side of 2.0
+        i = 0 if with_first or n == 2 else data.draw(st.integers(min_value=1, max_value=n - 2), "i")
+        j = data.draw(st.integers(min_value=i + 1, max_value=n - 1), "j")
+        cut = 1 if one_hot else data.draw(st.integers(min_value=1, max_value=n - 1), "cut")
+        rows = data.draw(st.integers(min_value=1, max_value=n), "rows")
+        rng = np.random.default_rng(seed)
+        raw = random_stochastic(rng, n)
+        columns = rng.permutation(n)
+        left, right = columns[:cut], columns[cut : cut + 1] if one_hot else columns[cut:]
+        raw[[i, j]] = 0.0
+        raw[i, left] = 0.1 + rng.random(len(left))
+        raw[j, right] = 0.1 + rng.random(len(right))
+        m = StochasticMatrix(raw / raw.sum(axis=1, keepdims=True))
+        with mock.patch.object(stochastic, "_SEMINORM_BLOCK_BYTES", _rows_budget(rows, n)):
+            blocked = matrix_seminorm(m)
+        assert blocked == seminorm_one_shot(m.entries)
+        if one_hot:
+            assert blocked == 1.0
 
     @pytest.mark.parametrize("rows", [1, 2])
     def test_disjoint_pair_in_the_last_block_that_holds_a_pair(self, rows):
         # rows 5 and 6 are the only pair with disjoint supports: every other row is positive;
-        # the dyadic entries make their distance exactly 2.0. The block of row 5 is the
-        # last that pairs two rows (at one row per block, the last holds row 6 alone)
+        # the dyadic entries make their distance exactly 2.0. After the first row alone,
+        # rows 2 to 5 fill 4 // rows blocks, and the block of row 5 is the last that
+        # pairs two rows: the last block holds row 6 alone
         rng = np.random.default_rng(22)
         mixed = rng.uniform(0.1, 1.0, (4, 6))
         raw = np.vstack([mixed / mixed.sum(axis=1, keepdims=True),
@@ -332,7 +382,7 @@ class TestBlockedSeminorm:
         with mock.patch.object(stochastic, "_SEMINORM_BLOCK_BYTES", _rows_budget(rows, 6)):
             value, blocks = _seminorm_and_blocks(m)
         assert value == seminorm_one_shot(m.entries) == 1.0
-        assert blocks == 4 // rows + 1
+        assert blocks == 1 + 4 // rows
 
     def test_drift_just_below_two_does_not_stop(self):
         # a product's rows drift from 1 by rounding: this disjoint pair is 2 - 2**-52
