@@ -114,21 +114,27 @@ def reachability(patterns) -> np.ndarray:
     return closure > 0
 
 
+def distinct_patterns(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first, slot) of an (L, n, n) stack: slot[k] numbers record k's pattern in order of
+    first occurrence, at record first[slot[k]]. Keys are bits packed one record at a time."""
+    slots: dict[bytes, int] = {}
+    slot = np.array([slots.setdefault(np.packbits(p != 0).tobytes(), len(slots)) for p in stack], dtype=np.intp)
+    return np.unique(slot, return_index=True)[1], slot
+
+
 def completely_reducible(patterns) -> np.ndarray:
     """Per pattern of an (n, n) pattern or (L, n, n) stack: no edge joins two
     strongly connected components, which holds iff reachability is symmetric.
 
-    Each distinct pattern is closed once, in order of first occurrence, and
-    its answer is mapped back to every index where it occurs: a sequence
-    drawn from a finite set of factors repeats its patterns.
+    Each distinct pattern is closed once and its answer is mapped back to
+    every index where it occurs.
     """
-    edges = np.asarray(patterns) != 0
-    flat = edges.reshape(-1, *edges.shape[-2:])
-    slots: dict[bytes, int] = {}
-    inverse = [slots.setdefault(key.tobytes(), len(slots)) for key in np.packbits(flat, axis=-1)]
-    closure = reachability(flat[np.unique(inverse, return_index=True)[1]])
+    stack = np.asarray(patterns)
+    flat = stack.reshape(-1, *stack.shape[-2:])
+    first, slot = distinct_patterns(flat)
+    closure = reachability(flat[first])
     symmetric = (closure == np.swapaxes(closure, -1, -2)).all(axis=(-2, -1))
-    return symmetric[inverse].reshape(edges.shape[:-2])
+    return symmetric[slot].reshape(stack.shape[:-2])
 
 
 def _component_labels(closure: np.ndarray) -> np.ndarray:

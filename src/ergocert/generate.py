@@ -60,15 +60,11 @@ def generate_sequence(preset: str, n: int, length: int, alpha: float, seed: int)
     if seed < 0:
         raise ContractViolation(f"seed must be nonnegative, got {seed}")
 
-    rng = np.random.default_rng(seed)
-    if preset == "positive-diagonal":
-        matrices, metadata = _positive_diagonal(rng, n, length, alpha)
-    elif preset == "cycle-core":
-        matrices, metadata = _cycle_core(rng, n, length, alpha)
-    elif preset == "wolfowitz-set":
-        matrices, metadata = _wolfowitz_set(rng, n, length, alpha)
-    else:
+    if preset == "periodic-counterexample":
         matrices, metadata = _periodic_counterexample(n, length)
+    else:  # only the random presets import numpy.random, with their generator
+        draw = {"positive-diagonal": _positive_diagonal, "cycle-core": _cycle_core, "wolfowitz-set": _wolfowitz_set}
+        matrices, metadata = draw[preset](np.random.default_rng(seed), n, length, alpha)
 
     metadata = {
         "preset": preset,

@@ -15,7 +15,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .digraph import Digraph, completely_reducible, component_periods, pattern_product
+from .digraph import Digraph, completely_reducible, component_periods, distinct_patterns, pattern_product
 from .errors import ContractViolation
 from .stochastic import MatrixSequence, factor_patterns, min_positive_entry
 
@@ -78,29 +78,42 @@ def positivity_onsets(patterns: np.ndarray) -> list[int | None]:
     f[i, j] is the least K with (i, j) in the pattern of A(K)...A(k), or L + 1
     for never: f = where(A(k), k, via) with via[i, j] = min{f[i, l] : A(k)[l, j]}
     taken from step k + 1, and K*(k) = max f. O(L) steps on one n x n array.
+    Each distinct pattern's in-edges are listed once, when the pass first meets
+    it, and released at its first occurrence, where the pass last uses them.
     """
     length, n = patterns.shape[:2]
     never = length + 1
+    first, slot = distinct_patterns(patterns)
+    budgets = 64 * np.array([np.count_nonzero(patterns[k]) for k in first])[slot]
+    tables: dict[int, tuple[np.ndarray, ...]] = {}
     f = np.full((n, n), never, dtype=np.int32)
     onsets: list[int | None] = [None] * length
     for k in range(length, 0, -1):
-        factor = patterns[k - 1]
+        factor, budget, s = patterns[k - 1], budgets[k - 1], slot[k - 1]
         via = np.full_like(f, never)
-        ranked = np.sort(f, axis=None)
-        levels = ranked[np.concatenate(([True], ranked[1:] != ranked[:-1])) & (ranked < never)]
         # Levels cost one BLAS product per distinct finite value of f (D of them),
         # gathering n * nnz(A(k)) reads; the rule picks the faster of these whole
-        # passes (2-vCPU Xeon): sparse periodic-n101, D up to 101, 0.023 s gathered
-        # against 0.58 s in levels; dense large-n200, D <= 3, 0.068 s against 0.014 s.
-        if len(levels) * f.size <= 64 * np.count_nonzero(factor):
+        # passes (Xeon, 1 BLAS thread): sparse periodic-n101, D up to 101, 0.009 s
+        # gathered against 0.48 s in levels; dense large-n200, D <= 3, 0.087 s against 0.017 s.
+        if f.size <= budget:  # otherwise even one level costs more than the gather
+            ranked = np.sort(f, axis=None)
+            levels = ranked[np.concatenate(([True], ranked[1:] != ranked[:-1])) & (ranked < never)]
+        if f.size <= budget and len(levels) * f.size <= budget:
             weights = factor.astype(np.float32, copy=False)
             for t in levels[::-1]:
                 via[pattern_product((f == t).astype(np.float32), weights) > 0] = t
         else:
-            cols, rows = np.nonzero(factor.T)
-            if cols.size:
-                starts = np.flatnonzero(np.concatenate(([True], cols[1:] != cols[:-1])))
-                via[:, cols[starts]] = np.minimum.reduceat(f[:, rows], starts, axis=1)
+            if s not in tables:  # columns of in-degree 1 take one gather, the others a minimum
+                cols, rows = np.nonzero(factor.T != 0)
+                one = np.bincount(cols, minlength=n)[cols] == 1
+                heads, starts = np.unique(cols[~one], return_index=True)
+                tables[s] = cols[one], rows[one], heads, rows[~one], starts
+            dest, src, heads, tails, starts = tables[s]
+            via[:, dest] = f[:, src]
+            if starts.size:
+                via[:, heads] = np.minimum.reduceat(f[:, tails], starts, axis=1)
+        if k - 1 == first[s]:
+            tables.pop(s, None)
         f = np.where(factor, k, via)
         onsets[k - 1] = int(f.max()) if f.max() < never else None
     return onsets

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -102,3 +107,19 @@ class TestPeriodicCounterexample:
             assert ((entries == 0) | (entries == 1)).all()
             assert (entries.sum(axis=0) == 1).all()
             assert (entries.sum(axis=1) == 1).all()
+
+    def test_draws_no_random_numbers(self):
+        # the preset ignores the seed, so it never imports numpy.random (10-13 ms), unless
+        # numpy itself does on import, as older numpy releases do; a fresh interpreter shows it
+        code = (
+            "import sys\n"
+            "from ergocert.generate import generate_sequence\n"
+            "eager = 'numpy.random' in sys.modules\n"
+            "generate_sequence('periodic-counterexample', 6, 8, 0.1, 0)\n"
+            "print(eager, 'numpy.random' in sys.modules)\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        eager, loaded = result.stdout.split()
+        assert loaded == eager

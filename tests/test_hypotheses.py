@@ -14,7 +14,8 @@ from ergocert.hypotheses import (
     check_eventual_positivity,
     positivity_onsets,
 )
-from ergocert.stochastic import StochasticMatrix, digraph_of, identity_matrix
+from ergocert.generate import generate_sequence
+from ergocert.stochastic import StochasticMatrix, digraph_of, factor_patterns, identity_matrix
 
 from oracles import (
     boolean_product_pattern,
@@ -332,6 +333,52 @@ class TestPositivityOnsets:
         onsets = analyze(seq, all_starts=True).eventual_positivity
         assert onsets == {k: check_eventual_positivity(seq, k) for k in onsets}
         assert None in onsets.values() and len(set(onsets.values())) > 10
+
+    @staticmethod
+    def assert_matches_scans(seq):
+        onsets = positivity_onsets(factor_patterns(seq.stack))
+        assert onsets == [check_eventual_positivity(seq, k) for k in range(1, len(seq) + 1)]
+        return onsets
+
+    @pytest.mark.parametrize("n", [65, 66])
+    def test_permutations_past_n64_match_scans(self, n):
+        # a full cycle (n = 65) or two alternating bipartite permutations (n = 66): at
+        # n > 64 a permutation has n^2 > 64 nnz, so every step skips the levels and
+        # gathers through the table of one of at most two distinct patterns
+        seq = generate_sequence("periodic-counterexample", n, 100, 1.0 / n, 0).sequence
+        onsets = self.assert_matches_scans(seq)
+        # the n products from start k on are permutations that cover every entry once
+        assert onsets == [k + n - 1 if k + n - 1 <= 100 else None for k in range(1, 101)]
+
+    @staticmethod
+    def three_sparse_patterns(n=100, chords=50):
+        """Three patterns with n^2 > 64 nnz, so every step skips the levels: a shared
+        spanning cycle, whose heads have in-degree 1, plus random chords, whose heads have
+        in-degree 2 or more; the second pattern drops every edge into one column, which
+        keeps in-degree 0, and the cycle edge it loses leaves its tail for another head.
+        Half the seeds draw chords after which no start of the periodic draw fills; this
+        one fills from most starts."""
+        rng = np.random.default_rng(12)
+        order = rng.permutation(n)
+        patterns = np.zeros((3, n, n), dtype=bool)
+        patterns[:, order, np.roll(order, -1)] = True
+        for p in patterns:
+            p[rng.integers(0, n, chords), rng.integers(0, n, chords)] = True
+        patterns[1, :, order[1]] = False
+        patterns[1, order[0], order[3]] = True
+        return patterns
+
+    @pytest.mark.parametrize("periodic", [True, False])
+    def test_finite_sparse_set_past_n64_matches_scans(self, periodic):
+        # each distinct pattern's table is built once and reused at its later steps;
+        # the minimum over several in-edges decides onsets
+        patterns = self.three_sparse_patterns()
+        in_degrees = patterns.sum(axis=1)
+        assert all(((in_degrees == 0).any(), (in_degrees == 1).any(), (in_degrees >= 2).any()))
+        assert (patterns[0].size > 64 * patterns.sum(axis=(1, 2))).all()
+        draws = np.arange(150) % 3 if periodic else np.random.default_rng(42).integers(0, 3, 150)
+        onsets = self.assert_matches_scans(self.weighted(patterns[draws], 0.0))
+        assert None in onsets and len(set(onsets)) > 10
 
     def test_edge_cases(self):
         # n = 1 and L = 1; an empty pattern never fills; an empty column stays unreached

@@ -13,7 +13,7 @@ import numpy as np
 
 from ergocert.convergence import run_to_tolerance
 from ergocert.generate import generate_sequence
-from ergocert.hypotheses import MatrixSequence
+from ergocert.hypotheses import MatrixSequence, positivity_onsets
 from ergocert.seqfile import format_sequence, parse_sequence_text
 from ergocert.stochastic import StochasticMatrix, matrix_seminorm, min_positive_entry
 
@@ -74,3 +74,17 @@ def test_min_positive_entry_peak_of_a_positive_stack_at_n101_l150():
     # would copy the whole stack (13.1 MiB); chunks of 12 records copy about 1 MiB each
     stack = np.stack([random_stochastic(np.random.default_rng(62 + k), 101, density=1.0) for k in range(150)])
     assert peak_mib(min_positive_entry, stack) < 2
+
+
+def test_positivity_onsets_peak_of_a_non_repeating_sparse_stack_at_n200_l400():
+    # every pattern is distinct, so each predecessor table is built and released at one
+    # step; what stays is a 5000-byte packed key per pattern. Measured 2.0 MiB; keys
+    # copied with tobytes() (a 160 KB float32 record each) peaked at 61 MiB, and keys
+    # packed from one bool copy of the whole stack at 17 MiB
+    rng = np.random.default_rng(63)
+    stack = rng.random((400, 200, 200)) < 0.01
+    order = rng.permutation(200)
+    stack[:, order, np.roll(order, -1)] = True
+    patterns = stack.astype(np.float32)
+    del stack
+    assert peak_mib(positivity_onsets, patterns) < 4
