@@ -139,7 +139,7 @@ def _first_saturated(seq: MatrixSequence, alpha: float) -> ProductState | None:
     """The state P(K) for the K of find_saturation_K, alpha already in range."""
     threshold = saturation_floor(seq.n, alpha) - EXACT_SLACK
     factors = factor_patterns(seq.stack)
-    pattern = np.eye(seq.n, dtype=np.float32)
+    pattern = np.eye(seq.n, dtype=bool)
     for state in iter_products(seq):
         if state.k:
             pattern = pattern_product(factors[state.k - 1], pattern)

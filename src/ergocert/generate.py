@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .digraph import pattern_product, wielandt_bound, wielandt_graph
+from .digraph import component_periods, pattern_product, wielandt_bound, wielandt_graph
 from .errors import ContractViolation
 from .seqfile import SequenceFile
 from .stochastic import MatrixSequence, StochasticMatrix
@@ -119,12 +119,9 @@ def _cycle_core(rng, n, length, alpha):
 
 
 def _is_primitive_pattern(pattern: np.ndarray) -> bool:
-    """Primitive iff some boolean power is full, and then so is every power from
-    wielandt_bound(n) on: test the first power of two at or past the bound."""
-    power = pattern.astype(np.float32)
-    for _ in range((wielandt_bound(pattern.shape[0]) - 1).bit_length()):
-        power = pattern_product(power, power)
-    return bool(power.all())
+    """Primitive iff irreducible and aperiodic: one strongly connected component, of period 1."""
+    labels, periods = component_periods(pattern)
+    return bool(labels.max() == 0 and periods[0] == 1)
 
 
 def _random_primitive_pattern(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -141,23 +138,23 @@ def _products_primitive_to_depth(patterns: list[np.ndarray], depth: int) -> bool
     """Every product of at most `depth` generators must have a primitive pattern.
 
     Product patterns depend only on factor patterns, so it suffices to close
-    the generator patterns under boolean products, level by level up to the
-    depth. A pattern already seen at a shorter length is skipped: its
-    continuations were already explored with at least as much depth left.
+    the generator patterns, primitive as drawn, under boolean products, level
+    by level up to the depth. A pattern already seen at a shorter length is
+    skipped: its continuations were already explored with at least as much
+    depth left.
     """
-    seen: set[bytes] = set()
-    generators = level = [p.astype(np.float32) for p in patterns]
-    for remaining in range(depth, 0, -1):
+    generators = np.stack(patterns)  # one pattern_product multiplies a pattern by every generator
+    seen = {p.tobytes() for p in patterns}
+    level = patterns
+    for _ in range(depth - 1):
         next_level = []
-        for mat in level:
-            key = mat.tobytes()
-            if key in seen:
-                continue
-            seen.add(key)
-            if not _is_primitive_pattern(mat):
-                return False
-            if remaining > 1:
-                next_level.extend(pattern_product(g, mat) for g in generators)
+        for product in (p for mat in level for p in pattern_product(generators, mat)):
+            key = product.tobytes()
+            if key not in seen:
+                seen.add(key)
+                if not _is_primitive_pattern(product):
+                    return False
+                next_level.append(product)
         level = next_level
     return True
 

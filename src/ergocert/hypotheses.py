@@ -62,11 +62,11 @@ def _positivity_onset(factors: np.ndarray, k: int) -> int | None:
     Once full, the accumulated pattern stays full: the summands are nonnegative.
     """
     n = factors.shape[1]
-    product = np.eye(n, dtype=np.float32)
+    product = np.eye(n, dtype=bool)
     running = np.zeros((n, n), dtype=bool)
     for current, factor in enumerate(factors, start=k):
         product = pattern_product(factor, product)
-        running |= product > 0
+        running |= product
         if running.all():
             return current
     return None
@@ -99,12 +99,11 @@ def positivity_onsets(patterns: np.ndarray) -> list[int | None]:
             ranked = np.sort(f, axis=None)
             levels = ranked[np.concatenate(([True], ranked[1:] != ranked[:-1])) & (ranked < never)]
         if f.size <= budget and len(levels) * f.size <= budget:
-            weights = factor.astype(np.float32, copy=False)
             for t in levels[::-1]:
-                via[pattern_product((f == t).astype(np.float32), weights) > 0] = t
+                via[pattern_product(f == t, factor)] = t
         else:
             if s not in tables:  # columns of in-degree 1 take one gather, the others a minimum
-                cols, rows = np.nonzero(factor.T != 0)
+                cols, rows = np.nonzero(factor.T)
                 one = np.bincount(cols, minlength=n)[cols] == 1
                 heads, starts = np.unique(cols[~one], return_index=True)
                 tables[s] = cols[one], rows[one], heads, rows[~one], starts
@@ -115,7 +114,8 @@ def positivity_onsets(patterns: np.ndarray) -> list[int | None]:
         if k - 1 == first[s]:
             tables.pop(s, None)
         f = np.where(factor, k, via)
-        onsets[k - 1] = int(f.max()) if f.max() < never else None
+        top = int(f.max())
+        onsets[k - 1] = top if top < never else None
     return onsets
 
 

@@ -150,12 +150,12 @@ def as_stack(factors) -> np.ndarray:
 
 
 def factor_patterns(factors) -> np.ndarray:
-    """The (L, n, n) float32 0/1 stack of factor patterns: edge (i, j) iff entry (i, j) > 0.
+    """The (L, n, n) boolean stack of factor patterns: edge (i, j) iff entry (i, j) > 0.
 
     Every condition check and the saturation scan read their factor patterns
     from this stack, so all of them draw the edge line in the same place.
     """
-    return (as_stack(factors) > 0).astype(np.float32)
+    return as_stack(factors) > 0
 
 
 def min_positive_entry(factors) -> float | None:

@@ -4,10 +4,10 @@ Each oracle is deliberately independent of the library code path it checks:
 cycle enumeration instead of BFS level gcd, 0/1-vector enumeration instead
 of the row-distance closed form, one n x n x n tensor instead of row
 blocks, a per-step walk frontier and integer matrix products instead of
-boolean float32 products, one BFS per node instead of the reachability
-closure, exhaustive subgraph search instead of the component period rule,
-and Python float() per token with one StochasticMatrix per record instead
-of one numpy parse and one stack check.
+pattern_product's float32 BLAS products, one BFS per node instead of the
+reachability closure, exhaustive subgraph search instead of the component
+period rule, and Python float() per token with one StochasticMatrix per
+record instead of one numpy parse and one stack check.
 """
 
 from __future__ import annotations

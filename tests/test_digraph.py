@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ergocert.digraph import (
@@ -11,6 +11,7 @@ from ergocert.digraph import (
     component_periods,
     intersection,
     is_aperiodic,
+    pattern_product,
     reachability,
     strongly_connected_components,
     wielandt_bound,
@@ -241,6 +242,30 @@ class TestSubgraphAndIntersection:
             graphs = [random_digraph(rng, 4) for _ in range(int(rng.integers(1, 5)))]
             common = intersection(graphs)
             assert all(is_subgraph(common, g) for g in graphs)
+
+
+class TestPatternProduct:
+    @settings(deadline=None)
+    @given(
+        st.integers(1, 70),
+        st.integers(1, 3),
+        st.sampled_from([0.0, 0.05, 0.5, 1.0]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_integer_product(self, n, length, density, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.random((length, n, n)) < density
+        b = rng.random((length, n, n)) < density
+        # a full first row of a and first column of b: the count of entry (1, 1) reaches n
+        a[:, 0, :] = True
+        b[:, :, 0] = True
+        product = pattern_product(a, b)
+        assert product.dtype == bool
+        for k in range(length):
+            graphs = [Digraph.from_adjacency(b[k]), Digraph.from_adjacency(a[k])]  # later on the left
+            assert np.array_equal(product[k], boolean_product_pattern(graphs))
+            assert np.array_equal(pattern_product(a[k], b[k]), product[k])
+        assert np.array_equal(pattern_product(a.astype(np.float32), b), product)
 
 
 class TestCompleteReducibility:

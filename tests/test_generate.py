@@ -5,15 +5,66 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from ergocert.digraph import wielandt_bound, wielandt_graph
+from ergocert.digraph import Digraph, wielandt_bound, wielandt_graph
 from ergocert.errors import ContractViolation
-from ergocert.generate import PRESETS, generate_sequence
+from ergocert.generate import PRESETS, _is_primitive_pattern, generate_sequence
 from ergocert.hypotheses import analyze
 from ergocert.seqfile import format_sequence, parse_sequence_text
 from ergocert.stochastic import digraph_of, min_positive_entry
 
-from oracles import exact_exponent, is_subgraph
+from oracles import components_by_bfs, exact_exponent, is_subgraph
+
+
+def cycle_pattern(n):
+    return np.roll(np.eye(n, dtype=bool), 1, axis=1)
+
+
+@st.composite
+def sink_free_patterns(draw, max_n=6):
+    """Random (n, n) boolean patterns; a row without an edge gets one at a drawn column."""
+    n = draw(st.integers(1, max_n))
+    pattern = np.array(draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n)), dtype=bool).reshape(n, n)
+    fallback = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    for i in np.flatnonzero(~pattern.any(axis=1)):
+        pattern[i, fallback[i]] = True
+    return pattern
+
+
+def primitive_by_oracles(pattern) -> bool:
+    """One component, and some power up to the Wielandt bound is full."""
+    g = Digraph.from_adjacency(pattern)
+    return len(components_by_bfs(g)) == 1 and exact_exponent(g) is not None
+
+
+class TestPrimitivePattern:
+    @given(sink_free_patterns())
+    def test_matches_oracles(self, pattern):
+        assert _is_primitive_pattern(pattern) == primitive_by_oracles(pattern)
+
+    @pytest.mark.parametrize("n", [2, 3, 6, 9])
+    def test_cycle_is_periodic(self, n):
+        assert not _is_primitive_pattern(cycle_pattern(n))
+        assert not primitive_by_oracles(cycle_pattern(n))
+
+    @pytest.mark.parametrize("n", [2, 3, 6, 9])
+    def test_cycle_with_a_chord_is_primitive(self, n):
+        pattern = wielandt_graph(n).adjacency_matrix()  # the n-cycle plus the chord (n, 2)
+        assert _is_primitive_pattern(pattern)
+        assert primitive_by_oracles(pattern)
+
+    def test_two_disjoint_cycles_with_self_loops_are_reducible(self):
+        pattern = np.zeros((5, 5), dtype=bool)
+        pattern[:2, :2] = cycle_pattern(2) | np.eye(2, dtype=bool)
+        pattern[2:, 2:] = cycle_pattern(3) | np.eye(3, dtype=bool)
+        assert not _is_primitive_pattern(pattern)
+        assert not primitive_by_oracles(pattern)
+
+    def test_single_node(self):
+        assert _is_primitive_pattern(np.ones((1, 1), dtype=bool))
+        assert not _is_primitive_pattern(np.zeros((1, 1), dtype=bool))
 
 
 class TestParameterValidation:

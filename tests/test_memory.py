@@ -13,7 +13,7 @@ import numpy as np
 
 from ergocert.convergence import run_to_tolerance
 from ergocert.generate import generate_sequence
-from ergocert.hypotheses import MatrixSequence, positivity_onsets
+from ergocert.hypotheses import MatrixSequence, analyze, positivity_onsets
 from ergocert.seqfile import format_sequence, parse_sequence_text
 from ergocert.stochastic import StochasticMatrix, matrix_seminorm, min_positive_entry
 
@@ -88,3 +88,10 @@ def test_positivity_onsets_peak_of_a_non_repeating_sparse_stack_at_n200_l400():
     patterns = stack.astype(np.float32)
     del stack
     assert peak_mib(positivity_onsets, patterns) < 4
+
+
+def test_analyze_all_starts_peak_of_a_periodic_file_at_n101_l150():
+    # the boolean pattern stack is 1.5 MiB and the all-starts pass adds O(n^2) per step.
+    # Measured 1.6 MiB; a float32 pattern stack alone is 5.8 MiB, and with one analyze peaked at 7.3
+    seq = generate_sequence("periodic-counterexample", 101, 150, 0.001, seed=3).to_sequence()
+    assert peak_mib(analyze, seq, True) < 4
