@@ -10,11 +10,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice, repeat
 from typing import Iterator
 
 import numpy as np
 
-from .digraph import pattern_product, wielandt_bound
+from .digraph import pattern_walk, wielandt_bound
 from .errors import CertificationRefused, ContractViolation, DimensionError
 from .hypotheses import HypothesisReport, MatrixSequence, analyze
 from .stochastic import StochasticMatrix, factor_patterns, matrix_seminorm, min_positive_entry, vector_seminorm
@@ -69,6 +70,8 @@ class ConvergenceCertificate:
     def envelope(self, k: int) -> float:
         """Certified bound contraction ** (k // saturation_index) at step k, in log space;
         at n = 1 the contraction is exactly 0.0, which has no logarithm."""
+        if k < 0:
+            raise ContractViolation(f"step k must be nonnegative, got {k}")
         blocks = k // self.saturation_index
         if self.contraction == 0.0:
             return 0.0**blocks
@@ -138,13 +141,10 @@ def find_saturation_K(seq: MatrixSequence, alpha: float) -> int | None:
 def _first_saturated(seq: MatrixSequence, alpha: float) -> ProductState | None:
     """The state P(K) for the K of find_saturation_K, alpha already in range."""
     threshold = saturation_floor(seq.n, alpha) - EXACT_SLACK
-    factors = factor_patterns(seq.stack)
-    pattern = np.eye(seq.n, dtype=bool)
-    for state in iter_products(seq):
-        if state.k:
-            pattern = pattern_product(factors[state.k - 1], pattern)
-            if pattern.all() and state.matrix.entries.min() >= threshold:
-                return state
+    products = islice(iter_products(seq), 1, None)
+    for state, pattern in zip(products, pattern_walk(factor_patterns(seq.stack))):
+        if pattern.all() and state.matrix.entries.min() >= threshold:
+            return state
     return None
 
 
@@ -203,14 +203,12 @@ def run_to_tolerance(seq: MatrixSequence, epsilon: float, x0=None) -> ToleranceR
     """
     if not epsilon > 0:
         raise ContractViolation("epsilon must be positive")
-    vec = None if x0 is None else _checked_vector(x0, seq.n)
+    iterates = repeat(None) if x0 is None else _iterates(seq, x0)
     matrix_values: list[float] = []
     vector_values: list[float] = []
-    for state in iter_products(seq):
+    for state, vec in zip(iter_products(seq), iterates):
         matrix_values.append(state.seminorm)
         if vec is not None:
-            if state.k:
-                vec = seq.stack[state.k - 1] @ vec
             vector_values.append(vector_seminorm(vec))
         reached = (matrix_values if vec is None else vector_values)[-1] <= epsilon
         if reached:
@@ -222,24 +220,23 @@ def run_to_tolerance(seq: MatrixSequence, epsilon: float, x0=None) -> ToleranceR
         matrix_seminorms=tuple(matrix_values),
         vector_seminorms=None if vec is None else tuple(vector_values),
         consensus_row=consensus_row(state.matrix) if reached and vec is None else None,
-        consensus_value=(float(vec.max()) + float(vec.min())) / 2.0 if reached and vec is not None else None,
+        consensus_value=float(vec.max()) / 2.0 + float(vec.min()) / 2.0 if reached and vec is not None else None,
     )
 
 
-def _checked_vector(x0, n: int) -> np.ndarray:
+def _iterates(seq: MatrixSequence, x0) -> Iterator[np.ndarray]:
+    """x(k) = A(k).x(k-1) = P(k).x0 for k = 0..L; x0 is checked when x(0) is asked for."""
     vec = np.asarray(x0, dtype=float)
-    if vec.ndim != 1 or vec.size != n:
-        raise DimensionError(f"vector of length {vec.size} does not match dimension {n}")
+    if vec.ndim != 1 or vec.size != seq.n:
+        raise DimensionError(f"vector of length {vec.size} does not match dimension {seq.n}")
     if not np.all(np.isfinite(vec)):
         raise ContractViolation("x0 entries must be finite")
-    return vec
+    yield vec
+    for factor in seq.stack:
+        vec = factor @ vec
+        yield vec
 
 
 def disagreement_trajectory(seq: MatrixSequence, x0) -> list[float]:
     """vector_seminorm(P(k).x0) for k = 0..L, iterated as x(k) = A(k).x(k-1)."""
-    vec = _checked_vector(x0, seq.n)
-    values = [vector_seminorm(vec)]
-    for factor in seq.stack:
-        vec = factor @ vec
-        values.append(vector_seminorm(vec))
-    return values
+    return [vector_seminorm(vec) for vec in _iterates(seq, x0)]

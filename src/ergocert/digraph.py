@@ -4,7 +4,8 @@ used to analyze positivity patterns of matrix products.
 Patterns are boolean (n, n) arrays or (L, n, n) stacks of them; the public
 functions also take any 0/1 array. Their products come from pattern_product,
 and every reachability question is answered by one closure primitive built on
-it; component periods are read from the pattern array too (component_periods).
+it; pattern_walk yields the patterns of a stack's backward products A(k)...A(1),
+and component periods are read from the pattern array too (component_periods).
 A Digraph is built for a single pattern that is rendered.
 
 All values are immutable and every operation is a pure function, so the
@@ -14,7 +15,7 @@ module is safe to use from concurrent callers without synchronization.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -94,6 +95,14 @@ def pattern_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     5.4 ms against 0.17 ms at n = 200.
     """
     return a.astype(np.float32, copy=False) @ b.astype(np.float32, copy=False) > 0
+
+
+def pattern_walk(factors) -> Iterator[np.ndarray]:
+    """Patterns of the backward products A(k)...A(1) of an (L, n, n) stack, for k = 1..L."""
+    product = np.eye(np.shape(factors)[-1], dtype=bool)
+    for factor in np.asarray(factors):
+        product = pattern_product(factor, product)
+        yield product
 
 
 def reachability(patterns) -> np.ndarray:

@@ -15,7 +15,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .digraph import Digraph, completely_reducible, component_periods, distinct_patterns, pattern_product
+from .digraph import Digraph, completely_reducible, component_periods, distinct_patterns, pattern_product, pattern_walk
 from .errors import ContractViolation
 from .stochastic import MatrixSequence, factor_patterns, min_positive_entry
 
@@ -61,11 +61,8 @@ def _positivity_onset(factors: np.ndarray, k: int) -> int | None:
 
     Once full, the accumulated pattern stays full: the summands are nonnegative.
     """
-    n = factors.shape[1]
-    product = np.eye(n, dtype=bool)
-    running = np.zeros((n, n), dtype=bool)
-    for current, factor in enumerate(factors, start=k):
-        product = pattern_product(factor, product)
+    running = np.zeros(factors.shape[1:], dtype=bool)
+    for current, product in enumerate(pattern_walk(factors), start=k):
         running |= product
         if running.all():
             return current

@@ -20,10 +20,10 @@ kept for the benchmark's traced run. Finite-set or periodic factors repeat rows 
 periodic counterexample at n=101, L=150 has 101 distinct lines in 15 150), and a repeat
 is neither converted nor kept; a file of distinct lines pays one dict insert per line,
 4-10% of its parse. The writer formats each distinct row once. Only rejected input is
-scanned again, every line, to name the first bad line or record, with `parse_numbers`,
-which also reads the CLI's x0 vectors. Records and rows in error messages are 1-based.
-Writes are atomic: content goes to a temporary file in the target directory and is
-renamed into place.
+scanned again, and each distinct line is converted once, to name the first bad line or
+record, with `parse_numbers`, which also reads the CLI's x0 vectors. Records and rows in
+error messages are 1-based. Writes are atomic: content goes to a temporary file in the
+target directory and is renamed into place.
 """
 
 from __future__ import annotations
@@ -109,7 +109,7 @@ def parse_sequence_text(text: str) -> SequenceFile:
             raise ValueError("the rows do not form n x n records")
         normalize_rows(values)
     except ValueError:
-        _diagnose([distinct[slot] for slot in slot_of_line], line_numbers, n)
+        _diagnose(distinct, slot_of_line, line_numbers, n)
     if len(distinct) < len(slot_of_line):
         values = values[slot_of_line]
     return SequenceFile(metadata, MatrixSequence._of_stack(values.reshape(-1, n, n)))
@@ -125,18 +125,20 @@ def parse_numbers(line: str) -> np.ndarray:
     return np.loadtxt([line], dtype=float, comments=None, ndmin=2)[0]
 
 
-def _diagnose(data_lines: list[str], line_numbers: list[int], n: int) -> NoReturn:
-    """Raise the error of data the one-call parse rejected, line by line.
+def _diagnose(distinct: list[str], slot_of_line: list[int], line_numbers: list[int], n: int) -> NoReturn:
+    """Raise the error of data the one-call parse rejected, converting each distinct line once.
 
     A non-numeric line anywhere comes first; then records in order, a wrong
     row length before a stochasticity error.
     """
-    rows = []
-    for lineno, line in zip(line_numbers, data_lines):
-        try:
-            rows.append(parse_numbers(line))
-        except ValueError:
-            raise SequenceFileError(f"line {lineno}: non-numeric value in {line!r}") from None
+    converted: list[np.ndarray] = []
+    for lineno, slot in zip(line_numbers, slot_of_line):
+        if slot == len(converted):  # slots are numbered in order of first occurrence
+            try:
+                converted.append(parse_numbers(distinct[slot]))
+            except ValueError:
+                raise SequenceFileError(f"line {lineno}: non-numeric value in {distinct[slot]!r}") from None
+    rows = [converted[slot] for slot in slot_of_line]
     if len(rows) % n != 0:
         raise SequenceFileError(
             f"record {len(rows) // n + 1} is incomplete: {len(rows) % n} of {n} rows present"

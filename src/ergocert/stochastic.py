@@ -172,12 +172,13 @@ def vector_seminorm(x) -> float:
     """Distance of x to the constant vectors in sup norm: (max - min) / 2.
 
     The optimal constant shift is the midrange, which makes the closed form
-    equal the defining infimum.
+    equal the defining infimum. It is evaluated as max/2 - min/2, which cannot
+    overflow for finite x and equals (max - min) / 2 unless a halved entry is subnormal.
     """
     vec = np.asarray(x, dtype=float)
     if vec.ndim != 1 or vec.size < 1:
         raise DimensionError("expected a nonempty vector")
-    return float(vec.max() - vec.min()) / 2.0
+    return float(vec.max()) / 2.0 - float(vec.min()) / 2.0
 
 
 def matrix_seminorm(a: StochasticMatrix) -> float:

@@ -283,6 +283,14 @@ class TestSimulate:
         assert "exit_status" not in captured.out
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("x0, key", [("1e308,1e308", "consensus.value"), ("1e308,-1e308", "trajectory_x0.0")])
+    def test_x0_at_the_float_extremes(self, identity_file, capsys, x0, key):
+        # max + min and max - min overflowed: inf, with a RuntimeWarning on stderr
+        main(["simulate", identity_file, "--x0", x0])
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert f"\n{key} = 1e+308\n" in captured.out
+
     def test_x0_dimension_mismatch(self, lazy_file, capsys):
         assert main(["simulate", lazy_file, "--x0", "1,2,3"]) == 2
 

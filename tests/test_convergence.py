@@ -201,6 +201,15 @@ class TestCertificate:
         assert cert.envelope(1) == 0.0
         assert cert.envelope(5) == 0.0
 
+    def test_envelope_refuses_negative_steps(self):
+        # 0.0 ** -1 raised ZeroDivisionError at n = 1, and on RANK1 a negative
+        # block count gave a "bound" above 1 on a semi-norm that never exceeds 1
+        for seq, k in [(MatrixSequence([StochasticMatrix([[1.0]])] * 3), -1), (seq_of(RANK1, RANK1, RANK1), -3)]:
+            cert = contraction_certificate(seq)
+            with pytest.raises(ContractViolation, match="nonnegative"):
+                cert.envelope(k)
+            assert cert.envelope(0) == 1.0
+
     def test_vacuous_when_the_contraction_rounds_to_one(self):
         # n = 8, alpha = 0.1: the floor 0.1 ** 296 is below machine epsilon
         wide = contraction_certificate(preset_fixture("positive-diagonal", 8, 30, 0.1, seed=3))
@@ -309,6 +318,20 @@ class TestRunToTolerance:
             run_to_tolerance(seq_of(LAZY), 0.1, [bad, 1.0])
         with pytest.raises(ContractViolation, match="x0 entries must be finite"):
             disagreement_trajectory(seq_of(LAZY), [bad, 1.0])
+
+    @pytest.mark.parametrize("x0", [[np.nan, 1.0], [1.0, 2.0, 3.0]])
+    def test_bad_x0_raises_before_any_product_past_the_identity(self, x0):
+        formed = []
+
+        def recording(seq):
+            for state in iter_products(seq):
+                formed.append(state.k)
+                yield state
+
+        with mock.patch.object(convergence, "iter_products", recording):
+            with pytest.raises((ContractViolation, DimensionError)):
+                run_to_tolerance(seq_of(LAZY, LAZY), 0.1, x0)
+        assert all(k == 0 for k in formed)
 
     def test_rows_within_epsilon_of_consensus(self):
         rng = np.random.default_rng(33)

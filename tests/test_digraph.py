@@ -12,6 +12,7 @@ from ergocert.digraph import (
     intersection,
     is_aperiodic,
     pattern_product,
+    pattern_walk,
     reachability,
     strongly_connected_components,
     wielandt_bound,
@@ -266,6 +267,27 @@ class TestPatternProduct:
             assert np.array_equal(product[k], boolean_product_pattern(graphs))
             assert np.array_equal(pattern_product(a[k], b[k]), product[k])
         assert np.array_equal(pattern_product(a.astype(np.float32), b), product)
+
+
+class TestPatternWalk:
+    @settings(deadline=None)
+    @given(
+        st.integers(1, 10).flatmap(
+            lambda n: st.integers(1, 8).flatmap(
+                lambda length: st.lists(st.booleans(), min_size=length * n * n, max_size=length * n * n).map(
+                    lambda bits: np.array(bits, dtype=bool).reshape(length, n, n)
+                )
+            )
+        )
+    )
+    def test_matches_the_backward_product_oracle(self, stack):
+        walked = list(pattern_walk(stack))
+        assert len(walked) == len(stack)
+        for k, pattern in enumerate(walked, start=1):
+            assert pattern.dtype == bool
+            assert np.array_equal(pattern, boolean_product_pattern([Digraph.from_adjacency(a) for a in stack[:k]]))
+        # any 0/1 stack: the same walk from integers
+        assert all(np.array_equal(a, b) for a, b in zip(pattern_walk(stack.astype(int)), walked))
 
 
 class TestCompleteReducibility:

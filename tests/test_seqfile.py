@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ergocert import seqfile
 from ergocert.errors import DimensionError
 from ergocert.generate import generate_sequence
 from ergocert.seqfile import (
@@ -85,6 +86,19 @@ class TestParsing:
         assert list(spy.call_args.args[0]) == distinct
         assert_same_parse(parsed, parse_per_token(text))
         assert np.array_equal(parsed.sequence.stack, seqf.sequence.stack)
+
+    def test_rejected_text_converts_each_distinct_line_once(self):
+        # the diagnosis converted all n * L lines again, 15 150 at n = 101, L = 150
+        seqf = generate_sequence("periodic-counterexample", 7, 30, 0.1, 0)
+        lines = format_sequence(seqf.sequence, seqf.metadata).splitlines()
+        lines[-1] = lines[-1].replace("1.0", "1.5")  # one row sum broken in the last record
+        text = "\n".join(lines) + "\n"
+        distinct = dict.fromkeys(line for line in lines[1:] if line and not line.startswith("#"))
+        assert len(distinct) == 8
+        with mock.patch.object(seqfile, "parse_numbers", wraps=seqfile.parse_numbers) as spy:
+            with pytest.raises(SequenceFileError, match="record 30: row 7 sums to"):
+                parse_sequence_text(text)
+        assert [call.args[0] for call in spy.call_args_list] == list(distinct)
 
     def test_tolerances_forwarded(self):
         with pytest.raises(SequenceFileError, match="record 1: entry \\(1,2\\) = -1e-11 is below"):

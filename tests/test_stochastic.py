@@ -1,4 +1,5 @@
 import math
+import sys
 from unittest import mock
 
 import numpy as np
@@ -168,6 +169,23 @@ class TestVectorSeminorm:
     def test_empty_rejected(self):
         with pytest.raises(DimensionError):
             vector_seminorm([])
+
+    def test_extremes_do_not_overflow(self):
+        assert vector_seminorm([1e308, -1e308]) == 1e308
+        assert vector_seminorm([-np.finfo(float).max, np.finfo(float).max]) == np.finfo(float).max
+
+    @given(
+        st.lists(
+            st.floats(allow_nan=False, allow_infinity=False).filter(
+                lambda v: v == 0 or abs(v) >= 2 * sys.float_info.min
+            ),
+            min_size=1,
+            max_size=8,
+        ).filter(lambda values: math.isfinite(max(values) - min(values)))
+    )
+    def test_halving_first_is_bit_identical_on_normal_entries(self, values):
+        # no halved entry is subnormal, and the spread does not overflow
+        assert vector_seminorm(values).hex() == ((max(values) - min(values)) / 2.0).hex()
 
     @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=8), st.floats(-100, 100))
     def test_homogeneity(self, values, scale):
