@@ -3,6 +3,11 @@
 Reports go to standard output as stable 'key = value' lines; errors go to
 standard error. Exit codes: 0 success / conditions hold, 1 condition
 violation or refused certification, 2 input error, 3 horizon exhausted.
+
+Each cmd_* returns its report as ordered (key, value) pairs, its exit code,
+and the text that follows the report ('--emit-csv -' table, else ""). Only
+main prints: the pairs, then exit_status, then that text. A command that
+raises has printed nothing, so a report is printed whole or not at all.
 """
 
 from __future__ import annotations
@@ -48,35 +53,31 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _emit(key: str, value) -> None:
-    print(f"{key} = {_fmt(value)}")
+def _read(path: str) -> tuple[SequenceFile, list]:
+    """The sequence file at path, and the input pairs that open its report."""
+    seqf = read_sequence_file(path)
+    return seqf, [("input.path", path), ("input.n", seqf.n), ("input.length", seqf.length)]
 
 
-def _emit_input(path: str, seqf: SequenceFile) -> None:
-    _emit("input.path", path)
-    _emit("input.n", seqf.n)
-    _emit("input.length", seqf.length)
-
-
-def _emit_hypotheses(report: HypothesisReport) -> None:
-    _emit("hypotheses.alpha", report.alpha)
-    _emit(
-        "hypotheses.complete_reducibility.failures",
-        " ".join(str(k) for k in report.reducibility_failures) or None,
-    )
-    _emit("hypotheses.core.present", report.core is not None)
+def _hypotheses(report: HypothesisReport) -> list:
+    """The hypotheses pairs that analyze and certify share."""
+    pairs = [
+        ("hypotheses.alpha", report.alpha),
+        ("hypotheses.complete_reducibility.failures", " ".join(str(k) for k in report.reducibility_failures) or None),
+        ("hypotheses.core.present", report.core is not None),
+    ]
     if report.core is not None:
-        _emit("hypotheses.core.edges", report.core.render())
-    _emit(
-        "hypotheses.core.node_periods",
-        " ".join(f"{node}:{p}" for node, p in sorted(report.node_periods.items())),
+        pairs.append(("hypotheses.core.edges", report.core.render()))
+    pairs.append(
+        ("hypotheses.core.node_periods", " ".join(f"{node}:{p}" for node, p in sorted(report.node_periods.items())))
     )
     if report.core_offenders:
-        _emit("hypotheses.core.offending_nodes", " ".join(str(u) for u in report.core_offenders))
-    for start, reached in sorted(report.eventual_positivity.items()):
-        _emit(f"hypotheses.eventual_positivity.start_{start}", reached)
-    _emit("hypotheses.violations", " ".join(report.violations) or None)
-    _emit("hypotheses.verdict", report.verdict)
+        pairs.append(("hypotheses.core.offending_nodes", " ".join(str(u) for u in report.core_offenders)))
+    pairs += [(f"hypotheses.eventual_positivity.start_{start}", reached)
+              for start, reached in sorted(report.eventual_positivity.items())]
+    pairs.append(("hypotheses.violations", " ".join(report.violations) or None))
+    pairs.append(("hypotheses.verdict", report.verdict))
+    return pairs
 
 
 def _parse_x0(raw: str) -> np.ndarray:
@@ -87,95 +88,81 @@ def _parse_x0(raw: str) -> np.ndarray:
         raise ContractViolation(f"could not parse x0 vector from {raw!r}") from None
 
 
-def _finish(code: int) -> int:
-    _emit("exit_status", code)
-    return code
+def cmd_validate(args: argparse.Namespace) -> tuple[list, int, str]:
+    seqf, pairs = _read(args.path)
+    pairs += [("input.alpha", min_positive_entry(seqf.to_sequence().stack)), ("validation", "ok")]
+    return pairs, EXIT_OK, ""
 
 
-def cmd_validate(args: argparse.Namespace) -> int:
-    seqf = read_sequence_file(args.path)
-    _emit_input(args.path, seqf)
-    _emit("input.alpha", min_positive_entry(seqf.to_sequence().stack))
-    _emit("validation", "ok")
-    return _finish(EXIT_OK)
-
-
-def cmd_analyze(args: argparse.Namespace) -> int:
-    seqf = read_sequence_file(args.path)
+def cmd_analyze(args: argparse.Namespace) -> tuple[list, int, str]:
+    seqf, pairs = _read(args.path)
     report = analyze(seqf.to_sequence(), all_starts=args.all_starts)
-    _emit_input(args.path, seqf)
-    _emit_hypotheses(report)
-    return _finish(EXIT_OK if report.holds else EXIT_HYPOTHESIS)
+    return pairs + _hypotheses(report), EXIT_OK if report.holds else EXIT_HYPOTHESIS, ""
 
 
-def cmd_certify(args: argparse.Namespace) -> int:
-    seqf = read_sequence_file(args.path)
+def cmd_certify(args: argparse.Namespace) -> tuple[list, int, str]:
+    seqf, pairs = _read(args.path)
     seq = seqf.to_sequence()
     report = analyze(seq)
-    _emit_input(args.path, seqf)
-    _emit_hypotheses(report)
+    pairs += _hypotheses(report)
     try:
         certificate = contraction_certificate(seq, report=report)
     except CertificationRefused as refusal:
-        _emit("certificate.status", "refused")
-        _emit("certificate.refusals", " ".join(refusal.reasons))
-        return _finish(EXIT_HYPOTHESIS)
+        pairs += [("certificate.status", "refused"), ("certificate.refusals", " ".join(refusal.reasons))]
+        return pairs, EXIT_HYPOTHESIS, ""
     if certificate is None:
-        _emit("certificate.status", "horizon-exhausted")
-        return _finish(EXIT_EXHAUSTED)
-    _emit("certificate.status", "emitted")
-    _emit("certificate.alpha", certificate.alpha)
-    _emit("certificate.wielandt", certificate.wielandt)
-    _emit("certificate.saturation_index", certificate.saturation_index)
-    _emit("certificate.entry_floor", certificate.entry_floor)
-    _emit("certificate.contraction", certificate.contraction)
-    _emit("certificate.seminorm_at_saturation", certificate.seminorm_at_saturation)
-    _emit("certificate.vacuous", certificate.vacuous)
-    _emit("numerics.row_sum_drift", certificate.row_sum_drift)
-    return _finish(EXIT_OK)
+        return pairs + [("certificate.status", "horizon-exhausted")], EXIT_EXHAUSTED, ""
+    pairs += [
+        ("certificate.status", "emitted"),
+        ("certificate.alpha", certificate.alpha),
+        ("certificate.wielandt", certificate.wielandt),
+        ("certificate.saturation_index", certificate.saturation_index),
+        ("certificate.entry_floor", certificate.entry_floor),
+        ("certificate.contraction", certificate.contraction),
+        ("certificate.seminorm_at_saturation", certificate.seminorm_at_saturation),
+        ("certificate.vacuous", certificate.vacuous),
+        ("numerics.row_sum_drift", certificate.row_sum_drift),
+    ]
+    return pairs, EXIT_OK, ""
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
-    seqf = read_sequence_file(args.path)
+def cmd_simulate(args: argparse.Namespace) -> tuple[list, int, str]:
+    seqf, pairs = _read(args.path)
     x0 = _parse_x0(args.x0) if args.x0 is not None else None
     run = run_to_tolerance(seqf.to_sequence(), args.epsilon, x0)
+    trailer = ""
     if args.emit_csv is not None:
         values = run.matrix_seminorms if x0 is None else run.vector_seminorms
-        csv_text = "k,seminorm\n" + "".join(f"{k},{_fmt(v)}\n" for k, v in enumerate(values))
-        if args.emit_csv != "-":  # before the report: a failed write prints no exit_status
-            Path(args.emit_csv).write_text(csv_text, encoding="utf-8")
+        table = "k,seminorm\n" + "".join(f"{k},{_fmt(v)}\n" for k, v in enumerate(values))
+        if args.emit_csv == "-":
+            trailer = table
+        else:  # before main prints: a failed write prints no report
+            Path(args.emit_csv).write_text(table, encoding="utf-8")
 
-    _emit_input(args.path, seqf)
-    _emit("trajectory.epsilon", args.epsilon)
-    _emit("trajectory.criterion", "vector" if x0 is not None else "matrix")
-    for k, value in enumerate(run.matrix_seminorms):
-        _emit(f"trajectory.{k}", value)
-    for k, value in enumerate(run.vector_seminorms or ()):
-        _emit(f"trajectory_x0.{k}", value)
-    _emit("trajectory.k_final", run.k)
-    _emit("trajectory.reached", run.reached)
+    pairs += [("trajectory.epsilon", args.epsilon), ("trajectory.criterion", "vector" if x0 is not None else "matrix")]
+    pairs += [(f"trajectory.{k}", value) for k, value in enumerate(run.matrix_seminorms)]
+    pairs += [(f"trajectory_x0.{k}", value) for k, value in enumerate(run.vector_seminorms or ())]
+    pairs += [("trajectory.k_final", run.k), ("trajectory.reached", run.reached)]
     if run.consensus_row is not None:
-        _emit("consensus.row", " ".join(repr(float(v)) for v in run.consensus_row))
+        pairs.append(("consensus.row", " ".join(repr(float(v)) for v in run.consensus_row)))
     if run.consensus_value is not None:
-        _emit("consensus.value", run.consensus_value)
-    _emit("numerics.row_sum_drift", run.state.row_sum_drift)
-    code = _finish(EXIT_OK if run.reached else EXIT_EXHAUSTED)
-    if args.emit_csv == "-":
-        sys.stdout.write(csv_text)
-    return code
+        pairs.append(("consensus.value", run.consensus_value))
+    pairs.append(("numerics.row_sum_drift", run.state.row_sum_drift))
+    return pairs, EXIT_OK if run.reached else EXIT_EXHAUSTED, trailer
 
 
-def cmd_generate(args: argparse.Namespace) -> int:
+def cmd_generate(args: argparse.Namespace) -> tuple[list, int, str]:
     seqf = generate_sequence(args.preset, args.n, args.length, args.alpha, args.seed)
     write_sequence_file(args.out, seqf.to_sequence(), seqf.metadata)
-    _emit("generated.path", args.out)
-    _emit("generated.preset", args.preset)
-    _emit("generated.n", seqf.n)
-    _emit("generated.length", seqf.length)
-    for key in ("set-size", "checked-depth", "core-edges", "pattern"):
-        if key in seqf.metadata:
-            _emit(f"generated.{key}", seqf.metadata[key])
-    return _finish(EXIT_OK)
+    pairs = [
+        ("generated.path", args.out),
+        ("generated.preset", args.preset),
+        ("generated.n", seqf.n),
+        ("generated.length", seqf.length),
+    ]
+    pairs += [(f"generated.{key}", seqf.metadata[key])
+              for key in ("set-size", "checked-depth", "core-edges", "pattern") if key in seqf.metadata]
+    return pairs, EXIT_OK, ""
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -202,7 +189,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run products to a disagreement tolerance")
     p.add_argument("path")
     p.add_argument("--epsilon", type=float, default=1e-6, help="target semi-norm")
-    p.add_argument("--x0", default=None, help="initial vector: comma/space separated values, or @file")
+    p.add_argument(
+        "--x0", default=None,
+        help="initial vector: comma/space separated values, or @file (write --x0=-1,2 if the first is negative)",
+    )
     p.add_argument("--emit-csv", default=None, metavar="PATH", help="write a k,seminorm table ('-' for stdout)")
     p.set_defaults(func=cmd_simulate)
 
@@ -221,10 +211,13 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        pairs, code, trailer = args.func(args)
     except (SequenceFileError, StochasticityError, DimensionError, ContractViolation, OSError, UnicodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
+    lines = "".join(f"{key} = {_fmt(value)}\n" for key, value in [*pairs, ("exit_status", code)])
+    sys.stdout.write(lines + trailer)
+    return code
 
 
 if __name__ == "__main__":

@@ -45,9 +45,11 @@ class ProductState:
 class ConvergenceCertificate:
     """Machine-checkable contraction certificate.
 
-    Every saturation_index steps, the product semi-norm shrinks by at least
-    the contraction factor 1 - n * entry_floor, giving the geometric
-    envelope below. The stored ``contraction`` float rounds to 1.0 once the
+    Only P(K) = A(K)...A(1), K = saturation_index, is checked: its
+    semi-norm is at most the contraction factor 1 - n * entry_floor. The
+    envelope below applies that factor once per K steps, so beyond K it
+    assumes every later window of K factors saturates as well, which
+    nothing verifies. The stored ``contraction`` float rounds to 1.0 once the
     floor drops under machine epsilon, so the envelope is evaluated in log
     space from the exact complement n * entry_floor. ``row_sum_drift`` is
     the largest |row sum - 1| over the scanned products P(1..K).

@@ -207,6 +207,16 @@ class TestCertify:
         assert main(["certify", identity_file]) == 3
         assert report_lines(capsys)["certificate.status"] == "horizon-exhausted"
 
+    def test_report_is_printed_whole_or_not_at_all(self, lazy_file, capsys, monkeypatch):
+        # the input and hypotheses lines were printed before the certificate was sought
+        def fail(*args, **kwargs):
+            raise RuntimeError("no certificate")
+
+        monkeypatch.setattr("ergocert.cli.contraction_certificate", fail)
+        with pytest.raises(RuntimeError):
+            main(["certify", lazy_file])
+        assert capsys.readouterr().out == ""
+
     def test_alpha_override_is_a_usage_error(self, lazy_file, capsys):
         # the certificate always reads the realized alpha: a smaller value
         # could only lower the floor and push the contraction toward 1.0
@@ -244,6 +254,12 @@ class TestSimulate:
         lines = report_lines(capsys)
         assert lines["trajectory.reached"] == "no"
         assert lines["trajectory.6"] == "1.0"
+
+    @pytest.mark.parametrize("x0", [["--x0=-5.5,1.5"], ["--x0", "-5.5 1.5"]], ids=["equals", "space"])
+    def test_negative_first_x0_value(self, lazy_file, capsys, x0):
+        # argparse reads "--x0 -5.5,1.5" as a missing value followed by an option
+        assert main(["simulate", lazy_file, "--epsilon", "1e-2", *x0]) == 0
+        assert report_lines(capsys)["trajectory.criterion"] == "vector"
 
     def test_csv_emission(self, lazy_file, tmp_path, capsys):
         csv_path = tmp_path / "traj.csv"
@@ -455,9 +471,11 @@ class TestGenerate:
         assert "aperiodic-core" in report_lines(capsys)["hypotheses.violations"]
 
 
-# SHA-256 of each report's stdout without its input.path line, on the four
-# presets at n=6, length 40, alpha 0.05, seed 5, and of the generated files;
-# a refactor that claims to leave reports and files unchanged must leave these unchanged
+# SHA-256 of each report's stdout without its input.path or generated.path
+# line, on the four presets at n=6, length 40, alpha 0.05, seed 5 and on five
+# 2x2 identities (whose certify exhausts the horizon), and of the generated
+# files; a refactor that claims to leave reports and files unchanged must
+# leave these unchanged
 PINNED_REPORTS = {
     ("positive-diagonal", "analyze --all-starts"): "a30f172bb8cef55fc0340aed515207dc69997344d7f40b86af38a864d40ea580",
     ("positive-diagonal", "certify"): "e1a1f6095930f2ce6c079bb0f7d1eb29306ca09814b6487fd4fa0e8210250f1c",
@@ -479,6 +497,19 @@ PINNED_REPORTS = {
     ("periodic-counterexample", "validate"): "6f2a8c335fbf0918d8a32d52318f6f2b14e45b4489611d46406292eeb7281db8",
     ("periodic-counterexample", "simulate"): "28cf7746c9ee8f4b80fee3f7ec76915d16fb42872e3824333aa33dc4de430dd7",
     ("periodic-counterexample", "simulate --x0 0,1,2,3,4,5"): "54cfdc1537dea280d12a3e816680f40e02eecb38be88c74aecd33ad9a6255778",
+    ("positive-diagonal", "generate"): "1b1d47054e6f4cb851b2cafde90a7b0eb9890669680f40f5b4359c13ac41b469",
+    ("positive-diagonal", "analyze"): "b762c7eede5877c23c44a174a4f76d80e4905c349f1796863a2dd26632d00a1f",
+    ("positive-diagonal", "simulate --emit-csv -"): "4a60e162f694a9f0eab499618d4aa74dcb67f687b3f9bea63ca21f30e9915225",
+    ("cycle-core", "generate"): "165a87807a1014ef199390e5124bac0671932f3f822c42901e7cdb043aba8fd7",
+    ("cycle-core", "analyze"): "4ac4387384fe6123f7ea8977e9a59f6e92b23d423ee93a8a47195bf616af3bfa",
+    ("cycle-core", "simulate --emit-csv -"): "eb90673e23f1885cbdacd2c9afad06c0d5f985c20720bd35e64c0d7615fe1be2",
+    ("wolfowitz-set", "generate"): "8c3340eb5bbfa3f685ea24ef7d465eeed916a831544d85966514a39db8fef804",
+    ("wolfowitz-set", "analyze"): "768f1470423ef7c78745b3d0cea6e0263550d7f04dea59320212b19a0449b54a",
+    ("wolfowitz-set", "simulate --emit-csv -"): "f563f13ea7b75052a007af3c7bf26fe065403eeb33d977457f9a216161b65fe8",
+    ("periodic-counterexample", "generate"): "88f8c13278136e439c60d804a939091bf8030f72914d3e3c643b0e500a681b52",
+    ("periodic-counterexample", "analyze"): "a41c9656d0610e638bff3587f6dca8239ee87703808e736bcbc886226bde867a",
+    ("periodic-counterexample", "simulate --emit-csv -"): "572ee5136a1e2d84542a506c218cd3213ef8409e92e72151258d5d2af6410ef1",
+    ("identity", "certify"): "16db737ecd5ac9ddd1cd456b84a8c89967a9f37def764f76de1f11827e60a9a3",
 }
 PINNED_FILES = {
     "positive-diagonal": "c0ca5410c0da885f765b1a53088a7c6622ae2fd99a7284995c96ea5006406b1a",
@@ -489,19 +520,25 @@ PINNED_FILES = {
 
 
 def test_reports_pinned(tmp_path, capsys):
-    assert {preset for preset, _ in PINNED_REPORTS} == set(PINNED_FILES) == set(PRESETS)
-    mismatches = []
-    for (preset, command), expected in PINNED_REPORTS.items():
+    assert {source for source, _ in PINNED_REPORTS} == {*PINNED_FILES, "identity"}
+    assert set(PINNED_FILES) == set(PRESETS)
+    write_sequence_file(tmp_path / "identity.seq", [identity_matrix(2)] * 5)
+    outputs, mismatches = {}, []
+    for preset in PRESETS:
         path = tmp_path / f"{preset}.seq"
         main(["generate", preset, "--n", "6", "--length", "40", "--alpha", "0.05", "--seed", "5", "--out", str(path)])
-        capsys.readouterr()
+        outputs[preset, "generate"] = capsys.readouterr().out
         if hashlib.sha256(path.read_bytes()).hexdigest() != PINNED_FILES[preset]:
             mismatches.append(f"{preset}: generated file")
-        name, *flags = command.split()
-        main([name, str(path), *flags])
+    for (source, command), expected in PINNED_REPORTS.items():
+        if (source, command) not in outputs:
+            name, *flags = command.split()
+            main([name, str(tmp_path / f"{source}.seq"), *flags])
+            outputs[source, command] = capsys.readouterr().out
         report = "".join(
-            line for line in capsys.readouterr().out.splitlines(keepends=True) if not line.startswith("input.path = ")
+            line for line in outputs[source, command].splitlines(keepends=True)
+            if not line.startswith(("input.path = ", "generated.path = "))
         )
         if hashlib.sha256(report.encode()).hexdigest() != expected:
-            mismatches.append(f"{preset}: {command}\n{report}")
+            mismatches.append(f"{source}: {command}\n{report}")
     assert not mismatches, "\n".join(mismatches)
