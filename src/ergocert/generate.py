@@ -77,17 +77,16 @@ def generate_sequence(preset: str, n: int, length: int, alpha: float, seed: int)
 
 
 def _fill_pattern(rng: np.random.Generator, pattern: np.ndarray, alpha: float) -> StochasticMatrix:
-    """Weights for a boolean pattern: alpha everywhere plus random row slack."""
-    n = pattern.shape[0]
-    out = np.zeros((n, n))
-    for i in range(n):
-        cells = np.flatnonzero(pattern[i])
-        degree = cells.size
-        slack = 1.0 - degree * alpha  # nonnegative: alpha <= 1/n and degree <= n
-        weights = rng.random(degree)
-        total = weights.sum()
-        shares = weights / total if total > 0 else np.full(degree, 1.0 / degree)
-        out[i, cells] = alpha + slack * shares
+    """Weights for a boolean pattern: alpha everywhere plus random row slack (equal shares if a row's
+    weights all drew 0.0). Per-seed determinism rests on one draw over the cells in row-major order,
+    as one draw per row, and on one pairwise sum per row (np.add.reduceat rounds differently)."""
+    rows, cols = np.nonzero(pattern)
+    degree = np.count_nonzero(pattern, axis=1)
+    weights = rng.random(rows.size)
+    totals = np.array([row.sum() for row in np.split(weights, np.cumsum(degree)[:-1])])
+    shares = np.where(totals[rows] > 0, weights, 1.0) / np.where(totals > 0, totals, degree)[rows]
+    out = np.zeros(pattern.shape)
+    out[rows, cols] = alpha + (1.0 - degree * alpha)[rows] * shares  # slack >= 0: alpha <= 1/n, degree <= n
     return StochasticMatrix(out)
 
 

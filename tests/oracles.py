@@ -6,8 +6,12 @@ of the row-distance closed form, one n x n x n tensor instead of row
 blocks, a per-step walk frontier and integer matrix products instead of
 pattern_product's float32 BLAS products, one BFS per node instead of the
 reachability closure, exhaustive subgraph search instead of the component
-period rule, and Python float() per token with one StochasticMatrix per
-record instead of one numpy parse and one stack check.
+period rule, Python float() per token with one StochasticMatrix per
+record instead of one numpy parse and one stack check, and repr per value
+instead of one text per distinct row with a token for zero entries. The
+classical hypotheses the paper's theorem generalizes are predicates here:
+cut balance by enumerating every cut, B-connectivity by one BFS per node
+of every window's union.
 """
 
 from __future__ import annotations
@@ -353,3 +357,35 @@ def parse_per_token(text: str) -> SequenceFile:
         except StochasticityError as err:
             raise SequenceFileError(f"record {record_index + 1}: {err}") from err
     return SequenceFile(metadata, MatrixSequence(matrices))
+
+
+def format_per_value(stack: np.ndarray, metadata: dict[str, str] | None = None) -> str:
+    """The sequence-file text with every value written by repr, row after row; nothing is reused."""
+    lines = [f"n={stack.shape[1]}", *(f"# {key}={value}" for key, value in (metadata or {}).items())]
+    for matrix in stack:
+        lines.append("")
+        lines.extend(" ".join(map(repr, row.tolist())) for row in matrix)
+    return "\n".join(lines) + "\n"
+
+
+def is_cut_balanced(pattern) -> bool:
+    """Every cut is crossed both ways or not at all: an edge leaving a node set S
+    means an edge entering it (Hendrickx & Tsitsiklis 2013). Enumerates all 2^n - 2
+    proper nonempty S at once, as rows of a 0/1 membership matrix."""
+    adjacency = np.asarray(pattern, dtype=np.int64)
+    n = adjacency.shape[0]
+    inside = (np.arange(1, 2**n - 1)[:, None] >> np.arange(n)) & 1
+    outside = 1 - inside
+    leaving = ((inside @ adjacency) * outside).sum(axis=1) > 0
+    entering = ((outside @ adjacency) * inside).sum(axis=1) > 0
+    return bool(np.array_equal(leaving, entering))
+
+
+def is_b_connected(graphs, window: int) -> bool:
+    """Every run of `window` consecutive graphs has a strongly connected union
+    (Jadbabaie, Lin & Morse 2003; Moreau 2005); fewer graphs than that hold vacuously."""
+    for start in range(len(graphs) - window + 1):
+        union = Digraph(graphs[start].n, set().union(*(g.edges for g in graphs[start : start + window])))
+        if len(components_by_bfs(union)) != 1:
+            return False
+    return True

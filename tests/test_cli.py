@@ -518,6 +518,25 @@ PINNED_FILES = {
     "periodic-counterexample": "6485931c80ca2869ee02874b51c8f511621dd58770e6f15619b9f0c6095a7d5d",
 }
 
+# SHA-256 of generated files whose rows have many cells, where the order in which
+# each row's weights are summed decides the last bits of its entries
+PINNED_LARGE_FILES = {
+    "positive-diagonal --n 40 --length 3 --alpha 0.02 --seed 5":
+        "f4a87391c5d16b793fc19cb600f374fe2c9aedb666deccd6258cd3fdbcabf395",
+    "cycle-core --n 40 --length 3 --alpha 0.02 --seed 5":
+        "d24db706ed5a25678633a3afcaa6598bb9438e4cd59b4d572bce217e7a1ed8f4",
+    "wolfowitz-set --n 16 --length 5 --alpha 0.05 --seed 5":
+        "ee65612d5fca1ef337dcc78753b5a9abb24df046ebd2b5b6137293cdf643cb90",
+}
+
+
+@pytest.mark.parametrize("arguments", PINNED_LARGE_FILES)
+def test_large_generated_files_pinned(tmp_path, capsys, arguments):
+    path = tmp_path / "large.seq"
+    assert main(["generate", *arguments.split(), "--out", str(path)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_LARGE_FILES[arguments]
+
 
 def test_reports_pinned(tmp_path, capsys):
     assert {source for source, _ in PINNED_REPORTS} == {*PINNED_FILES, "identity"}

@@ -225,6 +225,16 @@ class TestCertificate:
         assert cert.entry_floor == 0.0
         assert cert.vacuous
 
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 2a: envelope(k) assumes K-windows that were never checked")
+    def test_envelope_bounds_products_whose_later_windows_never_saturate(self):
+        # P(1) from start 1 saturates at K = 1, but the 399 identities after it never
+        # contract: tau(P(300)) = 0.1, while envelope(300) applies the contraction 300 times
+        seq = seq_of(StochasticMatrix([[0.5, 0.5], [0.4, 0.6]]), *[identity_matrix(2)] * 399)
+        cert = contraction_certificate(seq)
+        assert cert.saturation_index == 1
+        assert cert.contraction == pytest.approx(0.991808)
+        assert cert.envelope(300) >= matrix_seminorm(partial_product(seq, 0, 300))
+
     def test_block_contraction_soundness(self):
         for preset, n in [("positive-diagonal", 3), ("cycle-core", 3), ("positive-diagonal", 4)]:
             seq = preset_fixture(preset, n, 6 * wielandt_bound(n), 1.0 / (2 * n), seed=40 + n)

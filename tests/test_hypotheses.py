@@ -24,6 +24,8 @@ from oracles import (
     components_by_bfs,
     core_exists_exhaustive,
     first_reach_by_walks,
+    is_b_connected,
+    is_cut_balanced,
     is_subgraph,
     random_stochastic,
     relabel_entries,
@@ -485,3 +487,75 @@ class TestAnalyze:
             if a.core is not None:
                 assert {(perm[i], perm[j]) for (i, j) in a.core.edges} == b.core.edges
             assert a.eventual_positivity == b.eventual_positivity
+
+
+class TestClassicalConditions:
+    """The paper's theorem generalizes classical consensus conditions: each, as an
+    oracle predicate on the factor patterns, implies what analyze and
+    positivity_onsets report."""
+
+    @staticmethod
+    def cut_balanced(rng, n, symmetric):
+        """Self-loops plus, on each block of a random partition, a cycle through the block
+        and random edges inside it; or, symmetric, random edges and their reverses."""
+        if symmetric:
+            pattern = rng.random((n, n)) < rng.uniform(0.0, 0.6)
+            return pattern | pattern.T | np.eye(n, dtype=bool)
+        labels = rng.integers(0, rng.integers(1, n + 1), size=n)
+        pattern = (rng.random((n, n)) < rng.uniform(0.0, 0.6)) & (labels[:, None] == labels[None, :])
+        pattern |= np.eye(n, dtype=bool)
+        for label in np.unique(labels):
+            block = rng.permutation(np.flatnonzero(labels == label))
+            pattern[block, np.roll(block, -1)] = True
+        return pattern
+
+    @staticmethod
+    def b_connected(rng, n, window, length):
+        """Self-loops, a random spanning cycle whose edges each recur every `window`
+        factors from a random phase, and a few random edges: every run of `window`
+        consecutive factors holds the whole cycle."""
+        order = rng.permutation(n)
+        phases = rng.integers(0, window, size=n)
+        stack = rng.random((length, n, n)) < rng.choice([0.0, 0.0, 0.05, 0.2])
+        stack[:, np.arange(n), np.arange(n)] = True
+        for t in range(length):
+            on = phases == t % window
+            stack[t, order[on], np.roll(order, -1)[on]] = True
+        return stack
+
+    def test_cut_balanced_positive_diagonal_is_completely_reducible_with_a_core(self):
+        # cut balance makes each factor the disjoint union of its strongly connected
+        # components, so it is completely reducible, and the self-loops give the core;
+        # symmetric patterns (Moreau 2005) are the special case
+        rng = np.random.default_rng(150)
+        for trial in range(400):
+            n, length = int(rng.integers(1, 9)), int(rng.integers(1, 40))
+            stack = np.stack([self.cut_balanced(rng, n, trial % 2 == 1) for _ in range(length)])
+            assert all(is_cut_balanced(p) for p in stack)
+            report = analyze(TestPositivityOnsets.weighted(stack, 0.0))
+            assert report.reducibility_failures == ()
+            assert report.core is not None
+            assert report.core_offenders == ()
+            assert not [v for v in report.violations if not v.startswith("eventual-positivity")]
+
+    def test_b_connected_positive_diagonal_bounds_every_onset(self):
+        # a run of `window` factors with self-loops contains its union, so each run
+        # adds a node to every column's in-set, and n - 1 runs fill the product:
+        # onset(k) <= k + (n - 1) window - 1 wherever the horizon holds that many runs
+        rng = np.random.default_rng(151)
+        pairs = tight = 0
+        for _ in range(150):
+            n, window = int(rng.integers(2, 7)), int(rng.integers(1, 4))
+            length = int(rng.integers(1, 3 * n * window))
+            stack = self.b_connected(rng, n, window, length)
+            assert is_b_connected([Digraph.from_adjacency(p) for p in stack], window)
+            onsets = positivity_onsets(stack)
+            report = analyze(TestPositivityOnsets.weighted(stack, 0.0), all_starts=True)
+            assert report.eventual_positivity == dict(enumerate(onsets, start=1))
+            for k in range(1, length - (n - 1) * window + 2):
+                bound = k + (n - 1) * window - 1
+                assert onsets[k - 1] is not None and onsets[k - 1] <= bound, (k, bound, onsets)
+                pairs += 1
+                tight += onsets[k - 1] == bound
+        # the bound is met exactly often enough that an onset one step late shows
+        assert pairs >= 1000 and tight >= 100, (pairs, tight)

@@ -17,9 +17,9 @@ from ergocert.seqfile import (
     read_sequence_file,
     write_sequence_file,
 )
-from ergocert.stochastic import NEGATIVITY_TOL, StochasticMatrix, identity_matrix
+from ergocert.stochastic import NEGATIVITY_TOL, MatrixSequence, StochasticMatrix, identity_matrix
 
-from oracles import parse_per_token
+from oracles import format_per_value, parse_per_token
 
 GOOD = """n=2
 # preset=demo
@@ -362,3 +362,57 @@ class TestAgainstPerTokenParse:
             assert all(np.shares_memory(m.entries, seq.stack) for m in views)
             with pytest.raises(ValueError, match="read-only"):
                 seq.stack[0, 0, 0] = 0.5
+
+
+@st.composite
+def repeating_stacks(draw, entry, fill=None):
+    """(L, n, n) stacks whose rows are drawn from a small pool, so rows repeat.
+    With `fill`, one column of each pool row is set to fill(the row's other entries)."""
+    n = draw(st.integers(1, 5))
+    pool = []
+    for _ in range(draw(st.integers(1, 4))):
+        row = draw(st.lists(entry(n), min_size=n, max_size=n))
+        if fill is not None:
+            p = draw(st.integers(0, n - 1))
+            row[p] = fill(row[:p] + row[p + 1 :])
+        pool.append(row)
+    rows = [draw(st.sampled_from(pool)) for _ in range(draw(st.integers(1, 4)) * n)]
+    return rows, n
+
+
+class TestAgainstPerValueWriter:
+    """format_sequence's one text per distinct row, with a token for entries whose bits
+    are all zero, against repr of every value."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(repeating_stacks(lambda n: st.one_of(
+        st.sampled_from([0.0, -0.0, 5e-324, 1e-5, 1e16]), st.floats(allow_nan=False, allow_infinity=False)
+    )))
+    def test_float64_sequences(self, drawn):
+        # a MatrixSequence's stack is written as it is, unchecked, as generate writes its sequences
+        rows, n = drawn
+        stack = np.array(rows, dtype=np.float64).reshape(-1, n, n)
+        metadata = {"preset": "drawn"}
+        assert format_sequence(MatrixSequence._of_stack(stack), metadata) == format_per_value(stack, metadata)
+
+    @settings(max_examples=50, deadline=None)
+    @given(repeating_stacks(lambda n: st.just(0), fill=lambda others: 1), st.sampled_from([np.int64, np.int32]))
+    def test_int_raw_arrays(self, drawn, dtype):
+        # 0/1 rows with one 1: stochastic, so the raw array passes the writer's parse-back
+        rows, n = drawn
+        stack = np.array(rows, dtype=dtype).reshape(-1, n, n)
+        assert format_sequence(stack) == format_per_value(stack)
+        assert "0.0" not in format_sequence(stack)
+
+    @settings(max_examples=50, deadline=None)
+    @given(repeating_stacks(
+        lambda n: st.one_of(
+            st.sampled_from([0.0, -0.0, 2.0**-149, 2.0**-126]), st.integers(0, 64 // n).map(lambda k: k / 64)
+        ),
+        fill=lambda others: 1.0 - sum(others),
+    ))
+    def test_float32_raw_arrays(self, drawn):
+        # entries of k / 64 sum exactly; float32 subnormals shift a row sum by far less than ROW_SUM_TOL
+        rows, n = drawn
+        stack = np.array(rows, dtype=np.float32).reshape(-1, n, n)
+        assert format_sequence(stack) == format_per_value(stack)
