@@ -200,7 +200,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("preset", choices=PRESETS)
     p.add_argument("--n", type=int, default=3)
     p.add_argument("--length", type=int, default=30)
-    p.add_argument("--alpha", type=float, default=0.1)
+    p.add_argument("--alpha", type=float, default=None, help="floor of the positive entries (default: min(0.1, 1/n))")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_generate)

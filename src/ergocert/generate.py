@@ -47,14 +47,16 @@ _PRIMITIVE_PATTERN_ATTEMPTS = 500
 _WOLFOWITZ_PATTERN_DENSITY = 0.55
 
 
-def generate_sequence(preset: str, n: int, length: int, alpha: float, seed: int) -> SequenceFile:
-    """Generate one sequence file for the given preset and parameters."""
+def generate_sequence(preset: str, n: int, length: int, alpha: float | None, seed: int) -> SequenceFile:
+    """Generate one sequence file for the given preset and parameters; alpha None is min(0.1, 1/n)."""
     if preset not in PRESETS:
         raise ContractViolation(f"unknown preset {preset!r}; choose from {', '.join(PRESETS)}")
     if n < 2:
         raise ContractViolation("n must be at least 2")
     if length < 1:
         raise ContractViolation("length must be at least 1")
+    if alpha is None:
+        alpha = min(0.1, 1.0 / n)
     if not 0 < alpha <= 1.0 / n:
         raise ContractViolation(f"alpha must lie in (0, 1/n] = (0, {1.0 / n!r}]")
     if seed < 0:

@@ -19,8 +19,8 @@ which the file's MatrixSequence takes over; `SequenceFile.matrices` are views of
 kept for the benchmark's traced run. Finite-set or periodic factors repeat rows (the
 periodic counterexample at n=101, L=150 has 101 distinct lines in 15 150), and a repeat
 is neither converted nor kept; a file of distinct lines pays one dict insert per line,
-4-10% of its parse. The writer formats each distinct row once: an entry whose bits are
-all zero is its dtype's zero (0.0, or 0 for ints), repr writes the rest, and -0.0 keeps
+4-10% of its parse. The writer takes only validated sequences and formats each distinct
+row once: an entry whose bits are all zero is 0.0, repr writes the rest, and -0.0 keeps
 its sign. Only rejected input is scanned again, and each distinct line is converted
 once, to name the first bad line or record, with `parse_numbers`, which also reads the
 CLI's x0 vectors. Records and rows in error messages are 1-based. Writes are atomic:
@@ -39,7 +39,7 @@ from typing import NoReturn
 import numpy as np
 
 from .errors import StochasticityError
-from .stochastic import MatrixSequence, StochasticMatrix, as_stack, normalize_rows
+from .stochastic import MatrixSequence, StochasticMatrix, normalize_rows
 
 
 class SequenceFileError(ValueError):
@@ -165,38 +165,30 @@ def read_sequence_file(path: str | Path) -> SequenceFile:
 
 
 def format_sequence(factors, metadata: dict[str, str] | None = None) -> str:
-    """Render a MatrixSequence, StochasticMatrix items stacked as by MatrixSequence, or a raw
-    (L, n, n) array in the file format; floats use shortest round-trip form. A raw array's
-    original values are written, and their text is parsed back first, so the writer refuses
-    (SequenceFileError) what the parser would. Refuses metadata keys or values that are not
+    """Render a MatrixSequence, or StochasticMatrix items stacked by MatrixSequence, in the file
+    format; floats use shortest round-trip form. Refuses metadata keys or values that are not
     str or would not read back unchanged. Each distinct row, keyed by its bytes, is formatted
-    once, all of them by one %-template: an entry whose bits are all zero is its dtype's zero
-    (0.0, or 0 for ints), %r writes the others, and -0.0 keeps its own text."""
-    stack = factors.stack if isinstance(factors, MatrixSequence) else as_stack(factors)
-    if stack.ndim != 3:
-        raise SequenceFileError(f"expected an (L, n, n) stack, got shape {stack.shape}")
-    lines = [f"n={stack.shape[1]}"]
+    once, all of them by one %-template: an entry whose bits are all zero is 0.0, %r writes
+    the others, and -0.0 keeps its own text."""
+    stack = (factors if isinstance(factors, MatrixSequence) else MatrixSequence(factors)).stack
+    n = stack.shape[1]
+    lines = [f"n={n}"]
     for key, value in (metadata or {}).items():
         readable = all(isinstance(s, str) and len(s.splitlines()) <= 1 and s == s.strip() for s in (key, value))
         if not readable or not key or "=" in key:
             raise SequenceFileError(f"metadata {key!r}: {value!r} would not read back unchanged")
         lines.append(f"# {key}={value}")
-    height, width = stack.shape[1:]
-    rows = stack.reshape(len(stack) * height, width)
+    rows = stack.reshape(len(stack) * n, n)
     slots: dict[bytes, int] = {}
     slot = [slots.setdefault(row.tobytes(), len(slots)) for row in rows]
     unique = rows[np.unique(np.array(slot, dtype=np.intp), return_index=True)[1]]
-    kind, zero = stack.dtype.kind, repr(np.zeros((), stack.dtype).item())
-    nonzero = (unique != 0) | (kind == "f" and np.signbit(unique)) if kind in "biuf" else np.ones_like(unique, bool)
-    tokens = np.array([[f"{zero} ", "%r "], [f"{zero}\n", "%r\n"]], dtype=bytes)  # [row end?][not all-zero bits?]
-    template = tokens[(np.arange(width) == width - 1).view(np.uint8), nonzero.view(np.uint8)].tobytes()
+    nonzero = (unique != 0) | np.signbit(unique)
+    tokens = np.array([["0.0 ", "%r "], ["0.0\n", "%r\n"]], dtype=bytes)  # [row end?][not all-zero bits?]
+    template = tokens[(np.arange(n) == n - 1).view(np.uint8), nonzero.view(np.uint8)].tobytes()
     row_text = (template.replace(b"\0", b"").decode() % tuple(unique[nonzero].tolist())).split("\n")
     for record in range(len(stack)):
-        lines += ["", *(row_text[k] for k in slot[record * height : (record + 1) * height])]
-    text = "\n".join(lines) + "\n"
-    if isinstance(factors, np.ndarray):
-        parse_sequence_text(text)
-    return text
+        lines += ["", *(row_text[k] for k in slot[record * n : (record + 1) * n])]
+    return "\n".join(lines) + "\n"
 
 
 def write_sequence_file(path: str | Path, factors, metadata: dict[str, str] | None = None) -> None:

@@ -86,12 +86,17 @@ class StochasticMatrix:
 @dataclass(frozen=True, eq=False)
 class MatrixSequence:
     """Factors A(1), ..., A(L) of one dimension as one read-only (L, n, n) stack of validated
-    entries, A(k) = stack[k - 1]; the constructor stacks StochasticMatrix items, not renormalized."""
+    entries, A(k) = stack[k - 1]; the constructor stacks StochasticMatrix items, not renormalized,
+    and refuses any other item (TypeError)."""
 
     stack: np.ndarray
 
     def __init__(self, items: Iterable[StochasticMatrix]) -> None:
-        entries = [m.entries for m in items]
+        entries = []
+        for m in items:
+            if not isinstance(m, StochasticMatrix):
+                raise TypeError(f"a sequence takes StochasticMatrix items, got {type(m).__name__}")
+            entries.append(m.entries)
         dims = sorted({len(e) for e in entries})
         if len(dims) != 1:
             raise DimensionError(f"a sequence needs matrices of one dimension, got {dims}")

@@ -412,8 +412,19 @@ class TestGenerate:
 
     def test_bad_parameters(self, tmp_path, capsys):
         out = tmp_path / "x.seq"
-        assert main(["generate", "cycle-core", "--n", "1", "--out", str(out)]) == 2
+        for n in ("0", "1"):  # refused before the default alpha, min(0.1, 1/n), is derived
+            assert main(["generate", "cycle-core", "--n", n, "--out", str(out)]) == 2
+            assert capsys.readouterr() == ("", "error: n must be at least 2\n")
         assert main(["generate", "cycle-core", "--alpha", "0.9", "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_default_alpha_is_at_most_one_over_n(self, tmp_path, capsys):
+        # the default was 0.1 for every n, so above n = 10 generate refused it: alpha must lie in (0, 1/n]
+        args = ["generate", "positive-diagonal", "--n", "40", "--length", "3", "--seed", "5", "--out"]
+        assert main([*args, str(tmp_path / "default.seq")]) == 0
+        assert main([*args, str(tmp_path / "given.seq"), "--alpha", "0.025"]) == 0
+        capsys.readouterr()
+        assert (tmp_path / "default.seq").read_bytes() == (tmp_path / "given.seq").read_bytes()
 
     def test_negative_seed_is_an_input_error(self, tmp_path, capsys):
         # numpy's ValueError escaped with a traceback and exit 1

@@ -12,6 +12,7 @@ from ergocert.digraph import Digraph
 from ergocert.errors import DimensionError, NegativityError, StochasticityError
 from ergocert.stochastic import (
     NEGATIVITY_TOL,
+    MatrixSequence,
     StochasticMatrix,
     digraph_of,
     factor_patterns,
@@ -67,6 +68,11 @@ class TestValidation:
         m = StochasticMatrix(raw)
         raw[0, 0] = 7.0
         assert m.entries[0, 0] == 1.0
+
+    def test_sequence_refuses_items_that_are_not_matrices(self):
+        # a raw array's rows have no validated entries: this was an AttributeError
+        with pytest.raises(TypeError, match="StochasticMatrix items, got ndarray"):
+            MatrixSequence([np.eye(2)])
 
 
 class TestMultiplyApply:
