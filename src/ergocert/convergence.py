@@ -1,5 +1,5 @@
 """Backward partial products, the saturation scan, and contraction
-certificates with a geometric envelope.
+certificates: tau(P(k)) <= contraction for every k >= K, counted from start 1.
 
 Products accumulate new factors on the left. With nonnegative entries there
 is no cancellation, so no windowed re-association is needed for stability.
@@ -7,7 +7,6 @@ is no cancellation, so no windowed re-association is needed for stability.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice, repeat
@@ -46,12 +45,10 @@ class ConvergenceCertificate:
     """Machine-checkable contraction certificate.
 
     Only P(K) = A(K)...A(1), K = saturation_index, is checked: its
-    semi-norm is at most the contraction factor 1 - n * entry_floor. The
-    envelope below applies that factor once per K steps, so beyond K it
-    assumes every later window of K factors saturates as well, which
-    nothing verifies. The stored ``contraction`` float rounds to 1.0 once the
-    floor drops under machine epsilon, so the envelope is evaluated in log
-    space from the exact complement n * entry_floor. ``row_sum_drift`` is
+    semi-norm is at most the contraction factor 1 - n * entry_floor. Every
+    later product from start 1 is P(k) = R.P(K) with R stochastic, so
+    tau(P(k)) <= tau(P(K)) <= contraction for every k >= K; later windows
+    are not checked, so no faster decay is claimed. ``row_sum_drift`` is
     the largest |row sum - 1| over the scanned products P(1..K).
     """
 
@@ -66,18 +63,8 @@ class ConvergenceCertificate:
 
     @property
     def vacuous(self) -> bool:
-        """True when the contraction rounds to 1.0: the envelope then bounds nothing."""
+        """True when the contraction rounds to 1.0: it then bounds nothing."""
         return self.contraction >= 1.0
-
-    def envelope(self, k: int) -> float:
-        """Certified bound contraction ** (k // saturation_index) at step k, in log space;
-        at n = 1 the contraction is exactly 0.0, which has no logarithm."""
-        if k < 0:
-            raise ContractViolation(f"step k must be nonnegative, got {k}")
-        blocks = k // self.saturation_index
-        if self.contraction == 0.0:
-            return 0.0**blocks
-        return math.exp(blocks * math.log1p(-self.n * self.entry_floor))
 
 
 @dataclass(frozen=True)

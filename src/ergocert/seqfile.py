@@ -3,7 +3,7 @@
 Format, line oriented and diffable:
 
     n=3                  header: the dimension in ASCII digits, first content line
-    # key=value          optional metadata, one pair per comment line
+    # key=value          optional metadata, one pair per comment line; the key is non-empty
     0.2 0.3 0.5          one matrix = n data lines of n decimal reals
     0.1 0.8 0.1
     0.4 0.4 0.2
@@ -82,9 +82,8 @@ def parse_sequence_text(text: str) -> SequenceFile:
         if not line:
             continue
         if line.startswith("#"):
-            body = line.lstrip("#").strip()
-            if "=" in body:
-                key, value = body.split("=", 1)
+            key, eq, value = line.lstrip("#").partition("=")
+            if eq and key.strip():  # a decorative "# ==== x ====" has an empty key and is no metadata
                 metadata.setdefault(key.strip(), value.strip())
             continue
         if n is None:

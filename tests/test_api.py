@@ -6,10 +6,12 @@ and no other test, so this module imports each of them, checks that the
 list below still covers the file, and reads the result attributes the
 traced run reads. It also checks that the package root exports exactly the
 documented library, that the README's library example resolves, and that
-the package exports no name that only tests use.
+the package exports no name, and no exported type an attribute, that only
+tests use.
 """
 
 import ast
+import dataclasses
 import re
 from pathlib import Path
 from types import ModuleType
@@ -58,18 +60,34 @@ def referenced_names(path: Path) -> set[str]:
     }
 
 
+INIT = PACKAGE / "__init__.py"
+
+
+def non_test_reads() -> set[str]:
+    """Every name read in the package modules or in the traced run."""
+    callers = [path for path in PACKAGE.glob("*.py") if path != INIT] + [LAYERS]
+    return set().union(*(referenced_names(path) for path in callers))
+
+
 def test_every_export_has_a_non_test_caller():
-    init = PACKAGE / "__init__.py"
     exported = {
         alias.asname or alias.name
-        for node in ast.walk(ast.parse(init.read_text(encoding="utf-8")))
+        for node in ast.walk(ast.parse(INIT.read_text(encoding="utf-8")))
         if isinstance(node, ast.ImportFrom)
         for alias in node.names
     }
     assert exported
-    callers = [path for path in PACKAGE.glob("*.py") if path != init] + [LAYERS]
-    used = set().union(*(referenced_names(path) for path in callers))
-    assert exported - used == set()
+    assert exported - non_test_reads() == set()
+
+
+def test_every_public_attribute_of_an_exported_type_has_a_non_test_reader():
+    attributes = set()
+    for cls in (value for value in vars(ergocert).values() if isinstance(value, type)):
+        fields = [field.name for field in dataclasses.fields(cls)] if dataclasses.is_dataclass(cls) else []
+        attributes |= {(cls.__name__, name) for name in [*fields, *vars(cls)] if not name.startswith("_")}
+    assert attributes
+    used = non_test_reads()
+    assert {(cls, name) for cls, name in attributes if name not in used} == set()
 
 
 def test_root_exports_the_documented_library():

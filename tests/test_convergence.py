@@ -167,12 +167,6 @@ class TestCertificate:
     def test_identity_only_exhausts_horizon(self):
         assert contraction_certificate(seq_of(identity_matrix(2), identity_matrix(2))) is None
 
-    def test_envelope_matches_power(self):
-        cert = contraction_certificate(seq_of(RANK1, RANK1))
-        assert cert.envelope(0) == 1.0
-        assert cert.envelope(1) == pytest.approx(0.96875)
-        assert cert.envelope(5) == pytest.approx(0.96875**5)
-
     def test_alpha_is_not_a_parameter(self):
         # the realized minimum is the largest alpha that holds; any other
         # value could only weaken the certificate
@@ -193,22 +187,12 @@ class TestCertificate:
         with pytest.raises(CertificationRefused):
             contraction_certificate(seq_of(LAZY, triangular))
 
-    def test_envelope_at_dimension_one(self):
-        # n * entry_floor == 1: log1p(-1) raised a math domain error for every k
+    def test_certificate_at_dimension_one(self):
+        # n * entry_floor == 1: the contraction is exactly 0.0, and it bounds something
         cert = contraction_certificate(MatrixSequence([StochasticMatrix([[1.0]])] * 3))
         assert cert.contraction == 0.0
-        assert cert.envelope(0) == 1.0
-        assert cert.envelope(1) == 0.0
-        assert cert.envelope(5) == 0.0
-
-    def test_envelope_refuses_negative_steps(self):
-        # 0.0 ** -1 raised ZeroDivisionError at n = 1, and on RANK1 a negative
-        # block count gave a "bound" above 1 on a semi-norm that never exceeds 1
-        for seq, k in [(MatrixSequence([StochasticMatrix([[1.0]])] * 3), -1), (seq_of(RANK1, RANK1, RANK1), -3)]:
-            cert = contraction_certificate(seq)
-            with pytest.raises(ContractViolation, match="nonnegative"):
-                cert.envelope(k)
-            assert cert.envelope(0) == 1.0
+        assert cert.seminorm_at_saturation == 0.0
+        assert not cert.vacuous
 
     def test_vacuous_when_the_contraction_rounds_to_one(self):
         # n = 8, alpha = 0.1: the floor 0.1 ** 296 is below machine epsilon
@@ -225,15 +209,17 @@ class TestCertificate:
         assert cert.entry_floor == 0.0
         assert cert.vacuous
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 2a: envelope(k) assumes K-windows that were never checked")
-    def test_envelope_bounds_products_whose_later_windows_never_saturate(self):
-        # P(1) from start 1 saturates at K = 1, but the 399 identities after it never
-        # contract: tau(P(300)) = 0.1, while envelope(300) applies the contraction 300 times
+    def test_contraction_bounds_every_later_product(self):
+        # P(1) from start 1 saturates at K = 1, and the 399 identities after it never
+        # contract: tau(P(k)) stays 0.1, which the one checked contraction still bounds
         seq = seq_of(StochasticMatrix([[0.5, 0.5], [0.4, 0.6]]), *[identity_matrix(2)] * 399)
         cert = contraction_certificate(seq)
         assert cert.saturation_index == 1
         assert cert.contraction == pytest.approx(0.991808)
-        assert cert.envelope(300) >= matrix_seminorm(partial_product(seq, 0, 300))
+        later = [state for state in iter_products(seq) if state.k >= cert.saturation_index]
+        assert len(later) == len(seq)
+        for state in later:
+            assert state.seminorm <= cert.contraction + 1e-12
 
     def test_block_contraction_soundness(self):
         for preset, n in [("positive-diagonal", 3), ("cycle-core", 3), ("positive-diagonal", 4)]:
@@ -242,11 +228,14 @@ class TestCertificate:
             assert cert is not None
             K = cert.saturation_index
             blocks = len(seq) // K
+            compounded = 1.0
             for m in range(1, blocks + 1):
                 block_norm = matrix_seminorm(partial_product(seq, (m - 1) * K, m * K))
                 assert block_norm <= cert.contraction + 1e-12
+                # tau is submultiplicative: the measured block semi-norms compound
+                compounded *= block_norm
                 whole = matrix_seminorm(partial_product(seq, 0, m * K))
-                assert whole <= cert.envelope(m * K) + COMPOUND_SLACK
+                assert whole <= compounded + COMPOUND_SLACK
 
 
 class TestRunToTolerance:
@@ -372,16 +361,15 @@ class TestDisagreementTrajectory:
         with pytest.raises(DimensionError):
             disagreement_trajectory(seq_of(LAZY), [1.0, 2.0, 3.0])
 
-    def test_envelope_bounds_trajectory(self):
+    def test_contraction_bounds_trajectory(self):
         seq = preset_fixture("positive-diagonal", 3, 30, 0.15, seed=44)
         cert = contraction_certificate(seq)
         assert cert is not None
         x0 = np.array([1.0, 0.0, -1.0])
         values = disagreement_trajectory(seq, x0)
         half_spread = (x0.max() - x0.min()) / 2
-        for m in range(len(seq) // cert.saturation_index + 1):
-            k = m * cert.saturation_index
-            assert values[k] <= half_spread * cert.envelope(k) + COMPOUND_SLACK
+        for k in range(cert.saturation_index, len(seq) + 1):
+            assert values[k] <= half_spread * cert.contraction + COMPOUND_SLACK
 
 
 class TestLazySeminorm:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ergocert import digraph
-from ergocert.digraph import Digraph, intersection, is_aperiodic
+from ergocert.digraph import Digraph, intersection, is_aperiodic, wielandt_bound
 from ergocert.errors import ContractViolation, DimensionError
 from ergocert.hypotheses import (
     MatrixSequence,
@@ -559,3 +559,27 @@ class TestClassicalConditions:
                 tight += onsets[k - 1] == bound
         # the bound is met exactly often enough that an onset one step late shows
         assert pairs >= 1000 and tight >= 100, (pairs, tight)
+
+    def test_wolfowitz_sets_hold_at_some_block_length(self):
+        # Wolfowitz (1963): products of a finite set of SIA (here primitive) factors
+        # converge, yet single factors share no aperiodic core. The block products
+        # B(j) = A(jb)...A((j-1)b+1) meet every condition at some b <= W(n); they are
+        # sound to analyze, as P(k) = R.P(jb) with R stochastic
+        failing_at_one = 0
+        for n in range(3, 7):
+            for seed in range(4):
+                stack = generate_sequence("wolfowitz-set", n, 300, 0.1 if n <= 4 else 0.05, seed).sequence.stack
+                for b in range(1, wielandt_bound(n) + 1):
+                    windows = stack[: len(stack) // b * b].reshape(-1, b, n, n)
+                    blocks = np.stack([np.linalg.multi_dot([*window[::-1], np.eye(n)]) for window in windows])
+                    for block, window in zip(blocks, windows):
+                        graphs = [Digraph.from_adjacency(pattern) for pattern in factor_patterns(window)]
+                        assert np.array_equal(block > 0, boolean_product_pattern(graphs))
+                    report = analyze(MatrixSequence._of_stack(blocks))
+                    if b == 1 and "aperiodic-core" in report.violations:
+                        failing_at_one += 1
+                    if report.holds:
+                        break
+                else:
+                    pytest.fail(f"wolfowitz-set n={n} seed={seed} holds at no b <= {wielandt_bound(n)}")
+        assert failing_at_one == 15

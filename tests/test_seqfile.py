@@ -128,6 +128,18 @@ class TestRoundTrip:
         assert seqf.metadata["kind"] == "fixture"
         assert np.array_equal(seqf.matrices[1].entries, [[0.25, 0.75], [0.5, 0.5]])
 
+    def test_decorative_comment_is_not_metadata(self, tmp_path):
+        # "# ===== walk =====" was read as the key '' with value '==== walk =====',
+        # which the writer then refused, so the file could not be written back
+        text = "n=2\n# ===== walk =====\n# preset=cycle-core\n1 0\n0 1\n"
+        seqf = parse_sequence_text(text)
+        assert seqf.metadata == {"preset": "cycle-core"}
+        path = tmp_path / "seq.txt"
+        write_sequence_file(path, seqf.sequence, seqf.metadata)
+        back = read_sequence_file(path)
+        assert back.metadata == {"preset": "cycle-core"}
+        assert np.array_equal(back.sequence.stack, seqf.sequence.stack)
+
     def test_write_replaces_existing_atomically(self, tmp_path):
         path = tmp_path / "seq.txt"
         write_sequence_file(path, [identity_matrix(2)])
