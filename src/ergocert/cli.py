@@ -81,7 +81,7 @@ def _hypotheses(report: HypothesisReport) -> list:
 
 
 def _parse_x0(raw: str) -> np.ndarray:
-    text = Path(raw[1:]).read_text(encoding="utf-8") if raw.startswith("@") else raw
+    text = Path(raw[1:]).read_text(encoding="utf-8-sig") if raw.startswith("@") else raw
     try:
         return parse_numbers(" ".join(text.replace(",", " ").split()))
     except ValueError:

@@ -16,8 +16,10 @@ import numpy as np
 
 from .digraph import pattern_walk, wielandt_bound
 from .errors import CertificationRefused, ContractViolation, DimensionError
-from .hypotheses import HypothesisReport, MatrixSequence, analyze
-from .stochastic import StochasticMatrix, factor_patterns, matrix_seminorm, min_positive_entry, vector_seminorm
+from .hypotheses import HypothesisReport, analyze
+from .stochastic import (
+    MatrixSequence, StochasticMatrix, factor_patterns, matrix_seminorm, min_positive_entry, vector_seminorm,
+)
 
 # Slack for exact inequalities.
 EXACT_SLACK = 1e-12

@@ -131,19 +131,13 @@ def distinct_patterns(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.unique(slot, return_index=True)[1], slot
 
 
-def completely_reducible(patterns) -> np.ndarray:
-    """Per pattern of an (n, n) pattern or (L, n, n) stack: no edge joins two
-    strongly connected components, which holds iff reachability is symmetric.
-
-    Each distinct pattern is closed once and its answer is mapped back to
-    every index where it occurs.
-    """
-    stack = np.asarray(patterns)
-    flat = stack.reshape(-1, *stack.shape[-2:])
-    first, slot = distinct_patterns(flat)
-    closure = reachability(flat[first])
-    symmetric = (closure == np.swapaxes(closure, -1, -2)).all(axis=(-2, -1))
-    return symmetric[slot].reshape(stack.shape[:-2])
+def completely_reducible(stack: np.ndarray) -> np.ndarray:
+    """Per pattern of an (L, n, n) stack: no edge joins two strongly connected components, which
+    holds iff reachability is symmetric. Each distinct pattern is closed once, and its answer is
+    mapped back to every index where it occurs."""
+    first, slot = distinct_patterns(stack)
+    closure = reachability(stack[first])
+    return (closure == np.swapaxes(closure, -1, -2)).all(axis=(-2, -1))[slot]
 
 
 def _component_labels(closure: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -21,7 +21,8 @@ Presets:
   No sink-free aperiodic common subgraph exists, so certification must be
   refused even though the remaining conditions hold.
 
-Generation is deterministic given (preset, n, length, alpha, seed).
+Generation is deterministic given (preset, n, length, alpha, seed). A preset returns its distinct
+factors (and draws indexing them), which pass `normalize_rows` once and are gathered into one stack.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 from .digraph import component_periods, pattern_product, wielandt_bound, wielandt_graph
 from .errors import ContractViolation
 from .seqfile import SequenceFile
-from .stochastic import MatrixSequence, StochasticMatrix
+from .stochastic import MatrixSequence, normalize_rows
 
 PRESETS = (
     "positive-diagonal",
@@ -63,10 +64,11 @@ def generate_sequence(preset: str, n: int, length: int, alpha: float | None, see
         raise ContractViolation(f"seed must be nonnegative, got {seed}")
 
     if preset == "periodic-counterexample":
-        matrices, metadata = _periodic_counterexample(n, length)
+        factors, draws, metadata = _periodic_counterexample(n, length)
     else:  # only the random presets import numpy.random, with their generator
         draw = {"positive-diagonal": _positive_diagonal, "cycle-core": _cycle_core, "wolfowitz-set": _wolfowitz_set}
-        matrices, metadata = draw[preset](np.random.default_rng(seed), n, length, alpha)
+        factors, draws, metadata = draw[preset](np.random.default_rng(seed), n, length, alpha)
+    normalize_rows(factors.reshape(-1, n))  # each distinct factor once; the draws gather repeats below
 
     metadata = {
         "preset": preset,
@@ -75,10 +77,10 @@ def generate_sequence(preset: str, n: int, length: int, alpha: float | None, see
         "seed": str(seed),
         **metadata,
     }
-    return SequenceFile(metadata, MatrixSequence(matrices))
+    return SequenceFile(metadata, MatrixSequence._of_stack(factors if draws is None else factors[draws]))
 
 
-def _fill_pattern(rng: np.random.Generator, pattern: np.ndarray, alpha: float) -> StochasticMatrix:
+def _fill_pattern(rng: np.random.Generator, pattern: np.ndarray, alpha: float) -> np.ndarray:
     """Weights for a boolean pattern: alpha everywhere plus random row slack (equal shares if a row's
     weights all drew 0.0). Per-seed determinism rests on one draw over the cells in row-major order,
     as one draw per row, and on one pairwise sum per row (np.add.reduceat rounds differently)."""
@@ -89,7 +91,7 @@ def _fill_pattern(rng: np.random.Generator, pattern: np.ndarray, alpha: float) -
     shares = np.where(totals[rows] > 0, weights, 1.0) / np.where(totals > 0, totals, degree)[rows]
     out = np.zeros(pattern.shape)
     out[rows, cols] = alpha + (1.0 - degree * alpha)[rows] * shares  # slack >= 0: alpha <= 1/n, degree <= n
-    return StochasticMatrix(out)
+    return out
 
 
 def _random_spanning_cycle(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -106,17 +108,14 @@ def _positive_diagonal(rng, n, length, alpha):
         pattern |= _random_spanning_cycle(rng, n)
         pattern |= rng.random((n, n)) < _EXTRA_EDGE_DENSITY
         matrices.append(_fill_pattern(rng, pattern, alpha))
-    return matrices, {}
+    return np.array(matrices), None, {}
 
 
 def _cycle_core(rng, n, length, alpha):
     core = wielandt_graph(n)
     base = core.adjacency_matrix()
-    matrices = []
-    for _ in range(length):
-        pattern = base | (rng.random((n, n)) < _EXTRA_EDGE_DENSITY)
-        matrices.append(_fill_pattern(rng, pattern, alpha))
-    return matrices, {"core-edges": core.render()}
+    matrices = [_fill_pattern(rng, base | (rng.random((n, n)) < _EXTRA_EDGE_DENSITY), alpha) for _ in range(length)]
+    return np.array(matrices), None, {"core-edges": core.render()}
 
 
 def _is_primitive_pattern(pattern: np.ndarray) -> bool:
@@ -168,11 +167,9 @@ def _wolfowitz_set(rng, n, length, alpha):
             break
     else:
         raise RuntimeError("failed to draw a generator set with verified product primitivity")
-    generators = [_fill_pattern(rng, p, alpha) for p in patterns]
+    generators = np.array([_fill_pattern(rng, p, alpha) for p in patterns])
     draws = rng.integers(0, len(generators), size=length)
-    matrices = [generators[int(d)] for d in draws]
-    metadata = {"set-size": str(len(generators)), "checked-depth": str(depth)}
-    return matrices, metadata
+    return generators, draws, {"set-size": str(len(generators)), "checked-depth": str(depth)}
 
 
 def _periodic_counterexample(n, length):
@@ -184,6 +181,4 @@ def _periodic_counterexample(n, length):
     else:
         perms = [np.roll(np.arange(n), -1)] * 2
         kind = f"full-cycle-{n}-periodic"
-    factors = [StochasticMatrix(np.eye(n)[perm]) for perm in perms]
-    matrices = [factors[k % 2] for k in range(length)]
-    return matrices, {"pattern": kind}
+    return np.eye(n)[np.array(perms)], np.arange(length) % 2, {"pattern": kind}

@@ -12,18 +12,19 @@ Format, line oriented and diffable:
     0 1 0
     0 0 1
 
-Each distinct data line is converted and validated once: one numpy call reads
-the distinct lines, `stochastic.normalize_rows` (the rule every StochasticMatrix
-passes) checks their rows, and they are gathered into one validated (L, n, n) stack,
-which the file's MatrixSequence takes over; `SequenceFile.matrices` are views of it
-kept for the benchmark's traced run. Finite-set or periodic factors repeat rows (the
-periodic counterexample at n=101, L=150 has 101 distinct lines in 15 150), and a repeat
-is neither converted nor kept; a file of distinct lines pays one dict insert per line,
-4-10% of its parse. The writer takes only validated sequences and formats each distinct
-row once: an entry whose bits are all zero is 0.0, repr writes the rest, and -0.0 keeps
-its sign. Only rejected input is scanned again, and each distinct line is converted
-once, to name the first bad line or record, with `parse_numbers`, which also reads the
-CLI's x0 vectors. Records and rows in error messages are 1-based. Writes are atomic:
+The parser takes text; a file is read as UTF-8, a leading byte-order mark skipped. Each
+distinct data line is converted and validated once: one numpy call reads the distinct
+lines, `stochastic.normalize_rows` (the rule every StochasticMatrix passes) checks their
+rows, and they are gathered into one validated (L, n, n) stack, which the file's
+MatrixSequence takes over; `SequenceFile.matrices` are views of it kept for the traced
+benchmark. Finite-set or periodic factors repeat rows (101 distinct lines in 15 150 for
+the periodic counterexample at n=101, L=150); a repeat is neither converted nor kept, and
+a file of distinct lines pays one dict insert per line, 4-10% of its parse. The writer
+takes only validated sequences and formats each distinct row once: an entry whose bits
+are all zero is 0.0, repr writes the rest, and -0.0 keeps its sign. Only rejected input
+is scanned again, to name the first bad line or record: each distinct line is converted
+once by `parse_numbers`, which also reads the CLI's x0 vectors, and each record is checked
+by `normalize_rows`. Records and rows in error messages are 1-based. Writes are atomic:
 content goes to a temporary file in the target directory and is renamed into place.
 """
 
@@ -153,14 +154,14 @@ def _diagnose(distinct: list[str], slot_of_line: list[int], line_numbers: list[i
                     f"expected {n} values, got {len(row)}"
                 )
         try:
-            StochasticMatrix(block)
+            normalize_rows(np.array(block, dtype=float))
         except StochasticityError as err:
             raise SequenceFileError(f"record {record_index + 1}: {err}") from err
     raise RuntimeError("internal error: every record passed the checks the whole stack failed")
 
 
 def read_sequence_file(path: str | Path) -> SequenceFile:
-    return parse_sequence_text(Path(path).read_text(encoding="utf-8"))
+    return parse_sequence_text(Path(path).read_text(encoding="utf-8-sig"))
 
 
 def format_sequence(factors, metadata: dict[str, str] | None = None) -> str:

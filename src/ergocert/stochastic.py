@@ -149,24 +149,20 @@ def digraph_of(a: StochasticMatrix) -> Digraph:
     return Digraph.from_adjacency(a.entries > 0)
 
 
-def as_stack(factors) -> np.ndarray:
-    """A sequence's (L, n, n) stack: an array as it is, StochasticMatrix items stacked by MatrixSequence."""
-    return factors if isinstance(factors, np.ndarray) else MatrixSequence(factors).stack
-
-
-def factor_patterns(factors) -> np.ndarray:
-    """The (L, n, n) boolean stack of factor patterns: edge (i, j) iff entry (i, j) > 0.
+def factor_patterns(stack: np.ndarray) -> np.ndarray:
+    """The boolean patterns of an (L, n, n) stack of factors: edge (i, j) iff entry (i, j) > 0.
 
     Every condition check and the saturation scan read their factor patterns
     from this stack, so all of them draw the edge line in the same place.
     """
-    return as_stack(factors) > 0
+    return stack > 0
 
 
 def min_positive_entry(factors) -> float | None:
-    """Smallest positive entry across the factors, read in chunks of records within the block
-    budget; None if there is none, which a validated factor never gives: each row sums to 1."""
-    stack = as_stack(factors)
+    """Smallest positive entry of an (L, n, n) stack of factors, or of StochasticMatrix items (the
+    benchmark's traced run passes them; MatrixSequence stacks them), read in chunks of records within
+    the block budget; None if there is none, which a validated factor never gives: each row sums to 1."""
+    stack = factors if isinstance(factors, np.ndarray) else MatrixSequence(factors).stack
     records = max(1, _SEMINORM_BLOCK_BYTES // (stack[:1].nbytes or 1))
     chunks = (stack[start : start + records] for start in range(0, len(stack), records))
     smallest = min((float(c[c > 0].min(initial=np.inf)) for c in chunks), default=np.inf)

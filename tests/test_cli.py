@@ -3,7 +3,7 @@ import hashlib
 import pytest
 
 from ergocert.cli import main
-from ergocert.generate import PRESETS
+from ergocert.generate import PRESETS, generate_sequence
 from ergocert.seqfile import read_sequence_file, write_sequence_file
 from ergocert.stochastic import ROW_SUM_TOL, StochasticMatrix, identity_matrix
 
@@ -86,6 +86,21 @@ class TestValidate:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+    def test_byte_order_mark_is_skipped(self, tmp_path, capsys):
+        # a file saved as UTF-8 with a byte-order mark failed:
+        # "line 1: expected header 'n=<int>', got '\ufeffn=2'"
+        plain, marked = tmp_path / "plain.seq", tmp_path / "marked.seq"
+        seqf = generate_sequence("cycle-core", 4, 30, 0.1, 0)
+        write_sequence_file(plain, seqf.to_sequence(), seqf.metadata)
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        for command in (["validate"], ["analyze"], ["analyze", "--all-starts"]):
+            reports = []
+            for path in (plain, marked):
+                code = main([*command, str(path)])
+                reports.append((code, {k: v for k, v in report_lines(capsys).items() if k != "input.path"}))
+            assert reports[0] == reports[1]
+            assert reports[0][1]["exit_status"] == str(reports[0][0])
 
 
 TRIDIAGONAL = StochasticMatrix([[0.8, 0.2, 0.0], [0.1, 0.8, 0.1], [0.0, 0.2, 0.8]])
@@ -348,6 +363,12 @@ class TestSimulate:
         assert main(["simulate", lazy_file, "--epsilon", "1e-3", "--x0", f"@{vec}"]) == 0
         lines = report_lines(capsys)
         assert float(lines["trajectory_x0.0"]) == 0.5
+
+    def test_x0_file_may_start_with_a_byte_order_mark(self, lazy_file, tmp_path, capsys):
+        vec = tmp_path / "x0.txt"
+        vec.write_bytes(b"\xef\xbb\xbf0.0 1.0\n")
+        assert main(["simulate", lazy_file, "--epsilon", "1e-3", "--x0", f"@{vec}"]) == 0
+        assert float(report_lines(capsys)["trajectory_x0.0"]) == 0.5
 
     def test_x0_file_takes_the_inline_separators(self, lazy_file, tmp_path, capsys):
         # commas became spaces only in the inline form: '@file' exited 2

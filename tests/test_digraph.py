@@ -292,13 +292,13 @@ class TestPatternWalk:
 
 class TestCompleteReducibility:
     def test_disjoint_cycles(self):
-        assert completely_reducible(Digraph(4, {(1, 2), (2, 1), (3, 4), (4, 3)}).adjacency_matrix())
+        assert completely_reducible(Digraph(4, {(1, 2), (2, 1), (3, 4), (4, 3)}).adjacency_matrix()[None])[0]
 
     def test_cross_component_edge(self):
-        assert not completely_reducible(Digraph(2, {(2, 1), (1, 1), (2, 2)}).adjacency_matrix())
+        assert not completely_reducible(Digraph(2, {(2, 1), (1, 1), (2, 2)}).adjacency_matrix()[None])[0]
 
     def test_strongly_connected(self):
-        assert completely_reducible(cycle(5).adjacency_matrix())
+        assert completely_reducible(cycle(5).adjacency_matrix()[None])[0]
 
     def test_stack_gives_one_flag_per_pattern(self):
         stack = np.array([cycle(3).adjacency_matrix(), Digraph(3, {(1, 2)}).adjacency_matrix()])
@@ -356,7 +356,7 @@ class TestAgainstBfsOracle:
             for u in range(1, n + 1):
                 assert set((np.flatnonzero(closure[u - 1]) + 1).tolist()) == reachable_by_bfs(g, u)
             assert set(strongly_connected_components(g).components) == components_by_bfs(g)
-            assert bool(completely_reducible(g.adjacency_matrix())) == completely_reducible_by_bfs(g)
+            assert bool(completely_reducible(g.adjacency_matrix()[None])[0]) == completely_reducible_by_bfs(g)
 
 
 class TestWielandt:
@@ -451,6 +451,8 @@ class TestPermutationInvariance:
 
             assert sinks(h) == frozenset(perm[u] for u in sinks(g))
             assert is_aperiodic(g).aperiodic == is_aperiodic(h).aperiodic
-            assert completely_reducible(g.adjacency_matrix()) == completely_reducible(h.adjacency_matrix())
+            assert (
+                completely_reducible(g.adjacency_matrix()[None])[0] == completely_reducible(h.adjacency_matrix()[None])[0]
+            )
             for comp in strongly_connected_components(g).components:
                 assert scc_period(g, comp) == scc_period(h, frozenset(perm[u] for u in comp))

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from ergocert import seqfile
 from ergocert.errors import DimensionError
-from ergocert.generate import generate_sequence
+from ergocert.generate import PRESETS, generate_sequence
 from ergocert.seqfile import (
     SequenceFileError,
     format_sequence,
@@ -377,6 +377,17 @@ class TestAgainstPerTokenParse:
             assert all(np.shares_memory(m.entries, seq.stack) for m in views)
             with pytest.raises(ValueError, match="read-only"):
                 seq.stack[0, 0, 0] = 0.5
+
+    def test_generation_and_diagnosis_build_no_matrix(self):
+        # generate validates each distinct factor once and gathers them into one stack, as
+        # the parser does, and a rejected record is checked by the rule the stack failed
+        text = "n=2\n1 0\n0 1\n\n0.3 0.4\n0 1\n"
+        with mock.patch.object(StochasticMatrix, "__init__", side_effect=AssertionError("per-factor matrix")):
+            for preset in PRESETS:
+                assert generate_sequence(preset, 4, 12, 0.1, 0).length == 12
+            with pytest.raises(SequenceFileError) as rejected:
+                parse_sequence_text(text)
+        assert str(rejected.value) == "record 2: row 1 sums to 0.7, not 1 within 1e-09"
 
 
 @st.composite

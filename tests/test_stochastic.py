@@ -126,7 +126,7 @@ class TestDigraphOf:
 class TestFactorPatterns:
     def test_edge_is_any_positive_entry(self):
         m = StochasticMatrix([[1.0 - 1e-300, 1e-300], [0.0, 1.0]])
-        assert factor_patterns([m]).tolist() == [[[1.0, 1.0], [0.0, 1.0]]]
+        assert factor_patterns(m.entries[None]).tolist() == [[[1.0, 1.0], [0.0, 1.0]]]
 
 
 class TestMinPositiveEntry:
