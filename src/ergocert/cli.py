@@ -4,10 +4,10 @@ Reports go to standard output as stable 'key = value' lines; errors go to
 standard error. Exit codes: 0 success / conditions hold, 1 condition
 violation or refused certification, 2 input error, 3 horizon exhausted.
 
-Each cmd_* returns its report as ordered (key, value) pairs, its exit code,
-and the text that follows the report ('--emit-csv -' table, else ""). Only
-main prints: the pairs, then exit_status, then that text. A command that
-raises has printed nothing, so a report is printed whole or not at all.
+Each cmd_* returns its report as ordered (key, value) pairs and its exit
+code. Only main prints: the pairs, then exit_status, and nothing after it.
+A command that raises has printed nothing, so a report is printed whole or
+not at all.
 """
 
 from __future__ import annotations
@@ -88,19 +88,19 @@ def _parse_x0(raw: str) -> np.ndarray:
         raise ContractViolation(f"could not parse x0 vector from {raw!r}") from None
 
 
-def cmd_validate(args: argparse.Namespace) -> tuple[list, int, str]:
+def cmd_validate(args: argparse.Namespace) -> tuple[list, int]:
     seqf, pairs = _read(args.path)
     pairs += [("input.alpha", min_positive_entry(seqf.to_sequence().stack)), ("validation", "ok")]
-    return pairs, EXIT_OK, ""
+    return pairs, EXIT_OK
 
 
-def cmd_analyze(args: argparse.Namespace) -> tuple[list, int, str]:
+def cmd_analyze(args: argparse.Namespace) -> tuple[list, int]:
     seqf, pairs = _read(args.path)
     report = analyze(seqf.to_sequence(), all_starts=args.all_starts)
-    return pairs + _hypotheses(report), EXIT_OK if report.holds else EXIT_HYPOTHESIS, ""
+    return pairs + _hypotheses(report), EXIT_OK if report.holds else EXIT_HYPOTHESIS
 
 
-def cmd_certify(args: argparse.Namespace) -> tuple[list, int, str]:
+def cmd_certify(args: argparse.Namespace) -> tuple[list, int]:
     seqf, pairs = _read(args.path)
     seq = seqf.to_sequence()
     report = analyze(seq)
@@ -109,9 +109,9 @@ def cmd_certify(args: argparse.Namespace) -> tuple[list, int, str]:
         certificate = contraction_certificate(seq, report=report)
     except CertificationRefused as refusal:
         pairs += [("certificate.status", "refused"), ("certificate.refusals", " ".join(refusal.reasons))]
-        return pairs, EXIT_HYPOTHESIS, ""
+        return pairs, EXIT_HYPOTHESIS
     if certificate is None:
-        return pairs + [("certificate.status", "horizon-exhausted")], EXIT_EXHAUSTED, ""
+        return pairs + [("certificate.status", "horizon-exhausted")], EXIT_EXHAUSTED
     pairs += [
         ("certificate.status", "emitted"),
         ("certificate.alpha", certificate.alpha),
@@ -123,22 +123,13 @@ def cmd_certify(args: argparse.Namespace) -> tuple[list, int, str]:
         ("certificate.vacuous", certificate.vacuous),
         ("numerics.row_sum_drift", certificate.row_sum_drift),
     ]
-    return pairs, EXIT_OK, ""
+    return pairs, EXIT_OK
 
 
-def cmd_simulate(args: argparse.Namespace) -> tuple[list, int, str]:
+def cmd_simulate(args: argparse.Namespace) -> tuple[list, int]:
     seqf, pairs = _read(args.path)
     x0 = _parse_x0(args.x0) if args.x0 is not None else None
     run = run_to_tolerance(seqf.to_sequence(), args.epsilon, x0)
-    trailer = ""
-    if args.emit_csv is not None:
-        values = run.matrix_seminorms if x0 is None else run.vector_seminorms
-        table = "k,seminorm\n" + "".join(f"{k},{_fmt(v)}\n" for k, v in enumerate(values))
-        if args.emit_csv == "-":
-            trailer = table
-        else:  # before main prints: a failed write prints no report
-            Path(args.emit_csv).write_text(table, encoding="utf-8")
-
     pairs += [("trajectory.epsilon", args.epsilon), ("trajectory.criterion", "vector" if x0 is not None else "matrix")]
     pairs += [(f"trajectory.{k}", value) for k, value in enumerate(run.matrix_seminorms)]
     pairs += [(f"trajectory_x0.{k}", value) for k, value in enumerate(run.vector_seminorms or ())]
@@ -148,10 +139,12 @@ def cmd_simulate(args: argparse.Namespace) -> tuple[list, int, str]:
     if run.consensus_value is not None:
         pairs.append(("consensus.value", run.consensus_value))
     pairs.append(("numerics.row_sum_drift", run.state.row_sum_drift))
-    return pairs, EXIT_OK if run.reached else EXIT_EXHAUSTED, trailer
+    return pairs, EXIT_OK if run.reached else EXIT_EXHAUSTED
 
 
-def cmd_generate(args: argparse.Namespace) -> tuple[list, int, str]:
+def cmd_generate(args: argparse.Namespace) -> tuple[list, int]:
+    if args.out == "-":  # reports own stdout: '-' would be a file named '-'
+        raise ContractViolation("--out must be a file path, not '-'")
     seqf = generate_sequence(args.preset, args.n, args.length, args.alpha, args.seed)
     write_sequence_file(args.out, seqf.to_sequence(), seqf.metadata)
     pairs = [
@@ -162,7 +155,7 @@ def cmd_generate(args: argparse.Namespace) -> tuple[list, int, str]:
     ]
     pairs += [(f"generated.{key}", seqf.metadata[key])
               for key in ("set-size", "checked-depth", "core-edges", "pattern") if key in seqf.metadata]
-    return pairs, EXIT_OK, ""
+    return pairs, EXIT_OK
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -193,7 +186,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--x0", default=None,
         help="initial vector: comma/space separated values, or @file (write --x0=-1,2 if the first is negative)",
     )
-    p.add_argument("--emit-csv", default=None, metavar="PATH", help="write a k,seminorm table ('-' for stdout)")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("generate", help="write a sequence file for a named regime")
@@ -211,12 +203,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        pairs, code, trailer = args.func(args)
+        pairs, code = args.func(args)
     except (SequenceFileError, StochasticityError, DimensionError, ContractViolation, OSError, UnicodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
     lines = "".join(f"{key} = {_fmt(value)}\n" for key, value in [*pairs, ("exit_status", code)])
-    sys.stdout.write(lines + trailer)
+    sys.stdout.write(lines)
     return code
 
 

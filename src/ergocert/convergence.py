@@ -54,7 +54,6 @@ class ConvergenceCertificate:
     the largest |row sum - 1| over the scanned products P(1..K).
     """
 
-    n: int
     alpha: float
     wielandt: int
     saturation_index: int
@@ -166,7 +165,6 @@ def contraction_certificate(
             f"internal error: measured semi-norm {measured} exceeds certified contraction {contraction}"
         )
     return ConvergenceCertificate(
-        n=seq.n,
         alpha=report.alpha,
         wielandt=wielandt_bound(seq.n),
         saturation_index=saturated.k,

@@ -180,7 +180,7 @@ def test_06_convergence_to_rank_one():
         base_length = len(seq)
         cert = contraction_certificate(seq)
         assert cert is not None
-        complement = cert.n * cert.entry_floor
+        complement = seq.n * cert.entry_floor
         # aim one percent under the tolerance: a single extra tile only
         # moves the bound by a factor 1 - complement, which is ~1 ulp
         tiles = math.ceil(math.log(0.99e-6) / math.log1p(-complement))

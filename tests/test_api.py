@@ -52,22 +52,8 @@ DOCUMENTED = {
 }
 
 
-def referenced_names(path: Path) -> set[str]:
-    """Every name read in the file, bare or as an attribute."""
-    return {
-        node.id if isinstance(node, ast.Name) else node.attr
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if isinstance(node, (ast.Name, ast.Attribute))
-    }
-
-
 INIT = PACKAGE / "__init__.py"
-
-
-def non_test_reads() -> set[str]:
-    """Every name read in the package modules or in the traced run."""
-    callers = [path for path in PACKAGE.glob("*.py") if path != INIT] + [LAYERS]
-    return set().union(*(referenced_names(path) for path in callers))
+CALLERS = [path for path in PACKAGE.glob("*.py") if path != INIT] + [LAYERS]
 
 
 # Public names that only the traced run reads: ROADMAP item 5 removes or moves them once
@@ -116,7 +102,63 @@ def test_every_export_has_a_non_test_caller():
         for alias in node.names
     }
     assert exported
-    assert exported - non_test_reads() == set()
+    assert exported - set().union(*map(top_level_reads, CALLERS)) == set()
+
+
+def type_names(annotation) -> set[str]:
+    """The class names an annotation gives: T, module.T, "T" or a union of them."""
+    if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+        return type_names(ast.parse(annotation.value, mode="eval").body)
+    if isinstance(annotation, ast.BinOp):
+        return type_names(annotation.left) | type_names(annotation.right)
+    if isinstance(annotation, ast.Name):
+        return {annotation.id}
+    return {annotation.attr} if isinstance(annotation, ast.Attribute) else set()
+
+
+def return_annotations() -> dict[str, list]:
+    """The return annotations of the package's functions and methods, by name."""
+    returns = {}
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef) and node.returns is not None:
+                returns.setdefault(node.name, []).append(node.returns)
+    return returns
+
+
+def typed_reads(tree: ast.Module, classes: set[str], returns: dict[str, list]) -> set[tuple[str, str]]:
+    """(T, name) for each receiver.name read where the receiver's type T shows in the same function.
+
+    It shows for a parameter annotated with T, for self inside class T, and for a name
+    assigned from a call to T or to a package function whose return annotation names T;
+    in a tuple unpack, the first name takes the type of the first element of a tuple return.
+    """
+    owner = {id(f): c.name for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+             for f in c.body if isinstance(f, ast.FunctionDef)}
+    reads = set()
+    for func in (node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)):
+        params = func.args.posonlyargs + func.args.args + func.args.kwonlyargs
+        env = {arg.arg: type_names(arg.annotation) for arg in params if arg.annotation is not None}
+        if id(func) in owner and params:
+            env[params[0].arg] = {owner[id(func)]}
+        for node in ast.walk(func):
+            if not (isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)):
+                continue
+            callee = node.value.func
+            callee = callee.id if isinstance(callee, ast.Name) else getattr(callee, "attr", None)
+            returned = [ast.Name(callee)] if callee in classes else returns.get(callee, [])
+            for target in node.targets:
+                annotations = returned
+                if isinstance(target, ast.Tuple) and target.elts:
+                    target = target.elts[0]
+                    annotations = [a.slice.elts[0] for a in returned
+                                   if isinstance(a, ast.Subscript) and isinstance(a.slice, ast.Tuple)]
+                if isinstance(target, ast.Name):
+                    env[target.id] = set().union(*map(type_names, annotations))
+        reads |= {(cls, node.attr) for node in ast.walk(func)
+                  if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                  and isinstance(node.value, ast.Name) for cls in env.get(node.value.id, ())}
+    return reads
 
 
 def test_every_public_attribute_of_an_exported_type_has_a_non_test_reader():
@@ -125,8 +167,19 @@ def test_every_public_attribute_of_an_exported_type_has_a_non_test_reader():
         fields = [field.name for field in dataclasses.fields(cls)] if dataclasses.is_dataclass(cls) else []
         attributes |= {(cls.__name__, name) for name in [*fields, *vars(cls)] if not name.startswith("_")}
     assert attributes
-    used = non_test_reads()
-    assert {(cls, name) for cls, name in attributes if name not in used} == set()
+    owners = {}
+    for cls, name in attributes:
+        owners.setdefault(name, set()).add(cls)
+    assert {name for name, classes in owners.items() if len(classes) > 1}  # names the owner-aware rule covers
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in CALLERS]
+    # a name of one exported type counts on any attribute read; a name that several define
+    # counts for type T only through a receiver whose type shows as T
+    read = {node.attr for tree in trees for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    classes, returns = {cls for cls, _ in attributes}, return_annotations()
+    typed = set().union(*(typed_reads(tree, classes, returns) for tree in trees))
+    unread = {(cls, name) for cls, name in attributes
+              if ((cls, name) not in typed if len(owners[name]) > 1 else name not in read)}
+    assert unread == set()
 
 
 def test_root_exports_the_documented_library():

@@ -1,8 +1,10 @@
 import hashlib
+import re
 
 import pytest
 
 from ergocert.cli import main
+from ergocert.convergence import run_to_tolerance
 from ergocert.generate import PRESETS, generate_sequence
 from ergocert.seqfile import read_sequence_file, write_sequence_file
 from ergocert.stochastic import ROW_SUM_TOL, StochasticMatrix, identity_matrix
@@ -276,43 +278,29 @@ class TestSimulate:
         assert main(["simulate", lazy_file, "--epsilon", "1e-2", *x0]) == 0
         assert report_lines(capsys)["trajectory.criterion"] == "vector"
 
-    def test_csv_emission(self, lazy_file, tmp_path, capsys):
-        csv_path = tmp_path / "traj.csv"
-        assert main(["simulate", lazy_file, "--epsilon", "1e-3", "--emit-csv", str(csv_path)]) == 0
-        rows = csv_path.read_text().strip().splitlines()
-        assert rows[0] == "k,seminorm"
-        assert rows[1] == "0,1.0"
-        assert len(rows) == 33  # header + k = 0..31
-        assert float(rows[-1].split(",")[1]) == pytest.approx(0.8**31)
-
+    @pytest.mark.parametrize("x0", [None, "1,3"], ids=["matrix", "x0"])
     @pytest.mark.parametrize("fixture, code", [("lazy_file", 0), ("swap_file", 3)])
-    def test_csv_to_stdout_follows_the_report(self, request, capsys, fixture, code):
+    def test_trajectory_lines_cover_every_step(self, request, capsys, fixture, code, x0):
+        # one line per step k = 0..k_final, in order, for P(k) and for P(k).x0
         path = request.getfixturevalue(fixture)
-        assert main(["simulate", path, "--epsilon", "1e-3"]) == code
-        report = capsys.readouterr().out
-        assert main(["simulate", path, "--epsilon", "1e-3", "--emit-csv", "-"]) == code
-        out = capsys.readouterr().out
-        assert report.endswith(f"exit_status = {code}\n") and out.startswith(report)
-        # one row per step, with the value of its trajectory.<k> line
-        steps = [line[len("trajectory."):].replace(" = ", ",") for line in report.splitlines()
-                 if line.startswith("trajectory.") and line[len("trajectory.")].isdigit()]
-        assert len(steps) > 1
-        assert out[len(report):].splitlines() == ["k,seminorm", *steps]
+        assert main(["simulate", path, "--epsilon", "1e-3", *([] if x0 is None else ["--x0", x0])]) == code
+        out = capsys.readouterr().out.splitlines()
+        k_final = int(dict(line.split(" = ", 1) for line in out)["trajectory.k_final"])
+        run = run_to_tolerance(read_sequence_file(path).to_sequence(), 1e-3, None if x0 is None else [1.0, 3.0])
+        series = {"trajectory": run.matrix_seminorms}
+        if x0 is not None:
+            series["trajectory_x0"] = run.vector_seminorms
+        for key in ("trajectory", "trajectory_x0"):
+            steps = [line for line in out if re.match(rf"{key}\.\d+ = ", line)]
+            assert steps == [f"{key}.{k} = {value!r}" for k, value in enumerate(series.get(key, ()))]
+            assert len(steps) == (k_final + 1 if key in series else 0)
 
-    def test_csv_to_a_directory_fails_before_the_report(self, lazy_file, tmp_path, capsys):
-        # the CSV was written after the report, which then ended in
-        # exit_status = 0 while the command exited 2
-        assert main(["simulate", lazy_file, "--epsilon", "1e-3", "--emit-csv", str(tmp_path)]) == 2
-        captured = capsys.readouterr()
-        assert "exit_status" not in captured.out
-        assert captured.err.startswith("error:")
-
-    def test_empty_csv_path_fails_before_the_report(self, lazy_file, capsys):
-        # an empty path was read as "no CSV": full report, exit 3, nothing written
-        assert main(["simulate", lazy_file, "--emit-csv", ""]) == 2
-        captured = capsys.readouterr()
-        assert "exit_status" not in captured.out
-        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    def test_emit_csv_is_refused(self, lazy_file, capsys):
+        # the table repeated the trajectory lines, after the report or in a file
+        with pytest.raises(SystemExit) as exit_info:
+            main(["simulate", lazy_file, "--emit-csv", "-"])
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("x0, key", [("1e308,1e308", "consensus.value"), ("1e308,-1e308", "trajectory_x0.0")])
     def test_x0_at_the_float_extremes(self, identity_file, capsys, x0, key):
@@ -487,6 +475,13 @@ class TestGenerate:
         assert errors == [f"error: {reason}: '{out}'\n"] * 2
         assert [p.name for p in tmp_path.rglob("*")] == ["d"]
 
+    def test_out_dash_is_refused(self, tmp_path, monkeypatch, capsys):
+        # '-' is not stdout here: a file named '-' was written and the command exited 0
+        monkeypatch.chdir(tmp_path)
+        assert main(["generate", "cycle-core", "--n", "2", "--length", "1", "--out", "-"]) == 2
+        assert capsys.readouterr() == ("", "error: --out must be a file path, not '-'\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_analyze_verdicts_per_regime(self, tmp_path, capsys):
         for preset, n, length in [("positive-diagonal", 3, 12), ("cycle-core", 4, 30)]:
             good = tmp_path / f"{preset}.seq"
@@ -531,16 +526,12 @@ PINNED_REPORTS = {
     ("periodic-counterexample", "simulate --x0 0,1,2,3,4,5"): "54cfdc1537dea280d12a3e816680f40e02eecb38be88c74aecd33ad9a6255778",
     ("positive-diagonal", "generate"): "1b1d47054e6f4cb851b2cafde90a7b0eb9890669680f40f5b4359c13ac41b469",
     ("positive-diagonal", "analyze"): "b762c7eede5877c23c44a174a4f76d80e4905c349f1796863a2dd26632d00a1f",
-    ("positive-diagonal", "simulate --emit-csv -"): "4a60e162f694a9f0eab499618d4aa74dcb67f687b3f9bea63ca21f30e9915225",
     ("cycle-core", "generate"): "165a87807a1014ef199390e5124bac0671932f3f822c42901e7cdb043aba8fd7",
     ("cycle-core", "analyze"): "4ac4387384fe6123f7ea8977e9a59f6e92b23d423ee93a8a47195bf616af3bfa",
-    ("cycle-core", "simulate --emit-csv -"): "eb90673e23f1885cbdacd2c9afad06c0d5f985c20720bd35e64c0d7615fe1be2",
     ("wolfowitz-set", "generate"): "8c3340eb5bbfa3f685ea24ef7d465eeed916a831544d85966514a39db8fef804",
     ("wolfowitz-set", "analyze"): "768f1470423ef7c78745b3d0cea6e0263550d7f04dea59320212b19a0449b54a",
-    ("wolfowitz-set", "simulate --emit-csv -"): "f563f13ea7b75052a007af3c7bf26fe065403eeb33d977457f9a216161b65fe8",
     ("periodic-counterexample", "generate"): "88f8c13278136e439c60d804a939091bf8030f72914d3e3c643b0e500a681b52",
     ("periodic-counterexample", "analyze"): "a41c9656d0610e638bff3587f6dca8239ee87703808e736bcbc886226bde867a",
-    ("periodic-counterexample", "simulate --emit-csv -"): "572ee5136a1e2d84542a506c218cd3213ef8409e92e72151258d5d2af6410ef1",
     ("identity", "certify"): "16db737ecd5ac9ddd1cd456b84a8c89967a9f37def764f76de1f11827e60a9a3",
 }
 PINNED_FILES = {
@@ -593,3 +584,18 @@ def test_reports_pinned(tmp_path, capsys):
         if hashlib.sha256(report.encode()).hexdigest() != expected:
             mismatches.append(f"{source}: {command}\n{report}")
     assert not mismatches, "\n".join(mismatches)
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+def test_reports_are_key_value_lines_ending_in_exit_status(tmp_path, capsys, preset):
+    path = str(tmp_path / f"{preset}.seq")
+    commands = [
+        ["generate", preset, "--n", "6", "--length", "40", "--alpha", "0.05", "--seed", "5", "--out", path],
+        ["validate", path], ["analyze", path], ["analyze", path, "--all-starts"], ["certify", path],
+        ["simulate", path], ["simulate", path, "--x0", "0,1,2,3,4,5"],
+    ]
+    for command in commands:
+        code = main(command)
+        lines = capsys.readouterr().out.splitlines()
+        assert [line for line in lines if not re.fullmatch(r"\S+ = .*", line)] == []
+        assert lines[-1] == f"exit_status = {code}"

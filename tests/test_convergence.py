@@ -145,7 +145,6 @@ class TestSaturation:
 class TestCertificate:
     def test_rank_one_certificate_values(self):
         cert = contraction_certificate(seq_of(RANK1, RANK1))
-        assert cert.n == 2
         assert cert.alpha == 0.5
         assert cert.wielandt == 2
         assert cert.saturation_index == 1
