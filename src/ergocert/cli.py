@@ -20,6 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .convergence import contraction_certificate, run_to_tolerance
+from .digraph import render
 from .errors import (
     CertificationRefused,
     ContractViolation,
@@ -67,7 +68,7 @@ def _hypotheses(report: HypothesisReport) -> list:
         ("hypotheses.core.present", report.core is not None),
     ]
     if report.core is not None:
-        pairs.append(("hypotheses.core.edges", report.core.render()))
+        pairs.append(("hypotheses.core.edges", render(report.core)))
     pairs.append(
         ("hypotheses.core.node_periods", " ".join(f"{node}:{p}" for node, p in sorted(report.node_periods.items())))
     )
@@ -133,7 +134,7 @@ def cmd_simulate(args: argparse.Namespace) -> tuple[list, int]:
     pairs += [("trajectory.epsilon", args.epsilon), ("trajectory.criterion", "vector" if x0 is not None else "matrix")]
     pairs += [(f"trajectory.{k}", value) for k, value in enumerate(run.matrix_seminorms)]
     pairs += [(f"trajectory_x0.{k}", value) for k, value in enumerate(run.vector_seminorms or ())]
-    pairs += [("trajectory.k_final", run.k), ("trajectory.reached", run.reached)]
+    pairs += [("trajectory.k_final", run.state.k), ("trajectory.reached", run.reached)]
     if run.consensus_row is not None:
         pairs.append(("consensus.row", " ".join(repr(float(v)) for v in run.consensus_row)))
     if run.consensus_value is not None:

@@ -72,13 +72,12 @@ class ConvergenceCertificate:
 class ToleranceRun:
     """Result of iterating products down to a disagreement tolerance.
 
-    ``matrix_seminorms[j]`` is the semi-norm of P(j) for j = 0..k, and
+    ``matrix_seminorms[j]`` is the semi-norm of P(j) for j = 0..state.k, and
     ``vector_seminorms[j]`` that of P(j).x0 when an x0 was given (None
     otherwise). On success exactly one consensus is set: the row without
     x0, the value with it.
     """
 
-    k: int
     state: ProductState
     reached: bool
     matrix_seminorms: tuple[float, ...]
@@ -114,6 +113,10 @@ def saturation_floor(n: int, alpha: float) -> float:
 def find_saturation_K(seq: MatrixSequence, alpha: float) -> int | None:
     """Least K in 1..L with every entry of P(K) positive and at the
     saturation floor alpha ** (n * (wielandt + 1)) or above (slack 1e-12).
+    From n = 4 the slack admits every positive entry, so K is the first full
+    pattern: alpha <= 1/2 gives a floor of at most 2**-44, and alpha = 1 means
+    0/1 factors, whose products never fill. The floor decides only at n = 2
+    with alpha > 0.01 and at n = 3 with alpha > 0.215.
 
     alpha must lie in (0, m], m the realized minimum positive entry
     (ContractViolation otherwise): a larger value promises a floor the
@@ -203,7 +206,6 @@ def run_to_tolerance(seq: MatrixSequence, epsilon: float, x0=None) -> ToleranceR
         if reached:
             break
     return ToleranceRun(
-        k=state.k,
         state=state,
         reached=reached,
         matrix_seminorms=tuple(matrix_values),

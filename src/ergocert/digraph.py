@@ -5,8 +5,9 @@ Patterns are boolean (n, n) arrays or (L, n, n) stacks of them; the public
 functions also take any 0/1 array. Their products come from pattern_product,
 and every reachability question is answered by one closure primitive built on
 it; pattern_walk yields the patterns of a stack's backward products A(k)...A(1),
-and component periods are read from the pattern array too (component_periods).
-A Digraph is built for a single pattern that is rendered.
+component periods are read from the pattern array too (component_periods), and
+render writes a pattern's edges as text. Digraph and the functions that build
+or take one serve only the benchmark's traced run.
 
 All values are immutable and every operation is a pure function, so the
 module is safe to use from concurrent callers without synchronization.
@@ -15,7 +16,7 @@ module is safe to use from concurrent callers without synchronization.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -57,33 +58,21 @@ class Digraph:
             mat[i - 1, j - 1] = True
         return mat
 
-    def render(self) -> str:
-        """Canonical text form: the sorted edge list, or '-' when empty."""
-        if not self.edges:
-            return "-"
-        return " ".join(f"({i},{j})" for i, j in sorted(self.edges))
-
 
 @dataclass(frozen=True)
 class SccPartition:
-    """Partition of 1..n into strongly connected components.
+    """The ordered component-index pairs with at least one original edge crossing
+    between distinct strongly connected components."""
 
-    ``condensation_edges`` holds the ordered component-index pairs with at
-    least one original edge crossing between distinct components.
-    """
-
-    components: tuple[frozenset[int], ...]
-    component_of: Mapping[int, int]
     condensation_edges: frozenset[tuple[int, int]]
 
 
 @dataclass(frozen=True)
 class AperiodicityReport:
-    """Aperiodicity verdict plus the period of every component."""
+    """Aperiodicity verdict plus the node set of every component."""
 
     aperiodic: bool
     components: tuple[frozenset[int], ...]
-    periods: tuple[int, ...]
 
 
 def pattern_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -153,14 +142,12 @@ def _node_sets(labels: np.ndarray) -> tuple[frozenset[int], ...]:
 
 
 def strongly_connected_components(g: Digraph) -> SccPartition:
-    """Components as the distinct rows of mutual reachability, numbered by their
-    smallest node, plus the condensation edge set."""
+    """The condensation edge set, components numbered by their smallest node."""
     labels, _ = _component_labels(reachability(g.adjacency_matrix()))
     component_of = dict(enumerate(labels.tolist(), start=1))
-    condensation = frozenset(
-        (component_of[i], component_of[j]) for i, j in g.edges if component_of[i] != component_of[j]
+    return SccPartition(
+        frozenset((component_of[i], component_of[j]) for i, j in g.edges if component_of[i] != component_of[j])
     )
-    return SccPartition(_node_sets(labels), component_of, condensation)
 
 
 def component_periods(pattern) -> tuple[np.ndarray, np.ndarray]:
@@ -192,7 +179,7 @@ def component_periods(pattern) -> tuple[np.ndarray, np.ndarray]:
 def is_aperiodic(g: Digraph) -> AperiodicityReport:
     """True iff every SCC has period exactly 1; cycle-free SCCs (period 0) disqualify."""
     labels, periods = component_periods(g.adjacency_matrix())
-    return AperiodicityReport(bool((periods == 1).all()), _node_sets(labels), tuple(periods.tolist()))
+    return AperiodicityReport(bool((periods == 1).all()), _node_sets(labels))
 
 
 def intersection(graphs: Sequence[Digraph]) -> Digraph:
@@ -214,17 +201,21 @@ def wielandt_bound(n: int) -> int:
     return n * n - 2 * n + 2
 
 
-def wielandt_graph(n: int) -> Digraph:
-    """The extremal primitive digraph: an n-cycle plus the chord (n, 2).
+def wielandt_graph(n: int) -> np.ndarray:
+    """The (n, n) pattern of the extremal primitive digraph: an n-cycle plus the chord (n, 2).
 
     Its only simple cycles have lengths n and n-1, so it is aperiodic, and
     its exponent attains wielandt_bound(n). For n = 1 this is a self-loop.
     """
     if n < 1:
         raise DimensionError("node count must be at least 1")
-    if n == 1:
-        return Digraph(1, {(1, 1)})
-    edges = {(i, i + 1) for i in range(1, n)}
-    edges.add((n, 1))
-    edges.add((n, 2))
-    return Digraph(n, edges)
+    pattern = np.roll(np.eye(n, dtype=bool), 1, axis=1)
+    pattern[n - 1, 1 % n] = True
+    return pattern
+
+
+def render(pattern) -> str:
+    """Canonical text of an (n, n) pattern: its edges (i,j), 1-based, in row-major
+    order, which is the order of the sorted (i, j) pairs; '-' when it has none."""
+    rows, cols = np.nonzero(pattern)
+    return " ".join(f"({i},{j})" for i, j in zip((rows + 1).tolist(), (cols + 1).tolist())) or "-"

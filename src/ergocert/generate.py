@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .digraph import component_periods, pattern_product, wielandt_bound, wielandt_graph
+from .digraph import component_periods, pattern_product, render, wielandt_bound, wielandt_graph
 from .errors import ContractViolation
 from .seqfile import SequenceFile
 from .stochastic import MatrixSequence, normalize_rows
@@ -113,9 +113,8 @@ def _positive_diagonal(rng, n, length, alpha):
 
 def _cycle_core(rng, n, length, alpha):
     core = wielandt_graph(n)
-    base = core.adjacency_matrix()
-    matrices = [_fill_pattern(rng, base | (rng.random((n, n)) < _EXTRA_EDGE_DENSITY), alpha) for _ in range(length)]
-    return np.array(matrices), None, {"core-edges": core.render()}
+    matrices = [_fill_pattern(rng, core | (rng.random((n, n)) < _EXTRA_EDGE_DENSITY), alpha) for _ in range(length)]
+    return np.array(matrices), None, {"core-edges": render(core)}
 
 
 def _is_primitive_pattern(pattern: np.ndarray) -> bool:

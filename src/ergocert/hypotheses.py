@@ -15,18 +15,18 @@ from typing import Mapping
 
 import numpy as np
 
-from .digraph import Digraph, completely_reducible, component_periods, distinct_patterns, pattern_product, pattern_walk
+from .digraph import completely_reducible, component_periods, distinct_patterns, pattern_product, pattern_walk
 from .errors import ContractViolation
 from .stochastic import MatrixSequence, factor_patterns, min_positive_entry
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HypothesisReport:
-    """Structured result of all four condition checks."""
+    """Structured result of all four condition checks; ``core`` is a read-only (n, n) pattern or None."""
 
     alpha: float
     reducibility_failures: tuple[int, ...]
-    core: Digraph | None
+    core: np.ndarray | None
     node_periods: Mapping[int, int]
     core_offenders: tuple[int, ...]
     eventual_positivity: Mapping[int, int | None]
@@ -144,7 +144,8 @@ def analyze(seq: MatrixSequence, all_starts: bool = False) -> HypothesisReport:
     labels, periods = component_periods(common)
     node_period = periods[labels]
     offenders = tuple((np.flatnonzero(node_period != 1) + 1).tolist())
-    core = None if offenders else Digraph.from_adjacency(common & (labels[:, None] == labels[None, :]))
+    core = common & (labels[:, None] == labels[None, :])
+    core.setflags(write=False)
     onsets = positivity_onsets(patterns) if all_starts else [_positivity_onset(patterns, 1)]
     positivity = dict(zip(starts, onsets))
 
@@ -156,7 +157,7 @@ def analyze(seq: MatrixSequence, all_starts: bool = False) -> HypothesisReport:
     return HypothesisReport(
         alpha=alpha,
         reducibility_failures=failures,
-        core=core,
+        core=None if offenders else core,
         node_periods=dict(enumerate(node_period.tolist(), start=1)),
         core_offenders=offenders,
         eventual_positivity=positivity,

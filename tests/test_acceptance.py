@@ -19,7 +19,7 @@ from ergocert.convergence import (
     run_to_tolerance,
     saturation_floor,
 )
-from ergocert.digraph import intersection, wielandt_bound, wielandt_graph
+from ergocert.digraph import Digraph, intersection, wielandt_bound, wielandt_graph
 from ergocert.generate import generate_sequence
 from ergocert.hypotheses import MatrixSequence, analyze
 from ergocert.seqfile import write_sequence_file
@@ -109,7 +109,7 @@ def test_02_wielandt_exactness():
     """The extremal cycle-plus-chord digraph attains exponent n^2 - 2n + 2."""
     start = time.perf_counter()
     for n in (3, 4, 5, 6):
-        assert exact_exponent(wielandt_graph(n)) == n * n - 2 * n + 2 == wielandt_bound(n)
+        assert exact_exponent(Digraph.from_adjacency(wielandt_graph(n))) == n * n - 2 * n + 2 == wielandt_bound(n)
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0
     _passed(2, f"wielandt-exactness ({elapsed:.1f}s)")
@@ -257,5 +257,5 @@ def test_10_lazy_walk_closed_form():
 
     run = run_to_tolerance(seq, 1e-3)
     assert run.reached
-    assert run.k == 31
+    assert run.state.k == 31
     _passed(10, "lazy-walk-closed-form")

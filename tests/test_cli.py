@@ -1,11 +1,15 @@
 import hashlib
 import re
+from unittest import mock
 
 import pytest
 
 from ergocert.cli import main
-from ergocert.convergence import run_to_tolerance
+from ergocert.convergence import contraction_certificate, run_to_tolerance
+from ergocert.digraph import Digraph
+from ergocert.errors import CertificationRefused
 from ergocert.generate import PRESETS, generate_sequence
+from ergocert.hypotheses import analyze
 from ergocert.seqfile import read_sequence_file, write_sequence_file
 from ergocert.stochastic import ROW_SUM_TOL, StochasticMatrix, identity_matrix
 
@@ -599,3 +603,30 @@ def test_reports_are_key_value_lines_ending_in_exit_status(tmp_path, capsys, pre
         lines = capsys.readouterr().out.splitlines()
         assert [line for line in lines if not re.fullmatch(r"\S+ = .*", line)] == []
         assert lines[-1] == f"exit_status = {code}"
+
+
+def test_no_library_path_builds_a_digraph(tmp_path, capsys):
+    # patterns stay boolean arrays from generation to every report; a Digraph is built
+    # only by the benchmark's traced run
+    outcomes = set()
+    with mock.patch.object(Digraph, "__init__", side_effect=AssertionError("Digraph built")):
+        for preset in PRESETS:
+            path = str(tmp_path / f"{preset}.seq")
+            seqf = generate_sequence(preset, 6, 40, 0.05, 5)
+            write_sequence_file(path, seqf.to_sequence(), seqf.metadata)
+            seq = read_sequence_file(path).to_sequence()
+            report = analyze(seq, all_starts=True)
+            outcomes.add(report.core is not None)
+            try:
+                contraction_certificate(seq)
+            except CertificationRefused:
+                outcomes.add("refused")
+            commands = [
+                ["generate", preset, "--n", "6", "--length", "40", "--alpha", "0.05", "--seed", "5", "--out", path],
+                ["validate", path], ["analyze", path], ["analyze", path, "--all-starts"], ["certify", path],
+                ["simulate", path],
+            ]
+            for command in commands:
+                code = main(command)
+                assert capsys.readouterr().out.endswith(f"exit_status = {code}\n")
+    assert outcomes == {True, False, "refused"}

@@ -3,6 +3,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ergocert import convergence, stochastic
 from ergocert.convergence import (
@@ -15,7 +17,7 @@ from ergocert.convergence import (
     run_to_tolerance,
     saturation_floor,
 )
-from ergocert.digraph import wielandt_bound
+from ergocert.digraph import pattern_walk, wielandt_bound
 from ergocert.errors import CertificationRefused, ContractViolation, DimensionError
 from ergocert.generate import generate_sequence
 from ergocert.hypotheses import MatrixSequence, analyze
@@ -141,6 +143,25 @@ class TestSaturation:
             assert entries.min() >= floor - 1e-12
             assert (entries > 0).all()
 
+    @settings(deadline=None)
+    @given(st.integers(4, 8), st.integers(1, 8), st.integers(0, 2**32 - 1),
+           st.sampled_from(["spread", "one-hot", "mixed", "tiny"]), st.floats(1e-6, 1.0))
+    def test_from_n4_the_floor_admits_every_positive_entry(self, n, length, seed, kind, shrink):
+        # alpha <= 1/2 gives a floor alpha**(n*(W+1)) <= 2**-44 below the 1e-12 slack, and
+        # alpha = 1 means 0/1 factors, whose products never fill: K is the first full pattern,
+        # even where the float entries of P(K) underflow to 0.0 ("tiny", K = n - 1)
+        rng = np.random.default_rng(seed)
+        spread = [random_stochastic(rng, n, float(rng.uniform(0.2, 1.0))) for _ in range(length)]
+        one_hot = [np.eye(n)[rng.integers(n, size=n)] for _ in range(length)]
+        factors = {"spread": spread, "one-hot": one_hot, "mixed": [*spread[: length // 2], *one_hot[length // 2 :]],
+                   "tiny": [lazy_cycle(n, 10.0 ** -rng.uniform(1, 300)).entries] * length}
+        seq = seq_of(*map(StochasticMatrix, factors[kind]))
+        alpha = min_positive_entry(seq.stack)
+        assert alpha <= 0.5 or np.isin(seq.stack, (0.0, 1.0)).all()
+        full = (k for k, pattern in enumerate(pattern_walk(seq.stack > 0), start=1) if pattern.all())
+        expected = next(full, None)
+        assert find_saturation_K(seq, alpha) == find_saturation_K(seq, alpha * shrink) == expected
+
 
 class TestCertificate:
     def test_rank_one_certificate_values(self):
@@ -240,14 +261,14 @@ class TestCertificate:
 class TestRunToTolerance:
     def test_rank_one_stops_at_one(self):
         run = run_to_tolerance(seq_of(RANK1, RANK1), 1e-9)
-        assert run.k == 1
+        assert run.state.k == 1
         assert run.reached
         assert np.allclose(run.consensus_row, [0.5, 0.5])
 
     def test_lazy_walk_stops_at_31(self):
         seq = seq_of(*([LAZY] * 40))
         run = run_to_tolerance(seq, 1e-3)
-        assert run.k == 31
+        assert run.state.k == 31
         assert run.reached
 
     def test_swaps_exhaust(self):
@@ -255,7 +276,7 @@ class TestRunToTolerance:
         run = run_to_tolerance(seq, 0.5)
         assert not run.reached
         assert run.consensus_row is None
-        assert run.k == 8
+        assert run.state.k == 8
         assert run.state.seminorm == 1.0
 
     def test_epsilon_validated(self):
@@ -272,12 +293,12 @@ class TestRunToTolerance:
                 assert run.vector_seminorms is None
                 assert run.consensus_value is None
                 assert run.matrix_seminorms == tuple(
-                    matrix_seminorm(partial_product(seq, 0, k)) for k in range(run.k + 1)
+                    matrix_seminorm(partial_product(seq, 0, k)) for k in range(run.state.k + 1)
                 )
                 with_x0 = run_to_tolerance(seq, epsilon, x0)
-                assert with_x0.vector_seminorms == tuple(disagreement_trajectory(seq, x0)[: with_x0.k + 1])
+                assert with_x0.vector_seminorms == tuple(disagreement_trajectory(seq, x0)[: with_x0.state.k + 1])
                 assert with_x0.matrix_seminorms == tuple(
-                    matrix_seminorm(partial_product(seq, 0, k)) for k in range(with_x0.k + 1)
+                    matrix_seminorm(partial_product(seq, 0, k)) for k in range(with_x0.state.k + 1)
                 )
                 assert with_x0.consensus_row is None
                 assert with_x0.reached == (with_x0.vector_seminorms[-1] <= epsilon)
@@ -286,9 +307,10 @@ class TestRunToTolerance:
                     assert np.abs(x - with_x0.consensus_value).max() <= epsilon + 1e-12
                 else:
                     assert with_x0.consensus_value is None
-                    assert with_x0.k == len(seq)
+                    assert with_x0.state.k == len(seq)
                 for r in (run, with_x0):
-                    drifts = [abs(partial_product(seq, 0, k).entries.sum(axis=1) - 1).max() for k in range(r.k + 1)]
+                    drifts = [abs(partial_product(seq, 0, k).entries.sum(axis=1) - 1).max()
+                              for k in range(r.state.k + 1)]
                     assert r.state.row_sum_drift == max(drifts)
 
     @pytest.mark.parametrize("preset, n, length", [("periodic-counterexample", 52, 40), ("positive-diagonal", 53, 12)])
@@ -299,7 +321,7 @@ class TestRunToTolerance:
         seq = preset_fixture(preset, n, length, 0.001, 5)
         run = run_to_tolerance(seq, 1e-300)
         oracle = tuple(seminorm_one_shot(state.matrix.entries) for state in iter_products(seq))
-        assert run.matrix_seminorms == oracle[: run.k + 1]
+        assert run.matrix_seminorms == oracle[: run.state.k + 1]
         if preset == "periodic-counterexample":
             assert run.matrix_seminorms == (1.0,) * (length + 1)
         else:

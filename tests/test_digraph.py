@@ -14,6 +14,7 @@ from ergocert.digraph import (
     pattern_product,
     pattern_walk,
     reachability,
+    render,
     strongly_connected_components,
     wielandt_bound,
     wielandt_graph,
@@ -44,10 +45,17 @@ def random_digraph(rng, n, density=0.4):
     return Digraph(n, ((i + 1, j + 1) for i, j in zip(*np.nonzero(rng.random((n, n)) < density))))
 
 
+def components_and_periods(g):
+    """component_periods of g's pattern as node sets, numbered by their smallest node, and periods."""
+    labels, periods = component_periods(g.adjacency_matrix())
+    components = tuple(frozenset((np.flatnonzero(labels == c) + 1).tolist()) for c in range(periods.size))
+    return components, periods.tolist()
+
+
 def scc_period(g, component):
-    """The period is_aperiodic reports for one strongly connected component."""
-    report = is_aperiodic(g)
-    return report.periods[report.components.index(frozenset(component))]
+    """The period component_periods gives one strongly connected component."""
+    components, periods = components_and_periods(g)
+    return periods[components.index(frozenset(component))]
 
 
 def pattern_stacks(max_n=9, max_length=5):
@@ -74,8 +82,18 @@ class TestDigraph:
 
     def test_render_sorted(self):
         g = Digraph(3, {(2, 1), (1, 3)})
-        assert g.render() == "(1,3) (2,1)"
-        assert Digraph(2).render() == "-"
+        assert render(g.adjacency_matrix()) == "(1,3) (2,1)"
+        assert render(Digraph(2).adjacency_matrix()) == "-"
+        assert render(np.eye(2, dtype=int)) == "(1,1) (2,2)"  # any 0/1 array
+        # row-major order is numeric order: (9,9) comes before (10,10)
+        assert render(np.eye(10, dtype=bool)).endswith("(9,9) (10,10)")
+
+    @settings(deadline=None)
+    @given(pattern_stacks(max_n=12, max_length=1), st.booleans())
+    def test_render_matches_the_sorted_edge_set(self, stack, empty):
+        pattern = np.zeros_like(stack[0]) if empty else stack[0]
+        edges = Digraph.from_adjacency(pattern).edges
+        assert render(pattern) == (" ".join(f"({i},{j})" for i, j in sorted(edges)) if edges else "-")
 
     def test_from_adjacency(self):
         g = Digraph.from_adjacency(np.array([[0, 1], [1, 1]]))
@@ -98,30 +116,32 @@ class TestCompleteDigraph:
 
 class TestScc:
     def test_single_cycle(self):
-        part = strongly_connected_components(cycle(3))
-        assert part.components == (frozenset({1, 2, 3}),)
-        assert not part.condensation_edges
+        assert components_and_periods(cycle(3))[0] == (frozenset({1, 2, 3}),)
+        assert not strongly_connected_components(cycle(3)).condensation_edges
 
     def test_chain(self):
-        part = strongly_connected_components(Digraph(2, {(1, 2)}))
-        assert set(part.components) == {frozenset({1}), frozenset({2})}
-        c1, c2 = part.component_of[1], part.component_of[2]
-        assert part.condensation_edges == {(c1, c2)}
+        g = Digraph(2, {(1, 2)})
+        assert set(components_and_periods(g)[0]) == {frozenset({1}), frozenset({2})}
+        c1, c2 = component_periods(g.adjacency_matrix())[0].tolist()
+        assert strongly_connected_components(g).condensation_edges == {(c1, c2)}
 
     def test_two_disjoint_cycles(self):
         g = Digraph(4, {(1, 2), (2, 1), (3, 4), (4, 3)})
-        part = strongly_connected_components(g)
-        assert set(part.components) == {frozenset({1, 2}), frozenset({3, 4})}
-        assert not part.condensation_edges
+        assert set(components_and_periods(g)[0]) == {frozenset({1, 2}), frozenset({3, 4})}
+        assert not strongly_connected_components(g).condensation_edges
 
     def test_partition_covers_all_nodes(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
             g = random_digraph(rng, int(rng.integers(1, 7)))
-            part = strongly_connected_components(g)
-            nodes = sorted(u for comp in part.components for u in comp)
+            components, _ = components_and_periods(g)
+            nodes = sorted(u for comp in components for u in comp)
             assert nodes == list(range(1, g.n + 1))
-            assert all(part.component_of[u] == i for i, c in enumerate(part.components) for u in c)
+            # the condensation numbers components as component_periods does
+            labels = component_periods(g.adjacency_matrix())[0].tolist()
+            assert all(labels[u - 1] == i for i, c in enumerate(components) for u in c)
+            crossing = {(labels[i - 1], labels[j - 1]) for i, j in g.edges}
+            assert strongly_connected_components(g).condensation_edges == {(a, b) for a, b in crossing if a != b}
 
     def test_condensation_is_acyclic(self):
         rng = np.random.default_rng(1)
@@ -129,7 +149,7 @@ class TestScc:
             g = random_digraph(rng, int(rng.integers(2, 7)))
             part = strongly_connected_components(g)
             # topological sort by repeated source removal; failure means a cycle
-            remaining = set(range(len(part.components)))
+            remaining = set(range(len(components_and_periods(g)[0])))
             edges = set(part.condensation_edges)
             while remaining:
                 sources = [c for c in remaining if not any(e[1] == c for e in edges)]
@@ -152,22 +172,21 @@ class TestPeriods:
         assert scc_period(g, {1}) == 0
 
     def test_not_an_scc_rejected(self):
+        assert frozenset({1, 2}) not in components_and_periods(cycle(3))[0]
         assert frozenset({1, 2}) not in is_aperiodic(cycle(3)).components
 
     def test_period_matches_cycle_enumeration(self):
         rng = np.random.default_rng(2)
         for _ in range(80):
             g = random_digraph(rng, int(rng.integers(1, 7)))
-            part = strongly_connected_components(g)
-            for comp in part.components:
+            for comp in components_and_periods(g)[0]:
                 assert scc_period(g, comp) == component_period_by_cycles(g, comp)
 
     def test_period_divides_every_simple_cycle(self):
         rng = np.random.default_rng(3)
         for _ in range(40):
             g = random_digraph(rng, int(rng.integers(2, 7)), density=0.5)
-            part = strongly_connected_components(g)
-            for comp in part.components:
+            for comp in components_and_periods(g)[0]:
                 period = scc_period(g, comp)
                 sub = Digraph(g.n, ((u, v) for (u, v) in g.edges if u in comp and v in comp))
                 lengths = simple_cycle_lengths(sub)
@@ -181,9 +200,8 @@ class TestAperiodicity:
         assert is_aperiodic(Digraph(3, {(i, i) for i in (1, 2, 3)})).aperiodic
 
     def test_two_cycle(self):
-        report = is_aperiodic(cycle(2))
-        assert not report.aperiodic
-        assert report.periods == (2,)
+        assert not is_aperiodic(cycle(2)).aperiodic
+        assert components_and_periods(cycle(2))[1] == [2]
 
     def test_four_cycle_with_chord(self):
         # cycles of lengths 4 and 3; verified against the cycle enumeration oracle
@@ -316,11 +334,13 @@ class TestAgainstBfsOracle:
     @given(pattern_stacks(max_n=10, max_length=1))
     def test_components(self, stack):
         g = Digraph.from_adjacency(stack[0])
-        part = strongly_connected_components(g)
-        assert set(part.components) == components_by_bfs(g)
-        assert len(part.components) == len(set(part.components))
-        crossing = {(part.component_of[i], part.component_of[j]) for i, j in g.edges}
-        assert part.condensation_edges == {(a, b) for a, b in crossing if a != b}
+        components, _ = components_and_periods(g)
+        assert set(components) == components_by_bfs(g)
+        assert len(components) == len(set(components))
+        assert is_aperiodic(g).components == components
+        labels = component_periods(stack[0])[0].tolist()
+        crossing = {(labels[i - 1], labels[j - 1]) for i, j in g.edges}
+        assert strongly_connected_components(g).condensation_edges == {(a, b) for a, b in crossing if a != b}
 
     @given(pattern_stacks(max_n=8, max_length=1))
     # node 1 is a cycle-free singleton (period 0), node 2 carries a self-loop
@@ -355,7 +375,7 @@ class TestAgainstBfsOracle:
             closure = reachability(g.adjacency_matrix())
             for u in range(1, n + 1):
                 assert set((np.flatnonzero(closure[u - 1]) + 1).tolist()) == reachable_by_bfs(g, u)
-            assert set(strongly_connected_components(g).components) == components_by_bfs(g)
+            assert set(components_and_periods(g)[0]) == components_by_bfs(g)
             assert bool(completely_reducible(g.adjacency_matrix()[None])[0]) == completely_reducible_by_bfs(g)
 
 
@@ -370,7 +390,15 @@ class TestWielandt:
 
     def test_graph_cycle_lengths(self):
         for n in (2, 3, 4, 5):
-            assert simple_cycle_lengths(wielandt_graph(n)) == {n, n - 1} - {0}
+            assert simple_cycle_lengths(Digraph.from_adjacency(wielandt_graph(n))) == {n, n - 1} - {0}
+
+    def test_graph_pattern(self):
+        assert wielandt_graph(1).tolist() == [[True]]
+        assert wielandt_graph(2).dtype == bool
+        assert render(wielandt_graph(2)) == "(1,2) (2,1) (2,2)"
+        assert render(wielandt_graph(4)) == "(1,2) (2,3) (3,4) (4,1) (4,2)"
+        with pytest.raises(DimensionError):
+            wielandt_graph(0)
 
     def test_exponent_complete_graph(self):
         assert exact_exponent(complete_digraph(3)) == 1
@@ -384,8 +412,8 @@ class TestWielandt:
 
     def test_wielandt_graph_attains_bound(self):
         # independent oracle: integer adjacency powers around the bound
-        g = wielandt_graph(4)
-        adj = g.adjacency_matrix().astype(np.int64)
+        g = Digraph.from_adjacency(wielandt_graph(4))
+        adj = wielandt_graph(4).astype(np.int64)
         powers = {k: np.linalg.matrix_power(adj, k) for k in (9, 10, 11, 12)}
         assert (powers[9] == 0).any()
         assert all((powers[k] > 0).all() for k in (10, 11, 12))
@@ -396,8 +424,7 @@ class TestWielandt:
         found = 0
         while found < 40:
             g = random_digraph(rng, int(rng.integers(2, 6)), density=0.45)
-            part = strongly_connected_components(g)
-            if len(part.components) != 1 or not is_aperiodic(g).aperiodic:
+            if len(components_and_periods(g)[0]) != 1 or not is_aperiodic(g).aperiodic:
                 continue
             found += 1
             e = exact_exponent(g)
@@ -445,8 +472,8 @@ class TestPermutationInvariance:
             perm = {i + 1: int(p) + 1 for i, p in enumerate(rng.permutation(n))}
             h = relabel_digraph(g, perm)
 
-            comps_g = {frozenset(perm[u] for u in c) for c in strongly_connected_components(g).components}
-            comps_h = set(strongly_connected_components(h).components)
+            comps_g = {frozenset(perm[u] for u in c) for c in components_and_periods(g)[0]}
+            comps_h = set(components_and_periods(h)[0])
             assert comps_g == comps_h
 
             assert sinks(h) == frozenset(perm[u] for u in sinks(g))
@@ -454,5 +481,5 @@ class TestPermutationInvariance:
             assert (
                 completely_reducible(g.adjacency_matrix()[None])[0] == completely_reducible(h.adjacency_matrix()[None])[0]
             )
-            for comp in strongly_connected_components(g).components:
+            for comp in components_and_periods(g)[0]:
                 assert scc_period(g, comp) == scc_period(h, frozenset(perm[u] for u in comp))

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ergocert.digraph import Digraph, wielandt_bound, wielandt_graph
+from ergocert.digraph import Digraph, render, wielandt_bound, wielandt_graph
 from ergocert.errors import ContractViolation
 from ergocert.generate import PRESETS, _is_primitive_pattern, generate_sequence
 from ergocert.hypotheses import analyze
@@ -51,7 +51,7 @@ class TestPrimitivePattern:
 
     @pytest.mark.parametrize("n", [2, 3, 6, 9])
     def test_cycle_with_a_chord_is_primitive(self, n):
-        pattern = wielandt_graph(n).adjacency_matrix()  # the n-cycle plus the chord (n, 2)
+        pattern = wielandt_graph(n)  # the n-cycle plus the chord (n, 2)
         assert _is_primitive_pattern(pattern)
         assert primitive_by_oracles(pattern)
 
@@ -115,11 +115,11 @@ class TestPositiveDiagonal:
 
 class TestCycleCore:
     def test_every_factor_contains_the_core(self):
-        core = wielandt_graph(4)
+        core = Digraph.from_adjacency(wielandt_graph(4))
         for seed in range(4):
             seqf = generate_sequence("cycle-core", 4, 3 * wielandt_bound(4), 0.1, seed)
             seq = seqf.to_sequence()
-            assert seqf.metadata["core-edges"] == core.render()
+            assert seqf.metadata["core-edges"] == render(wielandt_graph(4)) == "(1,2) (2,3) (3,4) (4,1) (4,2)"
             for m in seq:
                 assert is_subgraph(core, digraph_of(m))
             assert min_positive_entry(seq.items) >= 0.1
