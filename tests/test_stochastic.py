@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from ergocert import stochastic
 from ergocert.digraph import Digraph
 from ergocert.errors import DimensionError, NegativityError, StochasticityError
+from ergocert.generate import generate_sequence
 from ergocert.stochastic import (
     NEGATIVITY_TOL,
     MatrixSequence,
@@ -273,11 +274,12 @@ def _rows_budget(rows: int, n: int) -> int:
     return rows * 8 * n * n
 
 
-def _seminorm_and_blocks(m: StochasticMatrix) -> tuple[float, int]:
-    """matrix_seminorm(m) and the number of row blocks it evaluated: one np.abs per block."""
+def _seminorm_and_blocks(m: StochasticMatrix) -> tuple[float, list[np.ndarray]]:
+    """matrix_seminorm(m) and the row blocks it evaluated, in order: the 3-D arrays it passed to
+    np.abs, which hold each block's absolute pair differences once np.abs returns."""
     with mock.patch.object(np, "abs", wraps=np.abs) as spy:
         value = matrix_seminorm(m)
-    return value, spy.call_count
+    return value, [call.args[0] for call in spy.call_args_list if call.args[0].ndim == 3]
 
 
 class TestBlockedSeminorm:
@@ -394,9 +396,9 @@ class TestBlockedSeminorm:
     @pytest.mark.parametrize("rows", [1, 2])
     def test_disjoint_pair_in_the_last_block_that_holds_a_pair(self, rows):
         # rows 5 and 6 are the only pair with disjoint supports: every other row is positive;
-        # the dyadic entries make their distance exactly 2.0. After the first row alone,
-        # rows 2 to 5 fill 4 // rows blocks, and the block of row 5 is the last that
-        # pairs two rows: the last block holds row 6 alone
+        # the dyadic entries make their distance exactly 2.0. In row order the block of row 5
+        # is the last that pairs two rows; wherever the order by distance to the column mean
+        # puts the pair, the block that reaches 2.0 is the last one evaluated
         rng = np.random.default_rng(22)
         mixed = rng.uniform(0.1, 1.0, (4, 6))
         raw = np.vstack([mixed / mixed.sum(axis=1, keepdims=True),
@@ -406,11 +408,13 @@ class TestBlockedSeminorm:
         with mock.patch.object(stochastic, "_SEMINORM_BLOCK_BYTES", _rows_budget(rows, 6)):
             value, blocks = _seminorm_and_blocks(m)
         assert value == seminorm_one_shot(m.entries) == 1.0
-        assert blocks == 1 + 4 // rows
+        largest = [float(block.sum(axis=2).max()) for block in blocks]
+        assert largest[-1] == 2.0 and max(largest[:-1]) < 2.0
 
     def test_drift_just_below_two_does_not_stop(self):
         # a product's rows drift from 1 by rounding: this disjoint pair is 2 - 2**-52
-        # apart, so every block is evaluated and the value is the float just below 1.0
+        # apart, so the first block's distance does not end the loop, and the value is
+        # the float just below 1.0
         entries = np.array([[0.5, 0.5, 0.0, 0.0],
                             [0.0, 0.0, 0.5, 0.5 - 2.0**-52],
                             [0.25, 0.25, 0.25, 0.25],
@@ -419,4 +423,61 @@ class TestBlockedSeminorm:
         with mock.patch.object(stochastic, "_SEMINORM_BLOCK_BYTES", _rows_budget(1, 4)):
             value, blocks = _seminorm_and_blocks(m)
         assert value == seminorm_one_shot(entries) == np.nextafter(1.0, 0.0)
-        assert blocks == 4
+        assert float(blocks[0].sum(axis=2).max()) == 2.0 - 2.0**-52
+        assert len(blocks) > 1
+
+    @given(
+        data=st.data(),
+        n=st.integers(min_value=3, max_value=40),
+        steps=st.integers(min_value=1, max_value=8),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_backward_products_of_lazy_and_positive_diagonal_factors(self, data, n, steps, seed):
+        # contracting products, whose rows draw together step by step: the pairs that can still
+        # beat the largest distance get fewer, and the pruned loop must agree with every pair
+        budget = data.draw(st.integers(min_value=1, max_value=8 * n**3), "budget")
+        rng = np.random.default_rng(seed)
+        product = identity_matrix(n)
+        for _ in range(steps):
+            if rng.random() < 0.5:
+                weight = 10.0 ** rng.uniform(-3, 0)
+                raw = (1.0 - weight) * np.eye(n) + weight * random_stochastic(rng, n, density=0.3)
+            else:
+                raw = random_stochastic(rng, n, density=0.3) + np.diag(0.1 + rng.random(n))
+                raw /= raw.sum(axis=1, keepdims=True)
+            product = multiply(StochasticMatrix(raw), product)
+        with mock.patch.object(stochastic, "_SEMINORM_BLOCK_BYTES", budget):
+            assert matrix_seminorm(product) == seminorm_one_shot(product.entries)
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            # the row farthest from the column mean, row 4 (d = 0.95), is not in the one
+            # pair at the largest distance, rows 2 and 3 (1.75), nor is the first row
+            np.array([[1, 1, 3, 2, 1], [0, 3, 4, 1, 0], [2, 1, 0, 0, 5], [3, 4, 1, 0, 0], [1, 0, 2, 0, 5]]) / 8,
+            # a circulant: every row is as far from the mean, and each distance is shared
+            # by several pairs
+            np.array([np.roll([0.5, 0.25, 0.125, 0.125, 0.0, 0.0], shift) for shift in range(6)]),
+            # rows that are all the same: every distance is 0
+            np.tile([0.1, 0.2, 0.3, 0.4], (4, 1)),
+        ],
+        ids=["farthest-row-not-in-the-pair", "ties", "identical-rows"],
+    )
+    def test_fixed_cases_at_every_block_size(self, raw):
+        m = StochasticMatrix(raw)
+        for rows in range(1, m.n + 1):
+            with mock.patch.object(stochastic, "_SEMINORM_BLOCK_BYTES", _rows_budget(rows, m.n)):
+                assert matrix_seminorm(m) == seminorm_one_shot(m.entries)
+
+    def test_contracting_product_evaluates_under_half_of_the_pair_differences(self):
+        # P(9) of a positive-diagonal sequence at n = 120 (semi-norm 3e-6): rows far from the
+        # column mean bound every other pair below the largest distance, so most are never
+        # formed; a loop over every pair forms n^2 (n - 1) / 2 differences, and more
+        n = 120
+        seq = generate_sequence("positive-diagonal", n, 12, 0.001, seed=3).to_sequence()
+        product = identity_matrix(n)
+        for k in range(1, 10):
+            product = multiply(seq.factor(k), product)
+        value, blocks = _seminorm_and_blocks(product)
+        assert value == seminorm_one_shot(product.entries) < 1.0
+        assert sum(block.size for block in blocks) < n * n * (n - 1) // 2 // 2
