@@ -14,7 +14,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .digraph import pattern_walk, wielandt_bound
+from .digraph import pattern_walk, row_targets, wielandt_bound
 from .errors import CertificationRefused, ContractViolation, DimensionError
 from .hypotheses import HypothesisReport, analyze
 from .stochastic import (
@@ -25,20 +25,27 @@ from .stochastic import (
 EXACT_SLACK = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProductState:
     """Running product P(k) = A(k)...A(1); P(0) = I.
 
     Products are not renormalized: ``row_sum_drift`` is the largest
-    |row sum - 1| over P(0..k). The semi-norm is computed on first read.
+    |row sum - 1| over P(0..k). While every factor so far is a map (one
+    positive entry per row, digraph.row_targets), row i of P(k) is row
+    ``targets[i]`` of the identity; ``targets`` is None from the first other
+    factor on. The semi-norm is computed on first read: with ``targets`` it
+    is 0.0 when all rows are one row and 1.0 otherwise, as matrix_seminorm gives.
     """
 
     k: int
     matrix: StochasticMatrix
     row_sum_drift: float
+    targets: np.ndarray | None
 
     @cached_property
     def seminorm(self) -> float:
+        if self.targets is not None:  # rows of the identity: equal, or disjoint (Hajnal 1958)
+            return 0.0 if (self.targets == self.targets[0]).all() else 1.0
         return matrix_seminorm(self.matrix)
 
 
@@ -87,13 +94,18 @@ class ToleranceRun:
 
 
 def iter_products(seq: MatrixSequence) -> Iterator[ProductState]:
-    """ProductState for k = 0..L, starting from the identity."""
-    current, drift = np.eye(seq.n), 0.0
-    yield ProductState(0, StochasticMatrix._trusted(current), drift)
+    """ProductState for k = 0..L, starting from the identity. A map factor (row_targets) holds only
+    1.0 and zeros, so its step is a row gather, bit for bit, whose rows leave the drift as it is."""
+    current, drift, composed = np.eye(seq.n), 0.0, np.arange(seq.n)
+    yield ProductState(0, StochasticMatrix._trusted(current), drift, composed)
     for k, factor in enumerate(seq.stack, start=1):
-        current = factor @ current
-        drift = max(drift, float(np.abs(current.sum(axis=1) - 1.0).max()))
-        yield ProductState(k, StochasticMatrix._trusted(current), drift)
+        targets = row_targets(factor)
+        if targets is None:
+            current, composed = factor @ current, None
+            drift = max(drift, float(np.abs(current.sum(axis=1) - 1.0).max()))
+        else:
+            current, composed = current[targets], None if composed is None else composed[targets]
+        yield ProductState(k, StochasticMatrix._trusted(current), drift, composed)
 
 
 def partial_product(seq: MatrixSequence, l: int, k: int) -> StochasticMatrix:

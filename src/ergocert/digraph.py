@@ -5,6 +5,7 @@ Patterns are boolean (n, n) arrays or (L, n, n) stacks of them; the public
 functions also take any 0/1 array. Their products come from pattern_product,
 and every reachability question is answered by one closure primitive built on
 it; pattern_walk yields the patterns of a stack's backward products A(k)...A(1),
+taking a factor with one edge per row (a map, row_targets) as a row gather,
 component periods are read from the pattern array too (component_periods), and
 render writes a pattern's edges as text. Digraph and the functions that build
 or take one serve only the benchmark's traced run.
@@ -86,11 +87,23 @@ def pattern_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a.astype(np.float32, copy=False) @ b.astype(np.float32, copy=False) > 0
 
 
+def row_targets(factor) -> np.ndarray | None:
+    """The column of each row's one positive entry, or None unless every row of the
+    (n, n) array has exactly one. Such a factor is a map: row i of its product with
+    any matrix is row targets[i] of that matrix."""
+    positive = np.asarray(factor) > 0
+    if np.count_nonzero(positive) != len(positive) or not positive.any(axis=1).all():
+        return None
+    return positive.argmax(axis=1)
+
+
 def pattern_walk(factors) -> Iterator[np.ndarray]:
-    """Patterns of the backward products A(k)...A(1) of an (L, n, n) stack, for k = 1..L."""
+    """Patterns of the backward products A(k)...A(1) of an (L, n, n) stack, for k = 1..L;
+    a map factor (row_targets) is a gather of the product's rows, not a product."""
     product = np.eye(np.shape(factors)[-1], dtype=bool)
     for factor in np.asarray(factors):
-        product = pattern_product(factor, product)
+        targets = row_targets(factor)
+        product = pattern_product(factor, product) if targets is None else product[targets]
         yield product
 
 
@@ -99,11 +112,13 @@ def reachability(patterns) -> np.ndarray:
 
     Entry [..., i-1, j-1] is True iff a walk leads from i to j; every node
     reaches itself. I | A is squared until it stops changing, at most
-    ceil(log2 n) times.
+    ceil(log2 n) times, or until every closure is full, which cannot grow.
     """
     n = np.shape(patterns)[-1]
     closure = np.asarray(patterns, dtype=bool) | np.eye(n, dtype=bool)
     for _ in range((n - 1).bit_length()):
+        if closure.all():
+            break
         squared = pattern_product(closure, closure)
         if np.count_nonzero(squared) == np.count_nonzero(closure):  # the closure only grows
             break

@@ -3,7 +3,8 @@
 Each oracle is deliberately independent of the library code path it checks:
 cycle enumeration instead of BFS level gcd, 0/1-vector enumeration instead
 of the row-distance closed form, one n x n x n tensor instead of row
-blocks, a per-step walk frontier and integer matrix products instead of
+blocks, one BLAS product per step instead of a map factor's row gather,
+a per-step walk frontier and integer matrix products instead of
 pattern_product's float32 BLAS products, one BFS per node instead of the
 reachability closure, exhaustive subgraph search instead of the component
 period rule, Python float() per token with one StochasticMatrix per
@@ -23,10 +24,10 @@ from itertools import product as iter_product
 import numpy as np
 
 from ergocert.convergence import iter_products
-from ergocert.digraph import Digraph, is_aperiodic, wielandt_bound
+from ergocert.digraph import Digraph, is_aperiodic, pattern_product, wielandt_bound
 from ergocert.errors import ContractViolation, DimensionError, StochasticityError
 from ergocert.seqfile import SequenceFile, SequenceFileError
-from ergocert.stochastic import MatrixSequence, StochasticMatrix
+from ergocert.stochastic import MatrixSequence, StochasticMatrix, matrix_seminorm
 
 
 def complete_digraph(n: int) -> Digraph:
@@ -147,6 +148,29 @@ def supports_and_minima(seq) -> tuple[np.ndarray, np.ndarray]:
     products = np.stack([state.matrix.entries for state in iter_products(seq)])
     supports = products > 0
     return supports, np.where(supports, products, np.inf).min(axis=1)
+
+
+def products_by_blas(stack: np.ndarray) -> list[tuple[np.ndarray, float, float]]:
+    """(P(k), row_sum_drift, semi-norm) for k = 0..L of an (L, n, n) stack: every step is
+    one BLAS product factor @ P(k-1), map or not, the drift is taken over every product, and
+    every semi-norm is matrix_seminorm's."""
+    current, drift = np.eye(stack.shape[1]), 0.0
+    states = [(current, drift)]
+    for factor in stack:
+        current = factor @ current
+        drift = max(drift, float(np.abs(current.sum(axis=1) - 1.0).max()))
+        states.append((current, drift))
+    return [(p, d, matrix_seminorm(StochasticMatrix._trusted(p))) for p, d in states]
+
+
+def patterns_by_blas(patterns: np.ndarray) -> list[np.ndarray]:
+    """Patterns of A(k)...A(1), k = 1..L, of an (L, n, n) pattern stack: one pattern_product
+    of every factor, map or not, with the pattern before it."""
+    product, walked = np.eye(patterns.shape[-1], dtype=bool), []
+    for factor in patterns:
+        product = pattern_product(factor, product)
+        walked.append(product)
+    return walked
 
 
 def simple_cycle_lengths(g: Digraph) -> set[int]:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ergocert import convergence, stochastic
+from ergocert import convergence, digraph, stochastic
 from ergocert.convergence import (
     consensus_row,
     contraction_certificate,
@@ -17,19 +17,27 @@ from ergocert.convergence import (
     run_to_tolerance,
     saturation_floor,
 )
-from ergocert.digraph import pattern_walk, wielandt_bound
+from ergocert.digraph import pattern_product, pattern_walk, wielandt_bound
 from ergocert.errors import CertificationRefused, ContractViolation, DimensionError
 from ergocert.generate import generate_sequence
 from ergocert.hypotheses import MatrixSequence, analyze
 from ergocert.stochastic import (
     StochasticMatrix,
     digraph_of,
+    factor_patterns,
     identity_matrix,
     matrix_seminorm,
     min_positive_entry,
 )
 
-from oracles import random_stochastic, seminorm_one_shot, supports_and_minima, time_varying_walk_exists
+from oracles import (
+    patterns_by_blas,
+    products_by_blas,
+    random_stochastic,
+    seminorm_one_shot,
+    supports_and_minima,
+    time_varying_walk_exists,
+)
 
 # Slack for inequalities compounded over the length of a sequence.
 COMPOUND_SLACK = 1e-9
@@ -424,6 +432,100 @@ class TestLazySeminorm:
         product = partial_product(seq, 0, cert.saturation_index)
         assert cert.seminorm_at_saturation == matrix_seminorm(product)
         assert 0.0 <= cert.row_sum_drift < 1e-9
+
+
+FACTOR_KINDS = ("permutation", "map", "constant map", "map with -0.0", "sparse", "dense")
+
+
+def factor_of(kind, rng, n):
+    """Entries of one factor: a map (one 1.0 per row, its zeros written -0.0 in "map with -0.0")
+    or random stochastic entries, sparse or dense, which may still hold one entry per row."""
+    if kind in ("sparse", "dense"):
+        return random_stochastic(rng, n, 0.15 if kind == "sparse" else 0.9)
+    if kind == "permutation":
+        targets = rng.permutation(n)
+    else:
+        targets = np.full(n, rng.integers(n)) if kind == "constant map" else rng.integers(0, n, n)
+    return np.where(np.eye(n, dtype=bool)[targets], 1.0, -0.0 if kind == "map with -0.0" else 0.0)
+
+
+def map_of(*targets):
+    """The map factor sending row i to row targets[i] (0-based)."""
+    return StochasticMatrix(np.eye(len(targets))[list(targets)])
+
+
+class TestMapSteps:
+    """A map factor (one positive entry per row) steps the walks by a row gather: every
+    state and pattern equals the one-BLAS-product-per-step walk bit for bit."""
+
+    @settings(deadline=None)
+    @given(st.integers(1, 12), st.lists(st.sampled_from(FACTOR_KINDS), min_size=1, max_size=24),
+           st.integers(0, 2**32 - 1))
+    def test_every_state_equals_the_blas_walk(self, n, kinds, seed):
+        rng = np.random.default_rng(seed)
+        seq = seq_of(*(StochasticMatrix(factor_of(kind, rng, n)) for kind in kinds))
+        for state, (matrix, drift, seminorm) in zip(iter_products(seq), products_by_blas(seq.stack), strict=True):
+            assert state.matrix.entries.tobytes() == matrix.tobytes()
+            assert repr(state.row_sum_drift) == repr(drift)
+            assert repr(state.seminorm) == repr(seminorm)
+        patterns = factor_patterns(seq.stack)
+        for walked, expected in zip(pattern_walk(patterns), patterns_by_blas(patterns), strict=True):
+            assert np.array_equal(walked, expected)
+
+    def test_negative_zeros_survive_validation(self):
+        # the property test's "map with -0.0" factors reach the walk with their signed zeros
+        seq = seq_of(StochasticMatrix(factor_of("map with -0.0", np.random.default_rng(1), 4)))
+        assert np.signbit(seq.stack).sum() == 12
+        assert not np.signbit(list(iter_products(seq))[1].matrix.entries).any()
+
+    def test_identity_carries_every_row(self):
+        states = list(iter_products(seq_of(map_of(2, 0, 1), map_of(1, 1, 0))))
+        assert [s.targets.tolist() for s in states] == [[0, 1, 2], [2, 0, 1], [0, 0, 2]]
+        for state in states:
+            assert np.array_equal(state.matrix.entries, np.eye(3)[state.targets])
+        assert [s.seminorm for s in states] == [1.0, 1.0, 1.0]
+
+    def test_constant_map_gives_zero_from_its_step(self):
+        seq = seq_of(map_of(1, 1, 1), map_of(2, 0, 1), map_of(1, 0, 2))
+        states = list(iter_products(seq))
+        assert [repr(s.seminorm) for s in states] == ["1.0", "0.0", "0.0", "0.0"]
+        assert [s.targets.tolist() for s in states[1:]] == [[1, 1, 1]] * 3
+        assert [matrix_seminorm(s.matrix) for s in states] == [1.0, 0.0, 0.0, 0.0]
+        assert run_to_tolerance(seq_of(map_of(1, 0, 2), map_of(0, 0, 0)), 1e-300).matrix_seminorms == (1.0, 1.0, 0.0)
+
+    def test_a_factor_that_is_not_a_map_ends_the_targets(self):
+        lazy = StochasticMatrix(0.5 * np.eye(3) + 0.5 * np.roll(np.eye(3), 1, axis=1))
+        states = list(iter_products(seq_of(map_of(1, 2, 0), map_of(2, 0, 1), lazy, map_of(1, 2, 0))))
+        assert [s.targets is None for s in states] == [False, False, False, True, True]
+        assert [s.seminorm for s in states] == [matrix_seminorm(s.matrix) for s in states] == [1.0, 1.0, 1.0, 0.5, 0.5]
+        assert np.array_equal(states[4].matrix.entries, states[3].matrix.entries[[1, 2, 0]])
+
+    def test_a_map_after_other_factors_keeps_the_drift(self):
+        # row 2 of A sums to 1 + 2**-52, row 3 to 1 exactly; the constant map then keeps only row 3
+        a = StochasticMatrix([[0.1, 0.2, 0.7], [0.7, 0.2, 0.1], [0.0, 0.0, 1.0]])
+        states = list(iter_products(seq_of(a, map_of(2, 2, 2))))
+        assert states[1].row_sum_drift == 2.0**-52
+        assert (states[2].matrix.entries.sum(axis=1) == 1.0).all()
+        assert states[2].row_sum_drift == states[1].row_sum_drift
+        assert states[2].targets is None
+
+    @pytest.mark.parametrize("preset, n, length, maps", [
+        ("periodic-counterexample", 101, 150, True), ("positive-diagonal", 40, 30, False),
+    ])
+    def test_map_steps_form_no_product_and_no_seminorm(self, preset, n, length, maps):
+        seq = preset_fixture(preset, n, length, 0.001, 3)
+        with mock.patch.object(convergence, "matrix_seminorm", side_effect=matrix_seminorm) as measured:
+            run = run_to_tolerance(seq, 1e-6)
+        with mock.patch.object(digraph, "pattern_product", side_effect=pattern_product) as multiplied:
+            walked = list(pattern_walk(factor_patterns(seq.stack)))
+        assert len(walked) == length
+        if maps:
+            assert run.matrix_seminorms == (1.0,) * (length + 1)
+            assert measured.call_count == multiplied.call_count == 0
+        else:
+            assert run.state.k > 1
+            assert measured.call_count == run.state.k  # every step; P(0) = I is a map's product
+            assert multiplied.call_count == length
 
 
 class TestSupportOnsets:

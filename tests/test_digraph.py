@@ -1,10 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ergocert import digraph
 from ergocert.digraph import (
     Digraph,
     completely_reducible,
@@ -377,6 +379,22 @@ class TestAgainstBfsOracle:
                 assert set((np.flatnonzero(closure[u - 1]) + 1).tolist()) == reachable_by_bfs(g, u)
             assert set(components_and_periods(g)[0]) == components_by_bfs(g)
             assert bool(completely_reducible(g.adjacency_matrix()[None])[0]) == completely_reducible_by_bfs(g)
+
+    def test_full_closures_take_no_confirming_product(self):
+        # a hub joined both ways to every node gives diameter 2: one squaring fills every
+        # closure, and a full closure cannot grow, so no second product confirms it
+        rng = np.random.default_rng(10)
+        for n in range(3, 13):
+            hub = np.zeros((n, n), dtype=bool)
+            hub[0, :] = hub[:, 0] = True
+            stack = np.array([hub | (rng.random((n, n)) < density) for density in (0.0, 0.1, 0.4)])
+            with mock.patch.object(digraph, "pattern_product", side_effect=pattern_product) as multiplied:
+                closure = reachability(stack)
+            assert multiplied.call_count == 1
+            for pattern, closed in zip(stack, closure):
+                g = Digraph.from_adjacency(pattern)
+                for u in range(1, n + 1):
+                    assert set((np.flatnonzero(closed[u - 1]) + 1).tolist()) == reachable_by_bfs(g, u)
 
 
 class TestWielandt:
