@@ -26,6 +26,6 @@ from .errors import (
 )
 from .hypotheses import HypothesisReport, analyze
 from .seqfile import SequenceFile, SequenceFileError, read_sequence_file
-from .stochastic import MatrixSequence, StochasticMatrix
+from .stochastic import MatrixSequence
 
 __version__ = "0.1.0"

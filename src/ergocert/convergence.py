@@ -18,7 +18,7 @@ from .digraph import pattern_walk, row_targets, wielandt_bound
 from .errors import CertificationRefused, ContractViolation, DimensionError
 from .hypotheses import HypothesisReport, analyze
 from .stochastic import (
-    MatrixSequence, StochasticMatrix, factor_patterns, matrix_seminorm, min_positive_entry, vector_seminorm,
+    MatrixSequence, _read_only, factor_patterns, matrix_seminorm, min_positive_entry, vector_seminorm,
 )
 
 # Slack for exact inequalities.
@@ -27,7 +27,7 @@ EXACT_SLACK = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class ProductState:
-    """Running product P(k) = A(k)...A(1); P(0) = I.
+    """Running product P(k) = A(k)...A(1) as a read-only array; P(0) = I.
 
     Products are not renormalized: ``row_sum_drift`` is the largest
     |row sum - 1| over P(0..k). While every factor so far is a map (one
@@ -38,7 +38,7 @@ class ProductState:
     """
 
     k: int
-    matrix: StochasticMatrix
+    matrix: np.ndarray
     row_sum_drift: float
     targets: np.ndarray | None
 
@@ -97,7 +97,7 @@ def iter_products(seq: MatrixSequence) -> Iterator[ProductState]:
     """ProductState for k = 0..L, starting from the identity. A map factor (row_targets) holds only
     1.0 and zeros, so its step is a row gather, bit for bit, whose rows leave the drift as it is."""
     current, drift, composed = np.eye(seq.n), 0.0, np.arange(seq.n)
-    yield ProductState(0, StochasticMatrix._trusted(current), drift, composed)
+    yield ProductState(0, _read_only(current), drift, composed)
     for k, factor in enumerate(seq.stack, start=1):
         targets = row_targets(factor)
         if targets is None:
@@ -105,11 +105,11 @@ def iter_products(seq: MatrixSequence) -> Iterator[ProductState]:
             drift = max(drift, float(np.abs(current.sum(axis=1) - 1.0).max()))
         else:
             current, composed = current[targets], None if composed is None else composed[targets]
-        yield ProductState(k, StochasticMatrix._trusted(current), drift, composed)
+        yield ProductState(k, _read_only(current), drift, composed)
 
 
-def partial_product(seq: MatrixSequence, l: int, k: int) -> StochasticMatrix:
-    """The product A(k)...A(l+1); the identity when l == k."""
+def partial_product(seq: MatrixSequence, l: int, k: int) -> np.ndarray:
+    """The product A(k)...A(l+1), read-only; the identity when l == k."""
     if not 0 <= l <= k <= len(seq):
         raise ContractViolation(f"need 0 <= l <= k <= {len(seq)}, got l={l}, k={k}")
     for state in iter_products(MatrixSequence._of_stack(seq.stack[l:k])):
@@ -148,7 +148,7 @@ def _first_saturated(seq: MatrixSequence, alpha: float) -> ProductState | None:
     threshold = saturation_floor(seq.n, alpha) - EXACT_SLACK
     products = islice(iter_products(seq), 1, None)
     for state, pattern in zip(products, pattern_walk(factor_patterns(seq.stack))):
-        if pattern.all() and state.matrix.entries.min() >= threshold:
+        if pattern.all() and state.matrix.min() >= threshold:
             return state
     return None
 
@@ -190,10 +190,9 @@ def contraction_certificate(
     )
 
 
-def consensus_row(p: StochasticMatrix) -> np.ndarray:
+def consensus_row(p: np.ndarray) -> np.ndarray:
     """Column-wise midrange: the center of the tightest sup-norm ball holding all rows."""
-    entries = p.entries
-    return (entries.max(axis=0) + entries.min(axis=0)) / 2.0
+    return (p.max(axis=0) + p.min(axis=0)) / 2.0
 
 
 def run_to_tolerance(seq: MatrixSequence, epsilon: float, x0=None) -> ToleranceRun:

@@ -4,8 +4,9 @@ The conditions: (1) positive entries bounded below by some alpha > 0,
 (2) eventual positivity of accumulated products from each checked start,
 (3) every factor completely reducible, and (4) a common sink-free aperiodic
 spanning subgraph (the core) inside every factor's positivity pattern.
-Every check reads `MatrixSequence.stack`, the sequence's one validated (L, n, n)
-array; `.items`, iteration and `.factor(k)` are views of it kept for the traced benchmark.
+Every check reads `MatrixSequence.stack`, the sequence's one validated, read-only
+(L, n, n) array; `.items`, iteration and `.factor(k)` are read-only (n, n) views of it,
+kept for the traced benchmark.
 """
 
 from __future__ import annotations

@@ -14,18 +14,18 @@ Format, line oriented and diffable:
 
 The parser takes text; a file is read as UTF-8, a leading byte-order mark skipped. Each
 distinct data line is converted and validated once: one numpy call reads the distinct
-lines, `stochastic.normalize_rows` (the rule every StochasticMatrix passes) checks their
-rows, and they are gathered into one validated (L, n, n) stack, which the file's
-MatrixSequence takes over; `SequenceFile.matrices` are views of it kept for the traced
-benchmark. Finite-set or periodic factors repeat rows (101 distinct lines in 15 150 for
-the periodic counterexample at n=101, L=150); a repeat is neither converted nor kept, and
-a file of distinct lines pays one dict insert per line, 4-10% of its parse. The writer
-takes only validated sequences and formats each distinct row once: an entry whose bits
-are all zero is 0.0, repr writes the rest, and -0.0 keeps its sign. Only rejected input
-is scanned again, to name the first bad line or record: each distinct line is converted
-once by `parse_numbers`, which also reads the CLI's x0 vectors, and each record is checked
-by `normalize_rows`. Records and rows in error messages are 1-based. Writes are atomic:
-content goes to a temporary file in the target directory and is renamed into place.
+lines, `stochastic.normalize_rows` (the rule the MatrixSequence constructor applies to
+each record) checks their rows, and they are gathered into one validated (L, n, n) stack,
+which the file's MatrixSequence takes over. Finite-set or periodic factors repeat rows
+(101 distinct lines in 15 150 for the periodic counterexample at n=101, L=150); a repeat
+is neither converted nor kept, and a file of distinct lines pays one dict insert per
+line, 4-10% of its parse. The writer takes a MatrixSequence only and formats each
+distinct row once: an entry whose bits are all zero is 0.0, repr writes the rest, and
+-0.0 keeps its sign. Only rejected input is scanned again, to name the first bad line or
+record: each distinct line is converted once by `parse_numbers`, which also reads the
+CLI's x0 vectors, and each record is checked by `normalize_rows`. Records and rows in
+error messages are 1-based. Writes are atomic: content goes to a temporary file in the
+target directory and is renamed into place.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from typing import NoReturn
 import numpy as np
 
 from .errors import StochasticityError
-from .stochastic import MatrixSequence, StochasticMatrix, normalize_rows
+from .stochastic import MatrixSequence, normalize_rows
 
 
 class SequenceFileError(ValueError):
@@ -63,9 +63,9 @@ class SequenceFile:
         return len(self.sequence)
 
     @property
-    def matrices(self) -> tuple[StochasticMatrix, ...]:
-        """StochasticMatrix views of the stack, kept for the benchmark's traced run."""
-        return self.sequence.items
+    def matrices(self) -> MatrixSequence:
+        """The file's sequence, kept for the benchmark's traced run."""
+        return self.sequence
 
     def to_sequence(self) -> MatrixSequence:
         return self.sequence
@@ -165,12 +165,14 @@ def read_sequence_file(path: str | Path) -> SequenceFile:
 
 
 def format_sequence(factors, metadata: dict[str, str] | None = None) -> str:
-    """Render a MatrixSequence, or StochasticMatrix items stacked by MatrixSequence, in the file
-    format; floats use shortest round-trip form. Refuses metadata keys or values that are not
-    str or would not read back unchanged. Each distinct row, keyed by its bytes, is formatted
-    once, all of them by one %-template: an entry whose bits are all zero is 0.0, %r writes
-    the others, and -0.0 keeps its own text."""
-    stack = (factors if isinstance(factors, MatrixSequence) else MatrixSequence(factors)).stack
+    """Render a MatrixSequence in the file format (TypeError for anything else); floats use
+    shortest round-trip form. Refuses metadata keys or values that are not str or would not
+    read back unchanged. Each distinct row, keyed by its bytes, is formatted once, all of
+    them by one %-template: an entry whose bits are all zero is 0.0, %r writes the others,
+    and -0.0 keeps its own text."""
+    if not isinstance(factors, MatrixSequence):
+        raise TypeError(f"the writer takes a MatrixSequence, got {type(factors).__name__}")
+    stack = factors.stack
     n = stack.shape[1]
     lines = [f"n={n}"]
     for key, value in (metadata or {}).items():

@@ -1,15 +1,17 @@
-"""Validated row-stochastic matrices and the disagreement semi-norm calculus.
+"""Validated sequences of row-stochastic matrices and the disagreement semi-norm calculus.
 
-The semi-norm of a vector is its distance to the constant vectors in the
-sup norm, which works out to half its spread. The induced matrix semi-norm
-has the closed form of the coefficient of ergodicity: half the largest L1
-distance between two rows. Matrices and sequences are immutable after validation.
+Every matrix the library takes or returns is a float64 ndarray; those it
+returns (a sequence's stack and its views, products, the identity) are
+read-only. The semi-norm of a vector is its distance to the constant vectors
+in the sup norm, which works out to half its spread. The induced matrix
+semi-norm has the closed form of the coefficient of ergodicity: half the
+largest L1 distance between two rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -47,68 +49,38 @@ def normalize_rows(rows: np.ndarray) -> None:
     rows /= sums[:, None]
 
 
-class StochasticMatrix:
-    """Dense n x n matrix that passed normalize_rows; the entries are read-only."""
-
-    __slots__ = ("_entries",)
-
-    def __init__(self, raw) -> None:
-        arr = np.array(raw, dtype=float)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise DimensionError(f"expected a square matrix, got shape {arr.shape}")
-        if arr.shape[0] < 1:
-            raise DimensionError("dimension must be at least 1")
-        normalize_rows(arr)
-        arr.setflags(write=False)
-        self._entries = arr
-
-    @property
-    def n(self) -> int:
-        return self._entries.shape[0]
-
-    @property
-    def entries(self) -> np.ndarray:
-        """The validated entries, as a read-only array."""
-        return self._entries
-
-    @classmethod
-    def _trusted(cls, entries: np.ndarray) -> StochasticMatrix:
-        """Take over a product of stochastic matrices, or a stack's view: no copy, checks or renormalization."""
-        entries.setflags(write=False)
-        out = cls.__new__(cls)
-        out._entries = entries
-        return out
-
-    def __repr__(self) -> str:
-        return f"StochasticMatrix(n={self.n})"
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True, eq=False)
 class MatrixSequence:
     """Factors A(1), ..., A(L) of one dimension as one read-only (L, n, n) stack of validated
-    entries, A(k) = stack[k - 1]; the constructor stacks StochasticMatrix items, not renormalized,
-    and refuses any other item (TypeError)."""
+    entries, A(k) = stack[k - 1]. The constructor copies an (L, n, n) array-like, or a list of
+    (n, n) arrays, and runs normalize_rows on each record; an error names the record."""
 
     stack: np.ndarray
 
-    def __init__(self, items: Iterable[StochasticMatrix]) -> None:
-        entries = []
-        for m in items:
-            if not isinstance(m, StochasticMatrix):
-                raise TypeError(f"a sequence takes StochasticMatrix items, got {type(m).__name__}")
-            entries.append(m.entries)
-        dims = sorted({len(e) for e in entries})
-        if len(dims) != 1:
-            raise DimensionError(f"a sequence needs matrices of one dimension, got {dims}")
-        object.__setattr__(self, "stack", np.stack(entries))
-        self.stack.setflags(write=False)
+    def __init__(self, factors) -> None:
+        try:
+            stack = np.array(factors, dtype=float)
+        except ValueError as err:  # ragged records, or an entry that is no number
+            raise DimensionError(f"the factors do not form one (L, n, n) array: {err}") from None
+        if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or not stack.size:
+            raise DimensionError(f"expected a nonempty (L, n, n) stack of square matrices, got shape {stack.shape}")
+        for record, entries in enumerate(stack, start=1):
+            try:
+                normalize_rows(entries)
+            except StochasticityError as err:
+                raise type(err)(f"record {record}: {err}") from None
+        object.__setattr__(self, "stack", _read_only(stack))
 
     @classmethod
     def _of_stack(cls, stack: np.ndarray) -> MatrixSequence:
         """Take over an already validated stack, as the parser does: no copy, checks or renormalization."""
-        stack.setflags(write=False)
         out = cls.__new__(cls)
-        object.__setattr__(out, "stack", stack)
+        object.__setattr__(out, "stack", _read_only(stack))
         return out
 
     @property
@@ -119,34 +91,34 @@ class MatrixSequence:
         return len(self.stack)
 
     @property
-    def items(self) -> tuple[StochasticMatrix, ...]:
-        """Views of the stack, kept for the benchmark's traced run as are iteration and factor(k)."""
-        return tuple(map(StochasticMatrix._trusted, self.stack))
+    def items(self) -> tuple[np.ndarray, ...]:
+        """Read-only views of the stack, kept for the benchmark's traced run as are iteration and factor(k)."""
+        return tuple(self.stack)
 
-    def __iter__(self) -> Iterator[StochasticMatrix]:
-        return iter(self.items)
+    def __iter__(self) -> Iterator[np.ndarray]:
+        return iter(self.stack)
 
-    def factor(self, k: int) -> StochasticMatrix:
+    def factor(self, k: int) -> np.ndarray:
         """A(k), 1-based."""
         if not 1 <= k <= len(self):
             raise ContractViolation(f"index k={k} outside 1..{len(self)}")
-        return StochasticMatrix._trusted(self.stack[k - 1])
+        return self.stack[k - 1]
 
 
-def identity_matrix(n: int) -> StochasticMatrix:
-    return StochasticMatrix(np.eye(n))
+def identity_matrix(n: int) -> np.ndarray:
+    return _read_only(np.eye(n))
 
 
-def multiply(a: StochasticMatrix, b: StochasticMatrix) -> StochasticMatrix:
-    """Matrix product a.b, not revalidated: its row sums drift from 1 only by rounding."""
-    if a.n != b.n:
-        raise DimensionError(f"dimensions differ: {a.n} vs {b.n}")
-    return StochasticMatrix._trusted(a.entries @ b.entries)
+def multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Matrix product a.b, read-only and not revalidated: its row sums drift from 1 only by rounding."""
+    if a.shape != b.shape:
+        raise DimensionError(f"dimensions differ: {len(a)} vs {len(b)}")
+    return _read_only(a @ b)
 
 
-def digraph_of(a: StochasticMatrix) -> Digraph:
+def digraph_of(a: np.ndarray) -> Digraph:
     """Positivity pattern of the matrix: edge (i, j) iff entry (i, j) > 0."""
-    return Digraph.from_adjacency(a.entries > 0)
+    return Digraph.from_adjacency(a > 0)
 
 
 def factor_patterns(stack: np.ndarray) -> np.ndarray:
@@ -159,10 +131,12 @@ def factor_patterns(stack: np.ndarray) -> np.ndarray:
 
 
 def min_positive_entry(factors) -> float | None:
-    """Smallest positive entry of an (L, n, n) stack of factors, or of StochasticMatrix items (the
-    benchmark's traced run passes them; MatrixSequence stacks them), read in chunks of records within
-    the block budget; None if there is none, which a validated factor never gives: each row sums to 1."""
-    stack = factors if isinstance(factors, np.ndarray) else MatrixSequence(factors).stack
+    """Smallest positive entry of a MatrixSequence's stack, or of an (L, n, n) array-like of factors
+    (the benchmark's traced run passes a sequence's items), read in chunks of records within the
+    block budget; None if there is none, which a validated factor never gives: each row sums to 1."""
+    stack = factors.stack if isinstance(factors, MatrixSequence) else np.asarray(factors, dtype=float)
+    if stack.ndim != 3:
+        raise DimensionError(f"expected an (L, n, n) stack of factors, got shape {stack.shape}")
     records = max(1, _SEMINORM_BLOCK_BYTES // (stack[:1].nbytes or 1))
     chunks = (stack[start : start + records] for start in range(0, len(stack), records))
     smallest = min((float(c[c > 0].min(initial=np.inf)) for c in chunks), default=np.inf)
@@ -182,7 +156,7 @@ def vector_seminorm(x) -> float:
     return float(vec.max()) / 2.0 - float(vec.min()) / 2.0
 
 
-def matrix_seminorm(a: StochasticMatrix) -> float:
+def matrix_seminorm(e: np.ndarray) -> float:
     """Coefficient of ergodicity: half the maximum L1 distance between rows.
 
     Equals the operator semi-norm induced by vector_seminorm; the supremum
@@ -206,7 +180,6 @@ def matrix_seminorm(a: StochasticMatrix) -> float:
     at most its computed bound once (1 + slack)(1 - u)^2 (1 - 2 n u) >= 1, which
     slack = 2 (n + 2) u meets while n^2 u < 1/2. Underflowing sums are exact.
     """
-    e = a.entries
     n = e.shape[0]
     rows = max(1, _SEMINORM_BLOCK_BYTES // (e.itemsize * n * n))
     diff = e[:1, None, :] - e[None, :, :]

@@ -7,7 +7,7 @@ blocks, one BLAS product per step instead of a map factor's row gather,
 a per-step walk frontier and integer matrix products instead of
 pattern_product's float32 BLAS products, one BFS per node instead of the
 reachability closure, exhaustive subgraph search instead of the component
-period rule, Python float() per token with one StochasticMatrix per
+period rule, Python float() per token with one normalize_rows call per
 record instead of one numpy parse and one stack check, and repr per value
 instead of one text per distinct row with a token for zero entries. The
 classical hypotheses the paper's theorem generalizes are predicates here:
@@ -27,7 +27,21 @@ from ergocert.convergence import iter_products
 from ergocert.digraph import Digraph, is_aperiodic, pattern_product, wielandt_bound
 from ergocert.errors import ContractViolation, DimensionError, StochasticityError
 from ergocert.seqfile import SequenceFile, SequenceFileError
-from ergocert.stochastic import MatrixSequence, StochasticMatrix, matrix_seminorm
+from ergocert.stochastic import MatrixSequence, matrix_seminorm, normalize_rows
+
+
+def validated(raw) -> np.ndarray:
+    """One matrix through the public constructor: the read-only A(1) of MatrixSequence([raw])."""
+    return MatrixSequence([raw]).factor(1)
+
+
+def normalized_records(raw) -> np.ndarray:
+    """normalize_rows on a copy of each record of an (L, n, n) array-like, one call per
+    record, stacked: what one validating constructor call per matrix gave."""
+    records = [np.array(record, dtype=float) for record in raw]
+    for record in records:
+        normalize_rows(record)
+    return np.stack(records)
 
 
 def complete_digraph(n: int) -> Digraph:
@@ -145,7 +159,7 @@ def supports_and_minima(seq) -> tuple[np.ndarray, np.ndarray]:
     from the float entries: supports[k, i, j] is True iff row i is in the
     support of column j of P(k), and minima[k, j] is the smallest entry of
     that support."""
-    products = np.stack([state.matrix.entries for state in iter_products(seq)])
+    products = np.stack([state.matrix for state in iter_products(seq)])
     supports = products > 0
     return supports, np.where(supports, products, np.inf).min(axis=1)
 
@@ -160,7 +174,7 @@ def products_by_blas(stack: np.ndarray) -> list[tuple[np.ndarray, float, float]]
         current = factor @ current
         drift = max(drift, float(np.abs(current.sum(axis=1) - 1.0).max()))
         states.append((current, drift))
-    return [(p, d, matrix_seminorm(StochasticMatrix._trusted(p))) for p, d in states]
+    return [(p, d, matrix_seminorm(p)) for p, d in states]
 
 
 def patterns_by_blas(patterns: np.ndarray) -> list[np.ndarray]:
@@ -323,8 +337,8 @@ def stochastic_matrix_power(entries: np.ndarray, exponent: int) -> np.ndarray:
 
 def parse_per_token(text: str) -> SequenceFile:
     """The sequence-file parse token by token: Python float() on every token,
-    then one validated StochasticMatrix per record, raising at the first bad
-    line, record or row exactly as the library's messages do."""
+    then normalize_rows on each record, raising at the first bad line, record
+    or row exactly as the library's messages do."""
     header_n: int | None = None
     metadata: dict[str, str] = {}
     rows: list[list[float]] = []
@@ -376,11 +390,13 @@ def parse_per_token(text: str) -> SequenceFile:
                     f"record {record_index + 1}, row {offset + 1} (line {lineno}): "
                     f"expected {header_n} values, got {len(row)}"
                 )
+        matrices.append(np.array(block, dtype=float))
         try:
-            matrices.append(StochasticMatrix(block))
+            normalize_rows(matrices[-1])
         except StochasticityError as err:
             raise SequenceFileError(f"record {record_index + 1}: {err}") from err
-    return SequenceFile(metadata, MatrixSequence(matrices))
+    # already validated: the constructor would renormalize the rows once more
+    return SequenceFile(metadata, MatrixSequence._of_stack(np.stack(matrices)))
 
 
 def format_per_value(stack: np.ndarray, metadata: dict[str, str] | None = None) -> str:

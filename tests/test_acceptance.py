@@ -24,7 +24,6 @@ from ergocert.generate import generate_sequence
 from ergocert.hypotheses import MatrixSequence, analyze
 from ergocert.seqfile import write_sequence_file
 from ergocert.stochastic import (
-    StochasticMatrix,
     digraph_of,
     matrix_seminorm,
     min_positive_entry,
@@ -37,6 +36,7 @@ from oracles import (
     seminorm_bruteforce,
     supports_and_minima,
     time_varying_walk_exists,
+    validated,
 )
 
 
@@ -46,7 +46,7 @@ def _passed(number: int, name: str) -> None:
 
 def _random_sequence(rng, n, length, density):
     return MatrixSequence(
-        [StochasticMatrix(random_stochastic(rng, n, density)) for _ in range(length)]
+        [random_stochastic(rng, n, density) for _ in range(length)]
     )
 
 
@@ -95,7 +95,7 @@ def test_01_walk_oracle_equivalence():
             product = np.eye(n)
             for k in range(l, length + 1):
                 if k > l:
-                    product = seq.factor(k).entries @ product
+                    product = seq.factor(k) @ product
                 window = graphs[l:k]
                 for i in range(1, n + 1):
                     for j in range(1, n + 1):
@@ -120,8 +120,8 @@ def test_03_seminorm_oracle():
     rng = np.random.default_rng(1003)
     for _ in range(500):
         n = int(rng.integers(1, 9))
-        m = StochasticMatrix(random_stochastic(rng, n, density=float(rng.uniform(0.3, 1.0))))
-        assert abs(matrix_seminorm(m) - seminorm_bruteforce(m.entries)) <= 1e-12
+        m = validated(random_stochastic(rng, n, density=float(rng.uniform(0.3, 1.0))))
+        assert abs(matrix_seminorm(m) - seminorm_bruteforce(m)) <= 1e-12
     _passed(3, "seminorm-oracle")
 
 
@@ -132,8 +132,8 @@ def test_04_uniform_entry_bound():
         n = int(rng.integers(2, 9))
         alpha = float(rng.uniform(1e-6, 1.0 / n))
         raw = alpha + (1.0 - n * alpha) * rng.dirichlet(np.ones(n), size=n)
-        m = StochasticMatrix(raw)
-        assert (m.entries >= alpha - 1e-12).all()
+        m = validated(raw)
+        assert (m >= alpha - 1e-12).all()
         assert matrix_seminorm(m) <= 1.0 - n * alpha + 1e-12
     _passed(4, "uniform-entry-bound")
 
@@ -158,7 +158,7 @@ def test_05_support_growth_and_saturation():
         assert saturation is not None
         floor = saturation_floor(n, alpha)
         p_at_saturation = partial_product(seq, 0, saturation)
-        assert p_at_saturation.entries.min() >= floor - 1e-12
+        assert p_at_saturation.min() >= floor - 1e-12
         assert matrix_seminorm(p_at_saturation) <= 1.0 - n * floor + 1e-12
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0
@@ -186,9 +186,9 @@ def test_06_convergence_to_rank_one():
         tiles = math.ceil(math.log(0.99e-6) / math.log1p(-complement))
         assert tiles * math.log1p(-complement) < math.log(1e-6)
 
-        block = partial_product(seq, 0, base_length).entries
+        block = partial_product(seq, 0, base_length)
         p_horizon = _stochastic_power(block, tiles)
-        assert matrix_seminorm(StochasticMatrix(p_horizon)) < 1e-6
+        assert matrix_seminorm(validated(p_horizon)) < 1e-6
         assert (p_horizon.max(axis=0) - p_horizon.min(axis=0)).max() < 2e-6
     _passed(6, "convergence-to-rank-one")
 
@@ -196,9 +196,9 @@ def test_06_convergence_to_rank_one():
 def test_07_counterexample_rejection(tmp_path, capsys):
     """Alternating swaps: analysis exits 1 citing the missing core; no contraction ever."""
     length = 12
-    swap = StochasticMatrix([[0.0, 1.0], [1.0, 0.0]])
+    seq = MatrixSequence([[[0.0, 1.0], [1.0, 0.0]]] * length)
     path = tmp_path / "swaps.seq"
-    write_sequence_file(path, [swap] * length)
+    write_sequence_file(path, seq)
 
     exit_code = main(["analyze", str(path)])
     out = capsys.readouterr().out
@@ -206,7 +206,6 @@ def test_07_counterexample_rejection(tmp_path, capsys):
     assert "hypotheses.violations = aperiodic-core" in out
     assert "hypotheses.verdict = conditions-violated" in out
 
-    seq = MatrixSequence([swap] * length)
     for state in iter_products(seq):
         if state.k >= 1:
             assert state.seminorm == 1.0
@@ -247,7 +246,7 @@ def test_09_core_criterion_soundness():
 
 def test_10_lazy_walk_closed_form():
     """Constant symmetric lazy walk: semi-norm is 0.8**k; tolerance run stops at 31."""
-    lazy = StochasticMatrix([[0.9, 0.1], [0.1, 0.9]])
+    lazy = [[0.9, 0.1], [0.1, 0.9]]
     seq = MatrixSequence([lazy] * 50)
     for state in iter_products(seq):
         if state.k == 0:

@@ -5,7 +5,7 @@ Removing or renaming one of those names breaks `perfbench/run.py --trace 1`
 and no other test, so this module imports each of them, checks that the
 list below still covers the file, and reads the result attributes the
 traced run reads. It also checks that the package root exports exactly the
-documented library, that the README's library example resolves, and that
+documented library, that the README's library example runs, and that
 the package exports no name, and no public class of a package module an
 attribute, that only tests use. Every other public module-level name must
 be read in the package or by the traced run, and the names only the traced
@@ -47,7 +47,7 @@ PACKAGE = ROOT / "src" / "ergocert"
 README = ROOT / "README.md"
 DOCUMENTED = {
     "read_sequence_file", "analyze", "contraction_certificate", "run_to_tolerance", "disagreement_trajectory",
-    "StochasticMatrix", "MatrixSequence",
+    "MatrixSequence",
     "SequenceFile", "HypothesisReport", "ConvergenceCertificate", "ToleranceRun", "ProductState",
     "SequenceFileError", "ContractViolation", "CertificationRefused", "DimensionError", "StochasticityError",
     "NegativityError",
@@ -192,17 +192,34 @@ def test_every_public_attribute_of_an_exported_type_has_a_non_test_reader():
     assert unread == set()
 
 
+def readme_example() -> str:
+    """The python block under the README's "## Library" heading."""
+    library = README.read_text(encoding="utf-8").split("## Library", 1)[1]
+    return re.search(r"```python\n(.*?)```", library, re.S).group(1)
+
+
 def test_root_exports_the_documented_library():
     public = {
         name for name in dir(ergocert)
         if not name.startswith("_") and not isinstance(getattr(ergocert, name), ModuleType)
     }
     assert public == DOCUMENTED
-    library = README.read_text(encoding="utf-8").split("## Library", 1)[1]
-    example = re.search(r"```python\n(.*?)```", library, re.S).group(1)
-    shown = set(re.findall(r"\bec\.(\w+)", example))
+    shown = set(re.findall(r"\bec\.(\w+)", readme_example()))
     assert shown
     assert {name for name in shown if not hasattr(ergocert, name)} == set()
+
+
+def test_readme_library_example_runs(tmp_path, monkeypatch):
+    # the example reads walk.seq from the working directory and builds a sequence from arrays
+    seqf = generate_sequence("positive-diagonal", 3, 8, 0.1, 1)
+    write_sequence_file(tmp_path / "walk.seq", seqf.sequence, seqf.metadata)
+    monkeypatch.chdir(tmp_path)
+    names = {"arrays": [np.array(a) for a in seqf.sequence.stack], "x0": np.arange(3.0)}
+    exec(readme_example(), names)
+    assert np.allclose(names["seq"].stack, seqf.sequence.stack, rtol=0, atol=1e-15)  # renormalized once more
+    assert isinstance(names["report"], ergocert.HypothesisReport)
+    assert isinstance(names["run"], ergocert.ToleranceRun) and names["run"].vector_seminorms is not None
+    assert len(names["traj"]) == 9
 
 
 def test_imports_cover_the_traced_run():

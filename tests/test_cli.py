@@ -11,10 +11,10 @@ from ergocert.errors import CertificationRefused
 from ergocert.generate import PRESETS, generate_sequence
 from ergocert.hypotheses import analyze
 from ergocert.seqfile import read_sequence_file, write_sequence_file
-from ergocert.stochastic import ROW_SUM_TOL, StochasticMatrix, identity_matrix
+from ergocert.stochastic import ROW_SUM_TOL, MatrixSequence, identity_matrix
 
-LAZY = StochasticMatrix([[0.9, 0.1], [0.1, 0.9]])
-SWAP = StochasticMatrix([[0.0, 1.0], [1.0, 0.0]])
+LAZY = [[0.9, 0.1], [0.1, 0.9]]
+SWAP = [[0.0, 1.0], [1.0, 0.0]]
 
 
 def report_lines(capsys):
@@ -25,21 +25,21 @@ def report_lines(capsys):
 @pytest.fixture
 def lazy_file(tmp_path):
     path = tmp_path / "lazy.seq"
-    write_sequence_file(path, [LAZY] * 40)
+    write_sequence_file(path, MatrixSequence([LAZY] * 40))
     return str(path)
 
 
 @pytest.fixture
 def swap_file(tmp_path):
     path = tmp_path / "swap.seq"
-    write_sequence_file(path, [SWAP] * 6)
+    write_sequence_file(path, MatrixSequence([SWAP] * 6))
     return str(path)
 
 
 @pytest.fixture
 def identity_file(tmp_path):
     path = tmp_path / "identity.seq"
-    write_sequence_file(path, [identity_matrix(2)] * 5)
+    write_sequence_file(path, MatrixSequence([identity_matrix(2)] * 5))
     return str(path)
 
 
@@ -109,7 +109,7 @@ class TestValidate:
             assert reports[0][1]["exit_status"] == str(reports[0][0])
 
 
-TRIDIAGONAL = StochasticMatrix([[0.8, 0.2, 0.0], [0.1, 0.8, 0.1], [0.0, 0.2, 0.8]])
+TRIDIAGONAL = [[0.8, 0.2, 0.0], [0.1, 0.8, 0.1], [0.0, 0.2, 0.8]]
 
 
 # a replacement for the first row of the second record ("0.8 0.2 0.0"), or
@@ -126,7 +126,7 @@ TRIDIAGONAL = StochasticMatrix([[0.8, 0.2, 0.0], [0.1, 0.8, 0.1], [0.0, 0.2, 0.8
 ], ids=["non-numeric", "ragged", "incomplete", "nan", "negative", "row-sum", "below-tolerance", "clamped"])
 def test_validate_accepts_what_every_command_reads(tmp_path, capsys, row, code):
     path = tmp_path / "tri.seq"
-    write_sequence_file(path, [TRIDIAGONAL] * 80)
+    write_sequence_file(path, MatrixSequence([TRIDIAGONAL] * 80))
     lines = path.read_text().splitlines()
     at = lines.index("0.8 0.2 0.0", lines.index("0.8 0.2 0.0") + 1)
     lines[at : at + 1] = [] if row is None else [row]
@@ -155,13 +155,13 @@ class TestAnalyze:
 
     def test_triangular_factor_cited(self, tmp_path, capsys):
         path = tmp_path / "tri.seq"
-        write_sequence_file(path, [LAZY, StochasticMatrix([[1.0, 0.0], [0.5, 0.5]]), LAZY])
+        write_sequence_file(path, MatrixSequence([LAZY, [[1.0, 0.0], [0.5, 0.5]], LAZY]))
         assert main(["analyze", str(path)]) == 1
         assert "complete-reducibility:k=2" in report_lines(capsys)["hypotheses.violations"]
 
     def test_all_starts(self, tmp_path, capsys):
         path = tmp_path / "mix.seq"
-        write_sequence_file(path, [LAZY, identity_matrix(2)])
+        write_sequence_file(path, MatrixSequence([LAZY, identity_matrix(2)]))
         assert main(["analyze", str(path), "--all-starts"]) == 1
         lines = report_lines(capsys)
         assert lines["hypotheses.eventual_positivity.start_1"] == "1"
@@ -185,7 +185,7 @@ class TestAnalyze:
 class TestCertify:
     def test_rank_one_certificate(self, tmp_path, capsys):
         path = tmp_path / "rank1.seq"
-        write_sequence_file(path, [StochasticMatrix([[0.5, 0.5], [0.5, 0.5]])] * 3)
+        write_sequence_file(path, MatrixSequence([[[0.5, 0.5], [0.5, 0.5]]] * 3))
         assert main(["certify", str(path)]) == 0
         lines = report_lines(capsys)
         assert lines["certificate.status"] == "emitted"
@@ -211,7 +211,7 @@ class TestCertify:
         # in its pattern, while its C^2 entries underflow to 0.0
         w = 1e-200
         path = tmp_path / "lazy-cycle.seq"
-        write_sequence_file(path, [StochasticMatrix([[1 - w, w, 0], [0, 1 - w, w], [w, 0, 1 - w]])] * 6)
+        write_sequence_file(path, MatrixSequence([[[1 - w, w, 0], [0, 1 - w, w], [w, 0, 1 - w]]] * 6))
         assert main(["certify", str(path)]) == 0
         lines = report_lines(capsys)
         assert lines["certificate.status"] == "emitted"
@@ -568,7 +568,7 @@ def test_large_generated_files_pinned(tmp_path, capsys, arguments):
 def test_reports_pinned(tmp_path, capsys):
     assert {source for source, _ in PINNED_REPORTS} == {*PINNED_FILES, "identity"}
     assert set(PINNED_FILES) == set(PRESETS)
-    write_sequence_file(tmp_path / "identity.seq", [identity_matrix(2)] * 5)
+    write_sequence_file(tmp_path / "identity.seq", MatrixSequence([identity_matrix(2)] * 5))
     outputs, mismatches = {}, []
     for preset in PRESETS:
         path = tmp_path / f"{preset}.seq"

@@ -22,7 +22,6 @@ from ergocert.errors import CertificationRefused, ContractViolation, DimensionEr
 from ergocert.generate import generate_sequence
 from ergocert.hypotheses import MatrixSequence, analyze
 from ergocert.stochastic import (
-    StochasticMatrix,
     digraph_of,
     factor_patterns,
     identity_matrix,
@@ -37,14 +36,15 @@ from oracles import (
     seminorm_one_shot,
     supports_and_minima,
     time_varying_walk_exists,
+    validated,
 )
 
 # Slack for inequalities compounded over the length of a sequence.
 COMPOUND_SLACK = 1e-9
 
-LAZY = StochasticMatrix([[0.9, 0.1], [0.1, 0.9]])
-SWAP = StochasticMatrix([[0.0, 1.0], [1.0, 0.0]])
-RANK1 = StochasticMatrix([[0.5, 0.5], [0.5, 0.5]])
+LAZY = [[0.9, 0.1], [0.1, 0.9]]
+SWAP = [[0.0, 1.0], [1.0, 0.0]]
+RANK1 = [[0.5, 0.5], [0.5, 0.5]]
 
 
 def seq_of(*matrices):
@@ -52,7 +52,7 @@ def seq_of(*matrices):
 
 
 def random_sequence(rng, n, length, density=0.6):
-    return seq_of(*(StochasticMatrix(random_stochastic(rng, n, density)) for _ in range(length)))
+    return seq_of(*(random_stochastic(rng, n, density) for _ in range(length)))
 
 
 def preset_fixture(preset, n, length, alpha, seed):
@@ -61,18 +61,18 @@ def preset_fixture(preset, n, length, alpha, seed):
 
 def lazy_cycle(n, w):
     """(1 - w) I + w C for the n-cycle C: pattern I + C, and C^m has weight about w^m."""
-    return StochasticMatrix((1 - w) * np.eye(n) + w * np.roll(np.eye(n), 1, axis=1))
+    return (1 - w) * np.eye(n) + w * np.roll(np.eye(n), 1, axis=1)
 
 
 class TestPartialProduct:
     def test_equal_indices_give_identity(self):
         seq = seq_of(LAZY, SWAP)
         for k in (0, 1, 2):
-            assert np.array_equal(partial_product(seq, k, k).entries, np.eye(2))
+            assert np.array_equal(partial_product(seq, k, k), np.eye(2))
 
     def test_swap_involution(self):
         seq = seq_of(SWAP, SWAP)
-        assert np.allclose(partial_product(seq, 0, 2).entries, np.eye(2))
+        assert np.allclose(partial_product(seq, 0, 2), np.eye(2))
 
     def test_index_contract(self):
         seq = seq_of(LAZY)
@@ -87,15 +87,15 @@ class TestPartialProduct:
             seq = random_sequence(rng, n, int(rng.integers(1, 7)))
             for l in range(len(seq) + 1):
                 for k in range(l, len(seq) + 1):
-                    left = partial_product(seq, 0, k).entries
-                    split = partial_product(seq, l, k).entries @ partial_product(seq, 0, l).entries
+                    left = partial_product(seq, 0, k)
+                    split = partial_product(seq, l, k) @ partial_product(seq, 0, l)
                     assert np.allclose(left, split, atol=1e-12)
 
     def test_iter_products_matches_partial_product(self):
         rng = np.random.default_rng(31)
         seq = random_sequence(rng, 3, 6)
         for state in iter_products(seq):
-            assert np.allclose(state.matrix.entries, partial_product(seq, 0, state.k).entries, atol=1e-12)
+            assert np.allclose(state.matrix, partial_product(seq, 0, state.k), atol=1e-12)
             assert state.seminorm == matrix_seminorm(state.matrix)
 
 
@@ -128,14 +128,14 @@ class TestSaturation:
     def test_positivity_is_read_from_patterns(self):
         # w = 1e-200: the C^2 entries of P(2) are about 1e-400, 0.0 in floats
         seq = seq_of(*[lazy_cycle(3, 1e-200)] * 6)
-        assert partial_product(seq, 0, 2).entries.min() == 0.0
+        assert partial_product(seq, 0, 2).min() == 0.0
         assert find_saturation_K(seq, 1e-200) == 2
 
     def test_positivity_thresholds_each_factor(self):
         # the factor patterns I + C fill at K = 2, long before every float
         # entry of the products passes 0.05
         seq = seq_of(*[lazy_cycle(3, 0.01)] * 60)
-        assert partial_product(seq, 0, 60).entries.min() > 0.05
+        assert partial_product(seq, 0, 60).min() > 0.05
         assert find_saturation_K(seq, 0.01) == 2
 
     def test_floor_holds_at_saturation(self):
@@ -147,7 +147,7 @@ class TestSaturation:
             if K is None:
                 continue
             floor = saturation_floor(3, alpha)
-            entries = partial_product(seq, 0, K).entries
+            entries = partial_product(seq, 0, K)
             assert entries.min() >= floor - 1e-12
             assert (entries > 0).all()
 
@@ -162,8 +162,8 @@ class TestSaturation:
         spread = [random_stochastic(rng, n, float(rng.uniform(0.2, 1.0))) for _ in range(length)]
         one_hot = [np.eye(n)[rng.integers(n, size=n)] for _ in range(length)]
         factors = {"spread": spread, "one-hot": one_hot, "mixed": [*spread[: length // 2], *one_hot[length // 2 :]],
-                   "tiny": [lazy_cycle(n, 10.0 ** -rng.uniform(1, 300)).entries] * length}
-        seq = seq_of(*map(StochasticMatrix, factors[kind]))
+                   "tiny": [lazy_cycle(n, 10.0 ** -rng.uniform(1, 300))] * length}
+        seq = seq_of(*factors[kind])
         alpha = min_positive_entry(seq.stack)
         assert alpha <= 0.5 or np.isin(seq.stack, (0.0, 1.0)).all()
         full = (k for k, pattern in enumerate(pattern_walk(seq.stack > 0), start=1) if pattern.all())
@@ -208,7 +208,7 @@ class TestCertificate:
         # sequences: 1.5 overflowed the floor, nan never saturated. The second
         # sequence is refused by the certificate itself (its triangular factor
         # is not completely reducible), so no bad alpha hides behind that
-        triangular = StochasticMatrix([[1.0, 0.0], [0.1, 0.9]])
+        triangular = [[1.0, 0.0], [0.1, 0.9]]
         for seq in (seq_of(LAZY, LAZY), seq_of(LAZY, triangular)):
             with pytest.raises(ContractViolation, match="at most the minimum positive entry 0.1"):
                 find_saturation_K(seq, alpha)
@@ -217,7 +217,7 @@ class TestCertificate:
 
     def test_certificate_at_dimension_one(self):
         # n * entry_floor == 1: the contraction is exactly 0.0, and it bounds something
-        cert = contraction_certificate(MatrixSequence([StochasticMatrix([[1.0]])] * 3))
+        cert = contraction_certificate(MatrixSequence([[[1.0]]] * 3))
         assert cert.contraction == 0.0
         assert cert.seminorm_at_saturation == 0.0
         assert not cert.vacuous
@@ -240,7 +240,7 @@ class TestCertificate:
     def test_contraction_bounds_every_later_product(self):
         # P(1) from start 1 saturates at K = 1, and the 399 identities after it never
         # contract: tau(P(k)) stays 0.1, which the one checked contraction still bounds
-        seq = seq_of(StochasticMatrix([[0.5, 0.5], [0.4, 0.6]]), *[identity_matrix(2)] * 399)
+        seq = seq_of([[0.5, 0.5], [0.4, 0.6]], *[identity_matrix(2)] * 399)
         cert = contraction_certificate(seq)
         assert cert.saturation_index == 1
         assert cert.contraction == pytest.approx(0.991808)
@@ -311,13 +311,13 @@ class TestRunToTolerance:
                 assert with_x0.consensus_row is None
                 assert with_x0.reached == (with_x0.vector_seminorms[-1] <= epsilon)
                 if with_x0.reached:
-                    x = with_x0.state.matrix.entries @ x0
+                    x = with_x0.state.matrix @ x0
                     assert np.abs(x - with_x0.consensus_value).max() <= epsilon + 1e-12
                 else:
                     assert with_x0.consensus_value is None
                     assert with_x0.state.k == len(seq)
                 for r in (run, with_x0):
-                    drifts = [abs(partial_product(seq, 0, k).entries.sum(axis=1) - 1).max()
+                    drifts = [abs(partial_product(seq, 0, k).sum(axis=1) - 1).max()
                               for k in range(r.state.k + 1)]
                     assert r.state.row_sum_drift == max(drifts)
 
@@ -328,7 +328,7 @@ class TestRunToTolerance:
         assert n > stochastic._SEMINORM_BLOCK_BYTES // (8 * n * n)
         seq = preset_fixture(preset, n, length, 0.001, 5)
         run = run_to_tolerance(seq, 1e-300)
-        oracle = tuple(seminorm_one_shot(state.matrix.entries) for state in iter_products(seq))
+        oracle = tuple(seminorm_one_shot(state.matrix) for state in iter_products(seq))
         assert run.matrix_seminorms == oracle[: run.state.k + 1]
         if preset == "periodic-counterexample":
             assert run.matrix_seminorms == (1.0,) * (length + 1)
@@ -368,7 +368,7 @@ class TestRunToTolerance:
             run = run_to_tolerance(seq, 1e-4)
             if not run.reached:
                 continue
-            entries = run.state.matrix.entries
+            entries = run.state.matrix
             spread = entries.max(axis=0) - entries.min(axis=0)
             assert spread.max() <= 2e-4
             for row in entries:
@@ -451,7 +451,7 @@ def factor_of(kind, rng, n):
 
 def map_of(*targets):
     """The map factor sending row i to row targets[i] (0-based)."""
-    return StochasticMatrix(np.eye(len(targets))[list(targets)])
+    return np.eye(len(targets))[list(targets)]
 
 
 class TestMapSteps:
@@ -463,9 +463,9 @@ class TestMapSteps:
            st.integers(0, 2**32 - 1))
     def test_every_state_equals_the_blas_walk(self, n, kinds, seed):
         rng = np.random.default_rng(seed)
-        seq = seq_of(*(StochasticMatrix(factor_of(kind, rng, n)) for kind in kinds))
+        seq = seq_of(*(factor_of(kind, rng, n) for kind in kinds))
         for state, (matrix, drift, seminorm) in zip(iter_products(seq), products_by_blas(seq.stack), strict=True):
-            assert state.matrix.entries.tobytes() == matrix.tobytes()
+            assert state.matrix.tobytes() == matrix.tobytes()
             assert repr(state.row_sum_drift) == repr(drift)
             assert repr(state.seminorm) == repr(seminorm)
         patterns = factor_patterns(seq.stack)
@@ -474,15 +474,15 @@ class TestMapSteps:
 
     def test_negative_zeros_survive_validation(self):
         # the property test's "map with -0.0" factors reach the walk with their signed zeros
-        seq = seq_of(StochasticMatrix(factor_of("map with -0.0", np.random.default_rng(1), 4)))
+        seq = seq_of(factor_of("map with -0.0", np.random.default_rng(1), 4))
         assert np.signbit(seq.stack).sum() == 12
-        assert not np.signbit(list(iter_products(seq))[1].matrix.entries).any()
+        assert not np.signbit(list(iter_products(seq))[1].matrix).any()
 
     def test_identity_carries_every_row(self):
         states = list(iter_products(seq_of(map_of(2, 0, 1), map_of(1, 1, 0))))
         assert [s.targets.tolist() for s in states] == [[0, 1, 2], [2, 0, 1], [0, 0, 2]]
         for state in states:
-            assert np.array_equal(state.matrix.entries, np.eye(3)[state.targets])
+            assert np.array_equal(state.matrix, np.eye(3)[state.targets])
         assert [s.seminorm for s in states] == [1.0, 1.0, 1.0]
 
     def test_constant_map_gives_zero_from_its_step(self):
@@ -494,18 +494,18 @@ class TestMapSteps:
         assert run_to_tolerance(seq_of(map_of(1, 0, 2), map_of(0, 0, 0)), 1e-300).matrix_seminorms == (1.0, 1.0, 0.0)
 
     def test_a_factor_that_is_not_a_map_ends_the_targets(self):
-        lazy = StochasticMatrix(0.5 * np.eye(3) + 0.5 * np.roll(np.eye(3), 1, axis=1))
+        lazy = 0.5 * np.eye(3) + 0.5 * np.roll(np.eye(3), 1, axis=1)
         states = list(iter_products(seq_of(map_of(1, 2, 0), map_of(2, 0, 1), lazy, map_of(1, 2, 0))))
         assert [s.targets is None for s in states] == [False, False, False, True, True]
         assert [s.seminorm for s in states] == [matrix_seminorm(s.matrix) for s in states] == [1.0, 1.0, 1.0, 0.5, 0.5]
-        assert np.array_equal(states[4].matrix.entries, states[3].matrix.entries[[1, 2, 0]])
+        assert np.array_equal(states[4].matrix, states[3].matrix[[1, 2, 0]])
 
     def test_a_map_after_other_factors_keeps_the_drift(self):
         # row 2 of A sums to 1 + 2**-52, row 3 to 1 exactly; the constant map then keeps only row 3
-        a = StochasticMatrix([[0.1, 0.2, 0.7], [0.7, 0.2, 0.1], [0.0, 0.0, 1.0]])
+        a = [[0.1, 0.2, 0.7], [0.7, 0.2, 0.1], [0.0, 0.0, 1.0]]
         states = list(iter_products(seq_of(a, map_of(2, 2, 2))))
         assert states[1].row_sum_drift == 2.0**-52
-        assert (states[2].matrix.entries.sum(axis=1) == 1.0).all()
+        assert (states[2].matrix.sum(axis=1) == 1.0).all()
         assert states[2].row_sum_drift == states[1].row_sum_drift
         assert states[2].targets is None
 
@@ -581,7 +581,7 @@ class TestSupportInequalities:
         graphs = [digraph_of(m) for m in seq]
         for l in range(0, len(seq) + 1, 3):
             for k in range(l, min(l + 6, len(seq) + 1)):
-                entries = partial_product(seq, l, k).entries
+                entries = partial_product(seq, l, k)
                 for i in range(1, seq.n + 1):
                     for j in range(1, seq.n + 1):
                         assert (entries[i - 1, j - 1] > 0) == time_varying_walk_exists(graphs[l:k], i, j)
@@ -589,5 +589,5 @@ class TestSupportInequalities:
 
 class TestConsensusRow:
     def test_midrange(self):
-        m = StochasticMatrix([[0.2, 0.8], [0.4, 0.6]])
+        m = validated([[0.2, 0.8], [0.4, 0.6]])
         assert np.allclose(consensus_row(m), [0.3, 0.7])

@@ -97,7 +97,7 @@ class TestDeterminism:
         assert back.n == 3
         assert back.length == 8
         for original, reread in zip(seqf.matrices, back.matrices):
-            assert np.allclose(original.entries, reread.entries, rtol=0, atol=1e-15)
+            assert np.allclose(original, reread, rtol=0, atol=1e-15)
 
 
 class TestPositiveDiagonal:
@@ -107,7 +107,7 @@ class TestPositiveDiagonal:
             seq = seqf.to_sequence()
             assert min_positive_entry(seq.items) >= 0.1
             for m in seq:
-                assert (np.diag(m.entries) > 0).all()
+                assert (np.diag(m) > 0).all()
             report = analyze(seq)
             assert report.reducibility_failures == ()
             assert report.holds
@@ -131,7 +131,7 @@ class TestWolfowitzSet:
         seqf = generate_sequence("wolfowitz-set", 3, 60, 0.1, 5)
         seq = seqf.to_sequence()
         assert seqf.metadata["checked-depth"] == str(wielandt_bound(3) + 1)
-        distinct = {m.entries.tobytes() for m in seq}
+        distinct = {m.tobytes() for m in seq}
         assert len(distinct) <= int(seqf.metadata["set-size"])
         for m in seq:
             g = digraph_of(m)
@@ -143,7 +143,7 @@ class TestPeriodicCounterexample:
     def test_n2_is_alternating_swaps(self):
         seqf = generate_sequence("periodic-counterexample", 2, 6, 0.5, 0)
         for m in seqf.matrices:
-            assert np.array_equal(m.entries, [[0.0, 1.0], [1.0, 0.0]])
+            assert np.array_equal(m, [[0.0, 1.0], [1.0, 0.0]])
 
     def test_rejected_for_missing_core(self):
         for n in (2, 3, 4, 6):
@@ -154,10 +154,9 @@ class TestPeriodicCounterexample:
     def test_factors_are_permutation_matrices(self):
         seqf = generate_sequence("periodic-counterexample", 4, 8, 0.25, 0)
         for m in seqf.matrices:
-            entries = m.entries
-            assert ((entries == 0) | (entries == 1)).all()
-            assert (entries.sum(axis=0) == 1).all()
-            assert (entries.sum(axis=1) == 1).all()
+            assert ((m == 0) | (m == 1)).all()
+            assert (m.sum(axis=0) == 1).all()
+            assert (m.sum(axis=1) == 1).all()
 
     def test_draws_no_random_numbers(self):
         # the preset ignores the seed, so it never imports numpy.random (10-13 ms), unless

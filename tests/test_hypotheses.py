@@ -15,12 +15,12 @@ from ergocert.hypotheses import (
     positivity_onsets,
 )
 from ergocert.generate import generate_sequence
-from ergocert.stochastic import StochasticMatrix, digraph_of, factor_patterns, identity_matrix
+from ergocert.stochastic import digraph_of, factor_patterns, identity_matrix
 
 from oracles import (
     boolean_product_pattern,
-    component_period_by_cycles,
     completely_reducible_by_bfs,
+    component_period_by_cycles,
     components_by_bfs,
     core_exists_exhaustive,
     first_reach_by_walks,
@@ -30,11 +30,12 @@ from oracles import (
     random_stochastic,
     relabel_entries,
     sinks,
+    validated,
 )
 
-LAZY = StochasticMatrix([[0.9, 0.1], [0.1, 0.9]])
-SWAP = StochasticMatrix([[0.0, 1.0], [1.0, 0.0]])
-TRIANGULAR = StochasticMatrix([[1.0, 0.0], [0.5, 0.5]])
+LAZY = validated([[0.9, 0.1], [0.1, 0.9]])
+SWAP = validated([[0.0, 1.0], [1.0, 0.0]])
+TRIANGULAR = validated([[1.0, 0.0], [0.5, 0.5]])
 
 
 def seq_of(*matrices):
@@ -43,7 +44,7 @@ def seq_of(*matrices):
 
 def lazy_cycle(n, w):
     """(1 - w) I + w C for the n-cycle C: pattern I + C, and C^m has weight about w^m."""
-    return StochasticMatrix((1.0 - w) * np.eye(n) + w * np.roll(np.eye(n), 1, axis=1))
+    return validated((1.0 - w) * np.eye(n) + w * np.roll(np.eye(n), 1, axis=1))
 
 
 def tiny_entries(rng, n, scale=1e-200):
@@ -79,8 +80,8 @@ class TestMatrixSequence:
     def test_one_based_access(self):
         seq = seq_of(LAZY, SWAP)
         # factors are views of the stack: the same entries, bit for bit, not the same objects
-        assert seq.factor(1).entries.tobytes() == LAZY.entries.tobytes()
-        assert seq.factor(2).entries.tobytes() == SWAP.entries.tobytes()
+        assert seq.factor(1).tobytes() == LAZY.tobytes()
+        assert seq.factor(2).tobytes() == SWAP.tobytes()
         assert len(seq) == 2
         with pytest.raises(ContractViolation):
             seq.factor(0)
@@ -112,13 +113,13 @@ class TestCompleteReducibility:
         upper[range(n), range(n)] = 1.0
         upper[0, 1] = 1.0
         perm = rng.permutation(n)
-        factors = [StochasticMatrix(upper[perm][:, perm] / upper.sum(axis=1)[perm, None])]
-        factors += [StochasticMatrix(random_stochastic(rng, n, float(rng.uniform(0.2, 0.9)))) for _ in range(size - 1)]
+        factors = [validated(upper[perm][:, perm] / upper.sum(axis=1)[perm, None])]
+        factors += [validated(random_stochastic(rng, n, float(rng.uniform(0.2, 0.9)))) for _ in range(size - 1)]
         order = data.draw(st.permutations(data.draw(st.lists(st.integers(0, size - 1), max_size=10)) + [0, 0]))
         seq = seq_of(*(factors[i] for i in order))
         expected = tuple(
             k for k, i in enumerate(order, start=1)
-            if not completely_reducible_by_bfs(Digraph.from_adjacency(factors[i].entries > 0))
+            if not completely_reducible_by_bfs(Digraph.from_adjacency(factors[i] > 0))
         )
         with mock.patch.object(digraph, "reachability", wraps=digraph.reachability) as spy:
             report = analyze(seq)
@@ -135,7 +136,7 @@ class TestCompleteReducibility:
 
 class TestAperiodicCore:
     def test_positive_diagonal_gives_core(self):
-        seq = seq_of(LAZY, StochasticMatrix([[1.0, 0.0], [0.2, 0.8]]))
+        seq = seq_of(LAZY, [[1.0, 0.0], [0.2, 0.8]])
         core = analyze(seq).core
         assert core is not None
         assert core.dtype == bool and core.shape == (2, 2)
@@ -154,7 +155,7 @@ class TestAperiodicCore:
         # every factor contains {1->2, 2->3, 3->1, 3->2}: cycle lengths 3 and 2
         base = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.5, 0.5, 0.0]])
         extra = np.array([[0.2, 0.6, 0.2], [0.1, 0.1, 0.8], [0.3, 0.3, 0.4]])
-        seq = seq_of(StochasticMatrix(base), StochasticMatrix(extra))
+        seq = seq_of(base, extra)
         core = analyze(seq).core
         assert core is not None
         assert np.array_equal(core, Digraph(3, {(1, 2), (2, 3), (3, 1), (3, 2)}).adjacency_matrix())
@@ -164,7 +165,7 @@ class TestAperiodicCore:
         found = 0
         while found < 25:
             n = int(rng.integers(2, 5))
-            seq = seq_of(*(StochasticMatrix(random_stochastic(rng, n, density=0.75))
+            seq = seq_of(*(random_stochastic(rng, n, density=0.75)
                            for _ in range(int(rng.integers(1, 4)))))
             core = analyze(seq).core
             if core is None:
@@ -181,7 +182,7 @@ class TestAperiodicCore:
         for _ in range(60):
             n = int(rng.integers(2, 5))
             density = float(rng.uniform(0.25, 0.9))
-            seq = seq_of(*(StochasticMatrix(random_stochastic(rng, n, density))
+            seq = seq_of(*(random_stochastic(rng, n, density)
                            for _ in range(int(rng.integers(1, 5)))))
             common = intersection([digraph_of(m) for m in seq])
             assert (analyze(seq).core is not None) == core_exists_exhaustive(common)
@@ -193,7 +194,7 @@ class TestAperiodicCore:
         present = absent = 0
         for _ in range(40):
             n = int(rng.integers(1, 7))
-            seq = seq_of(*(StochasticMatrix(random_stochastic(rng, n, float(rng.uniform(0.3, 0.9))))
+            seq = seq_of(*(random_stochastic(rng, n, float(rng.uniform(0.3, 0.9)))
                            for _ in range(int(rng.integers(1, 4)))))
             common = intersection([digraph_of(m) for m in seq])
             component_of = {u: comp for comp in components_by_bfs(common) for u in comp}
@@ -234,14 +235,14 @@ class TestEventualPositivity:
         rng = np.random.default_rng(22)
         for _ in range(40):
             n = int(rng.integers(2, 5))
-            seq = seq_of(*(StochasticMatrix(random_stochastic(rng, n, density=0.45))
+            seq = seq_of(*(random_stochastic(rng, n, density=0.45)
                            for _ in range(int(rng.integers(1, 6)))))
             for k in range(1, len(seq) + 1):
                 accumulated = np.zeros((n, n), dtype=bool)
                 product = np.eye(n)
                 expected = None
                 for kk in range(k, len(seq) + 1):
-                    product = seq.factor(kk).entries @ product
+                    product = seq.factor(kk) @ product
                     accumulated |= product > 0
                     if accumulated.all():
                         expected = kk
@@ -251,14 +252,14 @@ class TestEventualPositivity:
     def test_accumulated_pattern_is_monotone(self):
         # once the running sum is all-positive it stays so: summands are nonnegative
         rng = np.random.default_rng(23)
-        seq = seq_of(*(StochasticMatrix(random_stochastic(rng, 3, density=0.5)) for _ in range(8)))
+        seq = seq_of(*(random_stochastic(rng, 3, density=0.5) for _ in range(8)))
         reached = check_eventual_positivity(seq, 1)
         if reached is not None:
             n = seq.n
             running = np.zeros((n, n))
             product = np.eye(n)
             for kk in range(1, len(seq) + 1):
-                product = seq.factor(kk).entries @ product
+                product = seq.factor(kk) @ product
                 running += product
                 if kk >= reached:
                     assert (running > 0).all()
@@ -286,7 +287,7 @@ class TestPositivityOnsets:
         entry weighs `light` (0 for none), the pattern shares the rest of its row."""
         m = stack.sum(axis=2, keepdims=True)
         rows = np.where(stack, (1.0 - light * (stack.shape[2] - m)) / m, light)
-        return seq_of(*(StochasticMatrix(r) for r in rows))
+        return seq_of(*rows)
 
     @settings(deadline=None)
     @given(st.integers(1, 6), st.integers(1, 24), st.booleans(),
@@ -409,7 +410,7 @@ class TestExactPositivity:
     def test_underflowing_products_still_fill(self):
         # A(2)A(1) has weight 1e-400 on C^2, which underflows to 0.0 in floats
         seq = seq_of(*[lazy_cycle(3, 1e-200)] * 4)
-        assert (seq.factor(2).entries @ seq.factor(1).entries == 0).any()
+        assert (seq.factor(2) @ seq.factor(1) == 0).any()
         assert check_eventual_positivity(seq, 1) == 2
         report = analyze(seq)
         assert report.eventual_positivity == {1: 2}
@@ -418,7 +419,7 @@ class TestExactPositivity:
     @given(st.integers(8, 11), st.integers(1, 6), st.integers(0, 2**32 - 1))
     def test_entries_near_1e_200_match_boolean_products(self, n, length, seed):
         rng = np.random.default_rng(seed)
-        seq = seq_of(*(StochasticMatrix(tiny_entries(rng, n)) for _ in range(length)))
+        seq = seq_of(*(tiny_entries(rng, n) for _ in range(length)))
         graphs = [digraph_of(m) for m in seq]
         onsets = {k: onset_by_oracle(graphs, k) for k in range(1, length + 1)}
         assert {k: check_eventual_positivity(seq, k) for k in onsets} == onsets
@@ -463,7 +464,7 @@ class TestAnalyze:
         rng = np.random.default_rng(24)
         for _ in range(40):
             n = int(rng.integers(2, 5))
-            seq = seq_of(*(StochasticMatrix(random_stochastic(rng, n, density=float(rng.uniform(0.3, 0.9))))
+            seq = seq_of(*(random_stochastic(rng, n, density=float(rng.uniform(0.3, 0.9)))
                            for _ in range(int(rng.integers(1, 6)))))
             report = analyze(seq)
             expected = (
@@ -480,8 +481,8 @@ class TestAnalyze:
             n = int(rng.integers(2, 5))
             mats = [random_stochastic(rng, n, density=0.6) for _ in range(int(rng.integers(1, 5)))]
             perm = {i + 1: int(p) + 1 for i, p in enumerate(rng.permutation(n))}
-            seq = seq_of(*(StochasticMatrix(m) for m in mats))
-            relabeled = seq_of(*(StochasticMatrix(relabel_entries(m, perm)) for m in mats))
+            seq = seq_of(*mats)
+            relabeled = seq_of(*(relabel_entries(m, perm) for m in mats))
             a, b = analyze(seq), analyze(relabeled)
             assert a.verdict == b.verdict
             assert a.alpha == pytest.approx(b.alpha, abs=1e-15)

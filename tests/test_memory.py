@@ -15,9 +15,9 @@ from ergocert.convergence import run_to_tolerance
 from ergocert.generate import generate_sequence
 from ergocert.hypotheses import MatrixSequence, analyze, positivity_onsets
 from ergocert.seqfile import format_sequence, parse_sequence_text
-from ergocert.stochastic import StochasticMatrix, matrix_seminorm, min_positive_entry, multiply
+from ergocert.stochastic import matrix_seminorm, min_positive_entry, multiply
 
-from oracles import random_stochastic
+from oracles import random_stochastic, validated
 
 N = 300
 MIB = 2**20
@@ -33,8 +33,8 @@ def peak_mib(fn, *args) -> float:
     return peak / MIB
 
 
-def random_matrix(rng) -> StochasticMatrix:
-    return StochasticMatrix(random_stochastic(rng, N, density=0.5))
+def random_matrix(rng) -> np.ndarray:
+    return validated(random_stochastic(rng, N, density=0.5))
 
 
 def test_seminorm_peak_at_n300():

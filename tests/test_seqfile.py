@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ergocert import seqfile
+from ergocert import generate, seqfile, stochastic
 from ergocert.errors import DimensionError
 from ergocert.generate import PRESETS, generate_sequence
 from ergocert.seqfile import (
@@ -17,7 +17,7 @@ from ergocert.seqfile import (
     read_sequence_file,
     write_sequence_file,
 )
-from ergocert.stochastic import NEGATIVITY_TOL, MatrixSequence, StochasticMatrix, identity_matrix
+from ergocert.stochastic import NEGATIVITY_TOL, MatrixSequence, normalize_rows
 
 from oracles import format_per_value, parse_per_token
 
@@ -37,7 +37,7 @@ class TestParsing:
         assert seqf.n == 2
         assert seqf.length == 2
         assert seqf.metadata == {"preset": "demo"}
-        assert np.allclose(seqf.matrices[0].entries, [[0.5, 0.5], [0.25, 0.75]])
+        assert np.allclose(seqf.sequence.stack[0], [[0.5, 0.5], [0.25, 0.75]])
 
     def test_missing_header(self):
         # a data line before the header, and a text of only comments and blank lines
@@ -104,29 +104,27 @@ class TestParsing:
         with pytest.raises(SequenceFileError, match="record 1: entry \\(1,2\\) = -1e-11 is below"):
             parse_sequence_text("n=2\n1.0 -1e-11\n0 1\n")
         seqf = parse_sequence_text("n=2\n1.0 -1e-13\n0 1\n")
-        assert seqf.matrices[0].entries[0, 1] == 0.0
+        assert seqf.sequence.stack[0, 0, 1] == 0.0
 
 
 class TestRoundTrip:
     def test_format_then_parse_round_trips(self):
         rng = np.random.default_rng(60)
-        mats = [StochasticMatrix(rng.dirichlet(np.ones(3), size=3)) for _ in range(4)]
-        text = format_sequence(mats, {"seed": "60"})
+        seq = MatrixSequence([rng.dirichlet(np.ones(3), size=3) for _ in range(4)])
+        text = format_sequence(seq, {"seed": "60"})
         back = parse_sequence_text(text)
         assert back.metadata["seed"] == "60"
-        for original, reread in zip(mats, back.matrices):
-            # written floats round-trip exactly; re-validation renormalizes
-            # rows again, which can move entries by one ulp
-            assert np.allclose(original.entries, reread.entries, rtol=0, atol=1e-15)
+        # written floats round-trip exactly; re-validation renormalizes
+        # rows again, which can move entries by one ulp
+        assert np.allclose(seq.stack, back.sequence.stack, rtol=0, atol=1e-15)
 
     def test_write_and_read_file(self, tmp_path):
         path = tmp_path / "seq.txt"
-        mats = [identity_matrix(2), StochasticMatrix([[0.25, 0.75], [0.5, 0.5]])]
-        write_sequence_file(path, mats, {"kind": "fixture"})
+        write_sequence_file(path, MatrixSequence([np.eye(2), [[0.25, 0.75], [0.5, 0.5]]]), {"kind": "fixture"})
         seqf = read_sequence_file(path)
         assert seqf.length == 2
         assert seqf.metadata["kind"] == "fixture"
-        assert np.array_equal(seqf.matrices[1].entries, [[0.25, 0.75], [0.5, 0.5]])
+        assert np.array_equal(seqf.sequence.stack[1], [[0.25, 0.75], [0.5, 0.5]])
 
     def test_decorative_comment_is_not_metadata(self, tmp_path):
         # "# ===== walk =====" was read as the key '' with value '==== walk =====',
@@ -142,15 +140,17 @@ class TestRoundTrip:
 
     def test_write_replaces_existing_atomically(self, tmp_path):
         path = tmp_path / "seq.txt"
-        write_sequence_file(path, [identity_matrix(2)])
-        write_sequence_file(path, [identity_matrix(3)])
+        write_sequence_file(path, MatrixSequence([np.eye(2)]))
+        write_sequence_file(path, MatrixSequence([np.eye(3)]))
         assert read_sequence_file(path).n == 3
         assert list(tmp_path.iterdir()) == [path]
 
     def test_formatting_rejects_empty(self):
-        # the items are stacked first, as a MatrixSequence is
-        with pytest.raises(DimensionError, match=r"one dimension, got \[\]"):
+        # an empty list is no sequence, and no sequence is empty
+        with pytest.raises(TypeError, match="the writer takes a MatrixSequence, got list"):
             format_sequence([])
+        with pytest.raises(DimensionError, match=r"got shape \(0,\)"):
+            MatrixSequence([])
 
     @pytest.mark.parametrize("metadata", [
         {"": "x"}, {"a=b": "c"}, {"a\nb": "c"}, {" a": "c"},
@@ -160,36 +160,35 @@ class TestRoundTrip:
         # each was written, then read back as other metadata or matrices;
         # a key or value that is not a str crashed the writer
         with pytest.raises(SequenceFileError, match="would not read back unchanged"):
-            write_sequence_file(tmp_path / "seq.txt", [identity_matrix(2)], metadata)
+            write_sequence_file(tmp_path / "seq.txt", MatrixSequence([np.eye(2)]), metadata)
         assert list(tmp_path.iterdir()) == []
 
     def test_new_file_mode_follows_umask(self, tmp_path):
         # the temporary file used to be created 0o600, and the rename kept it
         previous = os.umask(0o022)
         try:
-            write_sequence_file(tmp_path / "seq.txt", [identity_matrix(2)])
+            write_sequence_file(tmp_path / "seq.txt", MatrixSequence([np.eye(2)]))
         finally:
             os.umask(previous)
         assert stat.S_IMODE((tmp_path / "seq.txt").stat().st_mode) == 0o644
 
     def test_writer_refuses_mixed_dimensions(self, tmp_path):
-        # written under the first matrix's n=, the file could not be read back
+        # written under the first matrix's n=, the file could not be read back: the writer
+        # refuses a list, and no sequence of mixed dimensions can be built
+        with pytest.raises(TypeError, match="the writer takes a MatrixSequence, got list"):
+            write_sequence_file(tmp_path / "seq.txt", [np.eye(2), np.eye(3)])
         with pytest.raises(DimensionError):
-            write_sequence_file(tmp_path / "seq.txt", [identity_matrix(2), identity_matrix(3)])
+            MatrixSequence([np.eye(2), np.eye(3)])
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("raw, error, message", [
-        (np.zeros((0, 2, 2)), DimensionError, r"one dimension, got \[\]"),
-        (np.full((1, 2, 2), 0.3), TypeError, "StochasticMatrix items, got ndarray"),
-        (np.ones((1, 2, 3)) / 3, TypeError, "StochasticMatrix items, got ndarray"),
-        (np.eye(2), TypeError, "StochasticMatrix items, got ndarray"),
-        (np.eye(2, dtype=np.int64)[None], TypeError, "StochasticMatrix items, got ndarray"),
+    @pytest.mark.parametrize("raw", [
+        np.zeros((0, 2, 2)), np.full((1, 2, 2), 0.3), np.ones((1, 2, 3)) / 3, np.eye(2), np.eye(2, dtype=np.int64)[None],
     ], ids=["no-records", "row-sum", "not-square", "2-d", "int"])
-    def test_writer_refuses_raw_arrays_the_parser_rejects(self, tmp_path, raw, error, message):
+    def test_writer_refuses_raw_arrays_the_parser_rejects(self, tmp_path, raw):
         # a raw array went straight to the text: the first three were written and then
-        # refused by the parser, and the 2-D one raised a TypeError. Only validated
-        # sequences are written now: MatrixSequence refuses every raw array before any file is created
-        with pytest.raises(error, match=message):
+        # refused by the parser, and the 2-D one raised a TypeError. Only a MatrixSequence,
+        # validated when it was built, is written now: any array is refused before a file is created
+        with pytest.raises(TypeError, match="the writer takes a MatrixSequence, got ndarray"):
             write_sequence_file(tmp_path / "seq.txt", raw)
         assert list(tmp_path.iterdir()) == []
 
@@ -276,10 +275,8 @@ def assert_same_parse(new, old):
     assert new.n == old.n
     assert new.metadata == old.metadata
     assert new.length == old.length
-    for ours, theirs in zip(new.matrices, old.matrices):
-        assert np.array_equal(ours.entries, theirs.entries)
-        # bit for bit: signed zeros and subnormals included
-        assert np.array_equal(ours.entries.view(np.uint64), theirs.entries.view(np.uint64))
+    # bit for bit: signed zeros and subnormals included
+    assert new.sequence.stack.tobytes() == old.sequence.stack.tobytes()
 
 
 class TestAgainstPerTokenParse:
@@ -364,29 +361,36 @@ class TestAgainstPerTokenParse:
             assert outcome(parse, text) == f"line 1: malformed header 'n={digits}'"
 
     def test_records_are_read_only(self):
-        # one stack per sequence, parsed or built from StochasticMatrix items: the parse
-        # builds no per-record matrices, and records, items and factors are views of it
-        with mock.patch.object(StochasticMatrix, "_trusted", side_effect=AssertionError("per-record matrix")):
-            parsed = parse_sequence_text(GOOD)
-        for seqf in (parsed, generate_sequence("wolfowitz-set", 3, 6, 0.1, 0)):
+        # one stack per sequence, parsed or generated: the file's matrices are its sequence,
+        # and items, iteration and factors are read-only views of the stack
+        for seqf in (parse_sequence_text(GOOD), generate_sequence("wolfowitz-set", 3, 6, 0.1, 0)):
             seq = seqf.to_sequence()
-            views = [*seqf.matrices, *seq.items, *seq, seq.factor(1)]
-            assert len(views) == 3 * seqf.length + 1
+            assert seqf.matrices is seq
+            views = [*seq.items, *seq, seq.factor(1)]
+            assert len(views) == 2 * seqf.length + 1
             assert not seq.stack.flags.writeable
-            assert not any(m.entries.flags.writeable for m in views)
-            assert all(np.shares_memory(m.entries, seq.stack) for m in views)
+            assert not any(m.flags.writeable for m in views)
+            assert all(np.shares_memory(m, seq.stack) for m in views)
             with pytest.raises(ValueError, match="read-only"):
                 seq.stack[0, 0, 0] = 0.5
 
     def test_generation_and_diagnosis_build_no_matrix(self):
-        # generate validates each distinct factor once and gathers them into one stack, as
-        # the parser does, and a rejected record is checked by the rule the stack failed
-        text = "n=2\n1 0\n0 1\n\n0.3 0.4\n0 1\n"
-        with mock.patch.object(StochasticMatrix, "__init__", side_effect=AssertionError("per-factor matrix")):
-            for preset in PRESETS:
-                assert generate_sequence(preset, 4, 12, 0.1, 0).length == 12
-            with pytest.raises(SequenceFileError) as rejected:
-                parse_sequence_text(text)
+        # the parser and generate each validate their distinct rows with one normalize_rows
+        # call and take the stack over: no per-record validation, and no MatrixSequence
+        # constructor, which would check each record once more. A rejected record is
+        # checked by the rule the stack failed
+        def normalize_rows_calls(fn, *args):
+            spy = mock.Mock(wraps=normalize_rows)
+            with mock.patch.object(stochastic, "normalize_rows", spy), \
+                    mock.patch.object(seqfile, "normalize_rows", spy), mock.patch.object(generate, "normalize_rows", spy):
+                fn(*args)
+            return spy.call_count
+
+        assert normalize_rows_calls(parse_sequence_text, GOOD) == 1
+        for preset in PRESETS:
+            assert normalize_rows_calls(generate_sequence, preset, 4, 12, 0.1, 0) == 1
+        with pytest.raises(SequenceFileError) as rejected:
+            parse_sequence_text("n=2\n1 0\n0 1\n\n0.3 0.4\n0 1\n")
         assert str(rejected.value) == "record 2: row 1 sums to 0.7, not 1 within 1e-09"
 
 

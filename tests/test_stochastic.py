@@ -4,17 +4,18 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ergocert import stochastic
+from ergocert.convergence import iter_products, partial_product
 from ergocert.digraph import Digraph
 from ergocert.errors import DimensionError, NegativityError, StochasticityError
 from ergocert.generate import generate_sequence
+from ergocert.hypotheses import analyze
 from ergocert.stochastic import (
     NEGATIVITY_TOL,
     MatrixSequence,
-    StochasticMatrix,
     digraph_of,
     factor_patterns,
     identity_matrix,
@@ -24,82 +25,140 @@ from ergocert.stochastic import (
     vector_seminorm,
 )
 
-from oracles import random_stochastic, seminorm_bruteforce, seminorm_by_shift_search, seminorm_one_shot
+from oracles import (
+    normalized_records,
+    random_stochastic,
+    seminorm_bruteforce,
+    seminorm_by_shift_search,
+    seminorm_one_shot,
+    validated,
+)
 
 SWAP = [[0.0, 1.0], [1.0, 0.0]]
 
 
+@st.composite
+def raw_stacks(draw):
+    """(L, n, n) nested lists the constructor accepts: rows of weights divided by their sum,
+    with signed zeros and subnormals, and one entry of each row moved off by up to half the
+    row-sum tolerance or, if it is zero, to just below zero."""
+    n = draw(st.integers(1, 5))
+    weight = st.one_of(st.sampled_from([0.0, -0.0, 5e-324]), st.floats(1e-300, 1.0))
+    records = []
+    for _ in range(draw(st.integers(1, 4))):
+        record = []
+        for _ in range(n):
+            row = draw(st.lists(weight, min_size=n, max_size=n))
+            total = sum(row)
+            row = [w / total for w in row] if total > 0 else [1.0, *row[1:]]
+            j = draw(st.integers(0, n - 1))
+            if row[j] > 1e-9:
+                row[j] += draw(st.sampled_from([5e-10, -5e-10]))
+            elif row[j] == 0.0:
+                row[j] = -1e-13
+            record.append(row)
+        records.append(record)
+    return records
+
+
 class TestValidation:
+    """MatrixSequence, the one validating constructor: normalize_rows on each record, and an
+    error that names the record, as the parser's do."""
+
     def test_identity_accepted_unchanged(self):
-        m = StochasticMatrix(np.eye(2))
-        assert np.array_equal(m.entries, np.eye(2))
+        assert np.array_equal(MatrixSequence([np.eye(2)]).factor(1), np.eye(2))
 
     def test_row_sum_violation(self):
-        with pytest.raises(StochasticityError, match="row 1"):
-            StochasticMatrix([[0.5, 0.6], [0.5, 0.5]])
+        with pytest.raises(StochasticityError, match="record 1: row 1"):
+            MatrixSequence([[[0.5, 0.6], [0.5, 0.5]]])
 
     def test_clamping_small_negatives(self):
         for small in (-1e-13, -NEGATIVITY_TOL):
-            m = StochasticMatrix([[1.0, small], [0.0, 1.0]])
-            assert np.array_equal(m.entries, np.eye(2))
+            m = MatrixSequence([[[1.0, small], [0.0, 1.0]]]).factor(1)
+            assert np.array_equal(m, np.eye(2))
 
     def test_large_negative_rejected(self):
-        with pytest.raises(NegativityError, match=r"entry \(1,2\) = -1e-11 is below the negativity tolerance -1e-12"):
-            StochasticMatrix([[1.0 + 1e-11, -1e-11], [0.0, 1.0]])
+        with pytest.raises(NegativityError, match=r"record 1: entry \(1,2\) = -1e-11 is below the negativity tolerance -1e-12"):
+            MatrixSequence([[[1.0 + 1e-11, -1e-11], [0.0, 1.0]]])
 
     def test_non_square_rejected(self):
         with pytest.raises(DimensionError):
-            StochasticMatrix([[1.0, 0.0]])
+            MatrixSequence([[[1.0, 0.0]]])
+        with pytest.raises(DimensionError):  # n < 1
+            MatrixSequence(np.zeros((2, 0, 0)))
+        with pytest.raises(DimensionError):  # one matrix, not a list of them
+            MatrixSequence(np.eye(2))
 
     def test_non_finite_rejected(self):
-        with pytest.raises(StochasticityError):
-            StochasticMatrix([[np.inf, 0.0], [0.0, 1.0]])
+        with pytest.raises(StochasticityError, match="record 1: all entries must be finite"):
+            MatrixSequence([[[np.inf, 0.0], [0.0, 1.0]]])
 
     def test_rows_renormalized_exactly(self):
-        m = StochasticMatrix([[0.3 + 3e-10, 0.7], [0.5, 0.5]])
-        assert np.allclose(m.entries.sum(axis=1), 1.0, atol=1e-15)
+        m = MatrixSequence([[[0.3 + 3e-10, 0.7], [0.5, 0.5]]]).factor(1)
+        assert np.allclose(m.sum(axis=1), 1.0, atol=1e-15)
+
+    def test_fault_in_record_2_is_named(self):
+        # the message the parser gives for the same record, and the error type kept
+        good = np.eye(2)
+        with pytest.raises(StochasticityError) as raised:
+            MatrixSequence([good, [[0.3, 0.4], [0.0, 1.0]], good])
+        assert str(raised.value) == "record 2: row 1 sums to 0.7, not 1 within 1e-09"
+        with pytest.raises(NegativityError, match=r"^record 3: entry \(2,1\) = -0.5 is below"):
+            MatrixSequence(np.stack([good, good, [[1.0, 0.0], [-0.5, 1.5]]]))
+
+    @settings(deadline=None)
+    @given(raw_stacks(), st.booleans())
+    def test_stack_is_normalize_rows_of_each_record(self, raw, as_array):
+        # bit for bit what one validating constructor call per matrix gave, for an
+        # (L, n, n) array or a list of (n, n) arrays
+        factors = np.array(raw) if as_array else [np.array(record) for record in raw]
+        stack = MatrixSequence(factors).stack
+        assert stack.tobytes() == normalized_records(raw).tobytes()
 
     def test_entries_read_only(self):
-        m = identity_matrix(2)
-        with pytest.raises(ValueError):
-            m.entries[0, 0] = 0.5
-
-    def test_input_not_aliased(self):
-        raw = np.eye(2)
-        m = StochasticMatrix(raw)
-        raw[0, 0] = 7.0
-        assert m.entries[0, 0] == 1.0
-
-    def test_sequence_refuses_items_that_are_not_matrices(self):
-        # a raw array's rows have no validated entries: this was an AttributeError
-        with pytest.raises(TypeError, match="StochasticMatrix items, got ndarray"):
-            MatrixSequence([np.eye(2)])
+        # the array flag carries the read-only guarantee: every matrix the library returns
+        # refuses a write, and the constructor copies its input
+        raw = np.array([[[0.0, 1.0], [1.0, 0.0]], [[0.5, 0.5], [0.25, 0.75]]])
+        seq = MatrixSequence(raw)
+        raw[0, 0, 0] = 7.0
+        assert seq.stack[0, 0, 0] == 0.0
+        states = list(iter_products(seq))  # A(1) is a map: a row gather; A(2) a BLAS product
+        assert states[1].targets is not None and states[2].targets is None
+        core = analyze(MatrixSequence([[[0.9, 0.1], [0.1, 0.9]]] * 2)).core
+        assert core is not None
+        returned = [
+            *(state.matrix for state in states), partial_product(seq, 0, 2), multiply(seq.factor(2), seq.factor(1)),
+            identity_matrix(2), seq.stack, *seq.items, *seq, seq.factor(1), seq.factor(2), core,
+        ]
+        for array in returned:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 0.5
 
 
 class TestMultiplyApply:
     def test_identity_law(self):
-        a = StochasticMatrix([[0.25, 0.75], [0.5, 0.5]])
-        assert np.allclose(multiply(a, identity_matrix(2)).entries, a.entries)
+        a = validated([[0.25, 0.75], [0.5, 0.5]])
+        assert np.allclose(multiply(a, identity_matrix(2)), a)
 
     def test_swap_involution(self):
-        s = StochasticMatrix(SWAP)
-        assert np.allclose(multiply(s, s).entries, np.eye(2))
+        s = validated(SWAP)
+        assert np.allclose(multiply(s, s), np.eye(2))
 
     def test_rank_one_absorbs(self):
-        r = StochasticMatrix([[0.5, 0.5], [0.5, 0.5]])
-        assert np.allclose(multiply(r, identity_matrix(2)).entries, r.entries)
+        r = validated([[0.5, 0.5], [0.5, 0.5]])
+        assert np.allclose(multiply(r, identity_matrix(2)), r)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
             multiply(identity_matrix(2), identity_matrix(3))
 
     def test_apply_examples(self):
-        assert np.allclose(identity_matrix(3).entries @ [1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
-        rank1 = StochasticMatrix([[0.25, 0.75], [0.25, 0.75]])
-        out = rank1.entries @ [4.0, 8.0]
+        assert np.allclose(identity_matrix(3) @ [1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
+        rank1 = validated([[0.25, 0.75], [0.25, 0.75]])
+        out = rank1 @ [4.0, 8.0]
         assert np.allclose(out, [7.0, 7.0])
-        lazy = StochasticMatrix([[0.9, 0.1], [0.1, 0.9]])
-        assert np.allclose(lazy.entries @ [0.0, 1.0], [0.1, 0.9])
+        lazy = validated([[0.9, 0.1], [0.1, 0.9]])
+        assert np.allclose(lazy @ [0.0, 1.0], [0.1, 0.9])
 
 
 class TestDigraphOf:
@@ -107,18 +166,18 @@ class TestDigraphOf:
         assert digraph_of(identity_matrix(3)).edges == {(1, 1), (2, 2), (3, 3)}
 
     def test_full_support(self):
-        g = digraph_of(StochasticMatrix([[0.5, 0.5], [0.5, 0.5]]))
+        g = digraph_of(validated([[0.5, 0.5], [0.5, 0.5]]))
         assert g.edges == {(1, 1), (1, 2), (2, 1), (2, 2)}
 
     def test_swap_pattern(self):
-        assert digraph_of(StochasticMatrix(SWAP)).edges == {(1, 2), (2, 1)}
+        assert digraph_of(validated(SWAP)).edges == {(1, 2), (2, 1)}
 
     def test_product_pattern_is_boolean_product(self):
         rng = np.random.default_rng(10)
         for _ in range(40):
             n = int(rng.integers(2, 6))
-            a = StochasticMatrix(random_stochastic(rng, n))
-            b = StochasticMatrix(random_stochastic(rng, n))
+            a = validated(random_stochastic(rng, n))
+            b = validated(random_stochastic(rng, n))
             left = digraph_of(multiply(a, b))
             bool_prod = (digraph_of(a).adjacency_matrix().astype(int) @ digraph_of(b).adjacency_matrix().astype(int)) > 0
             assert left == Digraph.from_adjacency(bool_prod)
@@ -126,8 +185,8 @@ class TestDigraphOf:
 
 class TestFactorPatterns:
     def test_edge_is_any_positive_entry(self):
-        m = StochasticMatrix([[1.0 - 1e-300, 1e-300], [0.0, 1.0]])
-        assert factor_patterns(m.entries[None]).tolist() == [[[1.0, 1.0], [0.0, 1.0]]]
+        m = validated([[1.0 - 1e-300, 1e-300], [0.0, 1.0]])
+        assert factor_patterns(m[None]).tolist() == [[[1.0, 1.0], [0.0, 1.0]]]
 
 
 class TestMinPositiveEntry:
@@ -135,11 +194,11 @@ class TestMinPositiveEntry:
         assert min_positive_entry([identity_matrix(2)]) == 1.0
 
     def test_single_matrix(self):
-        assert min_positive_entry([StochasticMatrix([[0.25, 0.75], [0.5, 0.5]])]) == 0.25
+        assert min_positive_entry([validated([[0.25, 0.75], [0.5, 0.5]])]) == 0.25
 
     def test_global_minimum(self):
-        a = StochasticMatrix([[0.3, 0.7], [0.3, 0.7]])
-        b = StochasticMatrix([[0.2, 0.8], [0.5, 0.5]])
+        a = validated([[0.3, 0.7], [0.3, 0.7]])
+        b = validated([[0.2, 0.8], [0.5, 0.5]])
         assert min_positive_entry([a, b]) == 0.2
 
     def test_empty_list_rejected(self):
@@ -214,30 +273,30 @@ class TestVectorSeminorm:
 
 class TestMatrixSeminorm:
     def test_rank_one_is_zero(self):
-        assert matrix_seminorm(StochasticMatrix([[0.2, 0.8], [0.2, 0.8]])) == 0.0
+        assert matrix_seminorm(validated([[0.2, 0.8], [0.2, 0.8]])) == 0.0
 
     def test_identity_is_one(self):
         m = identity_matrix(2)
         assert matrix_seminorm(m) == 1.0
-        assert seminorm_bruteforce(m.entries) == 1.0
+        assert seminorm_bruteforce(m) == 1.0
 
     def test_symmetric_lazy_example(self):
-        m = StochasticMatrix([[0.75, 0.25], [0.25, 0.75]])
+        m = validated([[0.75, 0.25], [0.25, 0.75]])
         assert matrix_seminorm(m) == 0.5
-        assert seminorm_bruteforce(m.entries) == 0.5
+        assert seminorm_bruteforce(m) == 0.5
         assert 0.5 <= 1.0 - 2 * 0.25  # uniform entry bound alpha = 0.25
 
     def test_closed_form_matches_bruteforce(self):
         rng = np.random.default_rng(11)
         for _ in range(60):
             n = int(rng.integers(1, 11))
-            m = StochasticMatrix(random_stochastic(rng, n, density=0.7))
-            assert matrix_seminorm(m) == pytest.approx(seminorm_bruteforce(m.entries), abs=1e-12)
+            m = validated(random_stochastic(rng, n, density=0.7))
+            assert matrix_seminorm(m) == pytest.approx(seminorm_bruteforce(m), abs=1e-12)
 
     def test_at_most_one_for_stochastic(self):
         rng = np.random.default_rng(12)
         for _ in range(60):
-            m = StochasticMatrix(random_stochastic(rng, int(rng.integers(1, 7))))
+            m = validated(random_stochastic(rng, int(rng.integers(1, 7))))
             assert 0.0 <= matrix_seminorm(m) <= 1.0
 
     def test_uniform_entry_bound(self):
@@ -247,24 +306,24 @@ class TestMatrixSeminorm:
             n = int(rng.integers(2, 7))
             alpha = float(rng.uniform(1e-3, 1.0 / n))
             raw = alpha + (1 - n * alpha) * rng.dirichlet(np.ones(n), size=n)
-            m = StochasticMatrix(raw)
+            m = validated(raw)
             assert matrix_seminorm(m) <= 1 - n * alpha + 1e-12
 
     def test_submultiplicative(self):
         rng = np.random.default_rng(14)
         for _ in range(60):
             n = int(rng.integers(2, 7))
-            a = StochasticMatrix(random_stochastic(rng, n))
-            b = StochasticMatrix(random_stochastic(rng, n))
+            a = validated(random_stochastic(rng, n))
+            b = validated(random_stochastic(rng, n))
             assert matrix_seminorm(multiply(a, b)) <= matrix_seminorm(a) * matrix_seminorm(b) + 1e-12
 
     def test_apply_contracts_sup_norm_and_seminorm(self):
         rng = np.random.default_rng(15)
         for _ in range(60):
             n = int(rng.integers(1, 7))
-            a = StochasticMatrix(random_stochastic(rng, n))
+            a = validated(random_stochastic(rng, n))
             x = rng.normal(size=n) * 10
-            y = a.entries @ x
+            y = a @ x
             assert np.abs(y).max() <= np.abs(x).max() + 1e-12
             assert vector_seminorm(y) <= matrix_seminorm(a) * vector_seminorm(x) + 1e-12
 
@@ -274,7 +333,7 @@ def _rows_budget(rows: int, n: int) -> int:
     return rows * 8 * n * n
 
 
-def _seminorm_and_blocks(m: StochasticMatrix) -> tuple[float, list[np.ndarray]]:
+def _seminorm_and_blocks(m: np.ndarray) -> tuple[float, list[np.ndarray]]:
     """matrix_seminorm(m) and the row blocks it evaluated, in order: the 3-D arrays it passed to
     np.abs, which hold each block's absolute pair differences once np.abs returns."""
     with mock.patch.object(np, "abs", wraps=np.abs) as spy:
@@ -289,11 +348,11 @@ class TestBlockedSeminorm:
         rng = np.random.default_rng(16)
         for n in (1, 2, 3):
             for _ in range(40):
-                m = StochasticMatrix(random_stochastic(rng, n, density=0.7))
-                assert matrix_seminorm(m) == seminorm_one_shot(m.entries)
+                m = validated(random_stochastic(rng, n, density=0.7))
+                assert matrix_seminorm(m) == seminorm_one_shot(m)
         for raw in ([[1.0]], SWAP, np.eye(3), [[0.5, 0.5], [0.5, 0.5]]):
-            m = StochasticMatrix(raw)
-            assert matrix_seminorm(m) == seminorm_one_shot(m.entries)
+            m = validated(raw)
+            assert matrix_seminorm(m) == seminorm_one_shot(m)
 
     @pytest.mark.parametrize("rows", [1, 2, 3, 5])
     def test_sizes_around_block_edges(self, rows):
@@ -301,10 +360,10 @@ class TestBlockedSeminorm:
         # `rows`: d = 0, 1, 2 put n - 1 one below, at and one above a multiple of `rows`
         rng = np.random.default_rng(17 + rows)
         for n in sorted({m * rows + d for m in (1, 2, 3) for d in (-1, 0, 1, 2)} - {0}):
-            m = StochasticMatrix(random_stochastic(rng, n))
+            m = validated(random_stochastic(rng, n))
             with mock.patch.object(stochastic, "_SEMINORM_BLOCK_BYTES", _rows_budget(rows, n)):
                 blocked = matrix_seminorm(m)
-            assert blocked == seminorm_one_shot(m.entries)
+            assert blocked == seminorm_one_shot(m)
 
     def test_sizes_around_default_block_edge(self):
         # the largest n whose blocks hold three rows: after the first row, its 208 rows
@@ -312,8 +371,8 @@ class TestBlockedSeminorm:
         n = math.isqrt(stochastic._SEMINORM_BLOCK_BYTES // _rows_budget(3, 1))
         rng = np.random.default_rng(19)
         for size in (n, n + 1):
-            m = StochasticMatrix(random_stochastic(rng, size))
-            assert matrix_seminorm(m) == seminorm_one_shot(m.entries)
+            m = validated(random_stochastic(rng, size))
+            assert matrix_seminorm(m) == seminorm_one_shot(m)
 
     @given(
         n=st.integers(min_value=1, max_value=12),
@@ -321,10 +380,10 @@ class TestBlockedSeminorm:
         seed=st.integers(min_value=0, max_value=2**32 - 1),
     )
     def test_any_block_size(self, n, rows, seed):
-        m = StochasticMatrix(random_stochastic(np.random.default_rng(seed), n))
+        m = validated(random_stochastic(np.random.default_rng(seed), n))
         with mock.patch.object(stochastic, "_SEMINORM_BLOCK_BYTES", _rows_budget(rows, n)):
             blocked = matrix_seminorm(m)
-        assert blocked == seminorm_one_shot(m.entries)
+        assert blocked == seminorm_one_shot(m)
 
     def test_products_with_entries_near_1e_200(self):
         # near-identity factors with off-diagonal weight near 1e-200 (or 1e-155, whose
@@ -337,16 +396,16 @@ class TestBlockedSeminorm:
             pattern = random_stochastic(rng, n, density=0.7) > 0
             mixing = np.where(pattern, 0.1 + rng.random((n, n)), 1e-200 * rng.uniform(0.5, 2.0, (n, n)))
             for first in (np.eye(n), mixing / mixing.sum(axis=1, keepdims=True)):
-                product = StochasticMatrix(first)
+                product = validated(first)
                 for step in range(4):
                     weight = (1e-200, 1e-155)[step % 2] * rng.uniform(0.5, 2.0)
                     lazy = (1.0 - weight) * np.eye(n) + weight * random_stochastic(rng, n, density=0.3)
-                    product = multiply(StochasticMatrix(lazy), product)
+                    product = multiply(validated(lazy), product)
                     for rows in (1, 2, n // 3):
                         with mock.patch.object(stochastic, "_SEMINORM_BLOCK_BYTES", _rows_budget(rows, n)):
                             blocked = matrix_seminorm(product)
-                        assert blocked == seminorm_one_shot(product.entries)
-                    assert matrix_seminorm(product) == seminorm_one_shot(product.entries)
+                        assert blocked == seminorm_one_shot(product)
+                    assert matrix_seminorm(product) == seminorm_one_shot(product)
                     below_one += matrix_seminorm(product) < 1.0
         assert below_one >= 8
 
@@ -359,10 +418,10 @@ class TestBlockedSeminorm:
         rng = np.random.default_rng(21)
         product = identity_matrix(n)
         for _ in range(3):
-            product = multiply(StochasticMatrix(np.eye(n)[rng.permutation(n)]), product)
+            product = multiply(validated(np.eye(n)[rng.permutation(n)]), product)
             with mock.patch.object(np, "abs", wraps=np.abs) as spy:
                 value = matrix_seminorm(product)
-            assert value == seminorm_one_shot(product.entries) == 1.0
+            assert value == seminorm_one_shot(product) == 1.0
             assert sum(call.args[0].size for call in spy.call_args_list) == n * n
 
     @given(
@@ -386,10 +445,10 @@ class TestBlockedSeminorm:
         raw[[i, j]] = 0.0
         raw[i, left] = 0.1 + rng.random(len(left))
         raw[j, right] = 0.1 + rng.random(len(right))
-        m = StochasticMatrix(raw / raw.sum(axis=1, keepdims=True))
+        m = validated(raw / raw.sum(axis=1, keepdims=True))
         with mock.patch.object(stochastic, "_SEMINORM_BLOCK_BYTES", _rows_budget(rows, n)):
             blocked = matrix_seminorm(m)
-        assert blocked == seminorm_one_shot(m.entries)
+        assert blocked == seminorm_one_shot(m)
         if one_hot:
             assert blocked == 1.0
 
@@ -404,10 +463,10 @@ class TestBlockedSeminorm:
         raw = np.vstack([mixed / mixed.sum(axis=1, keepdims=True),
                          [0.5, 0.25, 0.25, 0.0, 0.0, 0.0],
                          [0.0, 0.0, 0.0, 0.25, 0.25, 0.5]])
-        m = StochasticMatrix(raw)
+        m = validated(raw)
         with mock.patch.object(stochastic, "_SEMINORM_BLOCK_BYTES", _rows_budget(rows, 6)):
             value, blocks = _seminorm_and_blocks(m)
-        assert value == seminorm_one_shot(m.entries) == 1.0
+        assert value == seminorm_one_shot(m) == 1.0
         largest = [float(block.sum(axis=2).max()) for block in blocks]
         assert largest[-1] == 2.0 and max(largest[:-1]) < 2.0
 
@@ -419,9 +478,8 @@ class TestBlockedSeminorm:
                             [0.0, 0.0, 0.5, 0.5 - 2.0**-52],
                             [0.25, 0.25, 0.25, 0.25],
                             [0.25, 0.25, 0.25, 0.25]])
-        m = StochasticMatrix._trusted(entries)
         with mock.patch.object(stochastic, "_SEMINORM_BLOCK_BYTES", _rows_budget(1, 4)):
-            value, blocks = _seminorm_and_blocks(m)
+            value, blocks = _seminorm_and_blocks(entries)
         assert value == seminorm_one_shot(entries) == np.nextafter(1.0, 0.0)
         assert float(blocks[0].sum(axis=2).max()) == 2.0 - 2.0**-52
         assert len(blocks) > 1
@@ -445,9 +503,9 @@ class TestBlockedSeminorm:
             else:
                 raw = random_stochastic(rng, n, density=0.3) + np.diag(0.1 + rng.random(n))
                 raw /= raw.sum(axis=1, keepdims=True)
-            product = multiply(StochasticMatrix(raw), product)
+            product = multiply(validated(raw), product)
         with mock.patch.object(stochastic, "_SEMINORM_BLOCK_BYTES", budget):
-            assert matrix_seminorm(product) == seminorm_one_shot(product.entries)
+            assert matrix_seminorm(product) == seminorm_one_shot(product)
 
     @pytest.mark.parametrize(
         "raw",
@@ -464,10 +522,10 @@ class TestBlockedSeminorm:
         ids=["farthest-row-not-in-the-pair", "ties", "identical-rows"],
     )
     def test_fixed_cases_at_every_block_size(self, raw):
-        m = StochasticMatrix(raw)
-        for rows in range(1, m.n + 1):
-            with mock.patch.object(stochastic, "_SEMINORM_BLOCK_BYTES", _rows_budget(rows, m.n)):
-                assert matrix_seminorm(m) == seminorm_one_shot(m.entries)
+        m = validated(raw)
+        for rows in range(1, len(m) + 1):
+            with mock.patch.object(stochastic, "_SEMINORM_BLOCK_BYTES", _rows_budget(rows, len(m))):
+                assert matrix_seminorm(m) == seminorm_one_shot(m)
 
     def test_contracting_product_evaluates_under_half_of_the_pair_differences(self):
         # P(9) of a positive-diagonal sequence at n = 120 (semi-norm 3e-6): rows far from the
@@ -479,5 +537,5 @@ class TestBlockedSeminorm:
         for k in range(1, 10):
             product = multiply(seq.factor(k), product)
         value, blocks = _seminorm_and_blocks(product)
-        assert value == seminorm_one_shot(product.entries) < 1.0
+        assert value == seminorm_one_shot(product) < 1.0
         assert sum(block.size for block in blocks) < n * n * (n - 1) // 2 // 2
