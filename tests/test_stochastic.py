@@ -115,13 +115,21 @@ class TestValidation:
         stack = MatrixSequence(factors).stack
         assert stack.tobytes() == normalized_records(raw).tobytes()
 
+    def test_input_not_aliased(self):
+        # the constructor copies its input, for an (L, n, n) array and a list of (n, n) arrays
+        raw = np.eye(2)
+        seq = MatrixSequence([raw])
+        raw[0, 0] = 7.0
+        assert seq.factor(1)[0, 0] == 1.0
+        stacked = np.array([[[0.0, 1.0], [1.0, 0.0]]])
+        seq = MatrixSequence(stacked)
+        stacked[0, 0, 0] = 7.0
+        assert seq.stack[0, 0, 0] == 0.0
+
     def test_entries_read_only(self):
         # the array flag carries the read-only guarantee: every matrix the library returns
-        # refuses a write, and the constructor copies its input
-        raw = np.array([[[0.0, 1.0], [1.0, 0.0]], [[0.5, 0.5], [0.25, 0.75]]])
-        seq = MatrixSequence(raw)
-        raw[0, 0, 0] = 7.0
-        assert seq.stack[0, 0, 0] == 0.0
+        # refuses a write
+        seq = MatrixSequence([[[0.0, 1.0], [1.0, 0.0]], [[0.5, 0.5], [0.25, 0.75]]])
         states = list(iter_products(seq))  # A(1) is a map: a row gather; A(2) a BLAS product
         assert states[1].targets is not None and states[2].targets is None
         core = analyze(MatrixSequence([[[0.9, 0.1], [0.1, 0.9]]] * 2)).core
