@@ -91,7 +91,7 @@ def _parse_x0(raw: str) -> np.ndarray:
 
 def cmd_validate(args: argparse.Namespace) -> tuple[list, int]:
     seqf, pairs = _read(args.path)
-    pairs += [("input.alpha", min_positive_entry(seqf.to_sequence().stack)), ("validation", "ok")]
+    pairs += [("input.alpha", min_positive_entry(seqf.to_sequence())), ("validation", "ok")]
     return pairs, EXIT_OK
 
 

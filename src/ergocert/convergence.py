@@ -94,14 +94,15 @@ class ToleranceRun:
 
 
 def iter_products(seq: MatrixSequence) -> Iterator[ProductState]:
-    """ProductState for k = 0..L, starting from the identity. A map factor (row_targets) holds only
-    1.0 and zeros, so its step is a row gather, bit for bit, whose rows leave the drift as it is."""
+    """ProductState for k = 0..L, starting from the identity. A map factor (row_targets, once per factor)
+    holds only 1.0 and zeros, so its step is a row gather, bit for bit, whose rows leave the drift as it is."""
+    maps = [row_targets(factor) for factor in seq.factors]
     current, drift, composed = np.eye(seq.n), 0.0, np.arange(seq.n)
     yield ProductState(0, _read_only(current), drift, composed)
-    for k, factor in enumerate(seq.stack, start=1):
-        targets = row_targets(factor)
+    for k, w in enumerate(seq.word, start=1):
+        targets = maps[w]
         if targets is None:
-            current, composed = factor @ current, None
+            current, composed = seq.factors[w] @ current, None
             drift = max(drift, float(np.abs(current.sum(axis=1) - 1.0).max()))
         else:
             current, composed = current[targets], None if composed is None else composed[targets]
@@ -112,7 +113,8 @@ def partial_product(seq: MatrixSequence, l: int, k: int) -> np.ndarray:
     """The product A(k)...A(l+1), read-only; the identity when l == k."""
     if not 0 <= l <= k <= len(seq):
         raise ContractViolation(f"need 0 <= l <= k <= {len(seq)}, got l={l}, k={k}")
-    for state in iter_products(MatrixSequence._of_stack(seq.stack[l:k])):
+    used, word = np.unique(seq.word[l:k], return_inverse=True)  # a word uses each of its factors
+    for state in iter_products(MatrixSequence._of_word(seq.factors[used], word)):
         pass
     return state.matrix
 
@@ -136,7 +138,7 @@ def find_saturation_K(seq: MatrixSequence, alpha: float) -> int | None:
     read from the boolean product of the factor patterns, as in analyze, so
     entries that underflow to 0.0 still count as positive.
     """
-    smallest = min_positive_entry(seq.stack)
+    smallest = min_positive_entry(seq)
     if not 0 < alpha <= smallest:
         raise ContractViolation(f"alpha must be positive and at most the minimum positive entry {smallest}, got {alpha}")
     saturated = _first_saturated(seq, alpha)
@@ -147,7 +149,7 @@ def _first_saturated(seq: MatrixSequence, alpha: float) -> ProductState | None:
     """The state P(K) for the K of find_saturation_K, alpha already in range."""
     threshold = saturation_floor(seq.n, alpha) - EXACT_SLACK
     products = islice(iter_products(seq), 1, None)
-    for state, pattern in zip(products, pattern_walk(factor_patterns(seq.stack))):
+    for state, pattern in zip(products, pattern_walk(factor_patterns(seq.factors), seq.word)):
         if pattern.all() and state.matrix.min() >= threshold:
             return state
     return None
@@ -234,8 +236,8 @@ def _iterates(seq: MatrixSequence, x0) -> Iterator[np.ndarray]:
     if not np.all(np.isfinite(vec)):
         raise ContractViolation("x0 entries must be finite")
     yield vec
-    for factor in seq.stack:
-        vec = factor @ vec
+    for w in seq.word:
+        vec = seq.factors[w] @ vec
         yield vec
 
 

@@ -1,14 +1,15 @@
 """Directed graphs on node set {1, ..., n} and the walk/period machinery
 used to analyze positivity patterns of matrix products.
 
-Patterns are boolean (n, n) arrays or (L, n, n) stacks of them; the public
-functions also take any 0/1 array. Their products come from pattern_product,
-and every reachability question is answered by one closure primitive built on
-it; pattern_walk yields the patterns of a stack's backward products A(k)...A(1),
-taking a factor with one edge per row (a map, row_targets) as a row gather,
-component periods are read from the pattern array too (component_periods), and
-render writes a pattern's edges as text. Digraph and the functions that build
-or take one serve only the benchmark's traced run.
+Patterns are boolean (n, n) arrays or stacks of them; the public functions
+also take any 0/1 array. Their products come from pattern_product, and every
+reachability question is answered by one closure primitive built on it. A
+sequence's patterns, one per factor, are read through its word: pattern_walk
+yields the patterns of its backward products A(k)...A(1), taking a map factor
+(one edge per row, row_targets, decided once per factor) as a row gather.
+component_periods reads periods from the pattern array, and render writes a
+pattern's edges as text. Digraph and the functions that build or take one serve
+only the benchmark's traced run.
 
 All values are immutable and every operation is a pure function, so the
 module is safe to use from concurrent callers without synchronization.
@@ -97,13 +98,14 @@ def row_targets(factor) -> np.ndarray | None:
     return positive.argmax(axis=1)
 
 
-def pattern_walk(factors) -> Iterator[np.ndarray]:
-    """Patterns of the backward products A(k)...A(1) of an (L, n, n) stack, for k = 1..L;
-    a map factor (row_targets) is a gather of the product's rows, not a product."""
+def pattern_walk(factors, word) -> Iterator[np.ndarray]:
+    """Patterns of the backward products A(k)...A(1), k = 1..L, of a word over a (D, n, n) stack of
+    factor patterns, A(k) = factors[word[k - 1]]; a map factor (row_targets, decided once per
+    factor) is a gather of the product's rows, not a product."""
+    targets = [row_targets(factor) for factor in factors]
     product = np.eye(np.shape(factors)[-1], dtype=bool)
-    for factor in np.asarray(factors):
-        targets = row_targets(factor)
-        product = pattern_product(factor, product) if targets is None else product[targets]
+    for w in word:
+        product = pattern_product(factors[w], product) if targets[w] is None else product[targets[w]]
         yield product
 
 
@@ -126,22 +128,11 @@ def reachability(patterns) -> np.ndarray:
     return closure
 
 
-def distinct_patterns(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(first, slot) of an (L, n, n) stack: slot[k] numbers record k's pattern in order of
-    first occurrence, at record first[slot[k]]. Keys are bits packed one record at a time."""
-    slots: dict[bytes, int] = {}
-    keys = (np.packbits(np.asarray(p, dtype=bool)).tobytes() for p in stack)
-    slot = np.array([slots.setdefault(key, len(slots)) for key in keys], dtype=np.intp)
-    return np.unique(slot, return_index=True)[1], slot
-
-
-def completely_reducible(stack: np.ndarray) -> np.ndarray:
-    """Per pattern of an (L, n, n) stack: no edge joins two strongly connected components, which
-    holds iff reachability is symmetric. Each distinct pattern is closed once, and its answer is
-    mapped back to every index where it occurs."""
-    first, slot = distinct_patterns(stack)
-    closure = reachability(stack[first])
-    return (closure == np.swapaxes(closure, -1, -2)).all(axis=(-2, -1))[slot]
+def completely_reducible(patterns) -> np.ndarray:
+    """Per pattern of an (D, n, n) stack: no edge joins two strongly connected components, which
+    holds iff reachability is symmetric. Each pattern is closed once, however often its factor recurs."""
+    closure = reachability(patterns)
+    return (closure == np.swapaxes(closure, -1, -2)).all(axis=(-2, -1))
 
 
 def _component_labels(closure: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -17,12 +17,13 @@ Presets:
   recorded in the file metadata.
 * ``periodic-counterexample``: alternates two permutation matrices whose
   patterns live in a common 2-periodic bipartite pattern (for even n; odd n
-  falls back to the full-cycle permutation, whose pattern is n-periodic).
+  repeats one full-cycle permutation, whose pattern is n-periodic).
   No sink-free aperiodic common subgraph exists, so certification must be
   refused even though the remaining conditions hold.
 
-Generation is deterministic given (preset, n, length, alpha, seed). A preset returns its distinct
-factors (and draws indexing them), which pass `normalize_rows` once and are gathered into one stack.
+Generation is deterministic given (preset, n, length, alpha, seed). A preset returns its factors
+and a word over them that uses each one, as a MatrixSequence holds them: the factors pass
+`normalize_rows` once, and no (length, n, n) stack is gathered.
 """
 
 from __future__ import annotations
@@ -64,11 +65,11 @@ def generate_sequence(preset: str, n: int, length: int, alpha: float | None, see
         raise ContractViolation(f"seed must be nonnegative, got {seed}")
 
     if preset == "periodic-counterexample":
-        factors, draws, metadata = _periodic_counterexample(n, length)
+        factors, word, metadata = _periodic_counterexample(n, length)
     else:  # only the random presets import numpy.random, with their generator
         draw = {"positive-diagonal": _positive_diagonal, "cycle-core": _cycle_core, "wolfowitz-set": _wolfowitz_set}
-        factors, draws, metadata = draw[preset](np.random.default_rng(seed), n, length, alpha)
-    normalize_rows(factors.reshape(-1, n))  # each distinct factor once; the draws gather repeats below
+        factors, word, metadata = draw[preset](np.random.default_rng(seed), n, length, alpha)
+    normalize_rows(factors.reshape(-1, n))
 
     metadata = {
         "preset": preset,
@@ -77,7 +78,7 @@ def generate_sequence(preset: str, n: int, length: int, alpha: float | None, see
         "seed": str(seed),
         **metadata,
     }
-    return SequenceFile(metadata, MatrixSequence._of_stack(factors if draws is None else factors[draws]))
+    return SequenceFile(metadata, MatrixSequence._of_word(factors, word))
 
 
 def _fill_pattern(rng: np.random.Generator, pattern: np.ndarray, alpha: float) -> np.ndarray:
@@ -108,13 +109,13 @@ def _positive_diagonal(rng, n, length, alpha):
         pattern |= _random_spanning_cycle(rng, n)
         pattern |= rng.random((n, n)) < _EXTRA_EDGE_DENSITY
         matrices.append(_fill_pattern(rng, pattern, alpha))
-    return np.array(matrices), None, {}
+    return np.array(matrices), np.arange(length), {}
 
 
 def _cycle_core(rng, n, length, alpha):
     core = wielandt_graph(n)
     matrices = [_fill_pattern(rng, core | (rng.random((n, n)) < _EXTRA_EDGE_DENSITY), alpha) for _ in range(length)]
-    return np.array(matrices), None, {"core-edges": render(core)}
+    return np.array(matrices), np.arange(length), {"core-edges": render(core)}
 
 
 def _is_primitive_pattern(pattern: np.ndarray) -> bool:
@@ -167,17 +168,18 @@ def _wolfowitz_set(rng, n, length, alpha):
     else:
         raise RuntimeError("failed to draw a generator set with verified product primitivity")
     generators = np.array([_fill_pattern(rng, p, alpha) for p in patterns])
-    draws = rng.integers(0, len(generators), size=length)
-    return generators, draws, {"set-size": str(len(generators)), "checked-depth": str(depth)}
+    # a short word may skip a generator, and the sequence holds only those its word uses
+    used, word = np.unique(rng.integers(0, len(generators), size=length), return_inverse=True)
+    return generators[used], word, {"set-size": str(len(generators)), "checked-depth": str(depth)}
 
 
 def _periodic_counterexample(n, length):
     if n % 2 == 0:
         half = n // 2
         step = (np.arange(half) + 1) % half
-        perms = [np.roll(np.arange(n), half), np.concatenate([step + half, step])]
+        perms = [np.roll(np.arange(n), half), np.concatenate([step + half, step])][:length]
         kind = "bipartite-2-periodic"
     else:
-        perms = [np.roll(np.arange(n), -1)] * 2
+        perms = [np.roll(np.arange(n), -1)]
         kind = f"full-cycle-{n}-periodic"
-    return np.eye(n)[np.array(perms)], np.arange(length) % 2, {"pattern": kind}
+    return np.eye(n)[np.array(perms)], np.arange(length) % len(perms), {"pattern": kind}

@@ -4,9 +4,9 @@ The conditions: (1) positive entries bounded below by some alpha > 0,
 (2) eventual positivity of accumulated products from each checked start,
 (3) every factor completely reducible, and (4) a common sink-free aperiodic
 spanning subgraph (the core) inside every factor's positivity pattern.
-Every check reads `MatrixSequence.stack`, the sequence's one validated, read-only
-(L, n, n) array; `.items`, iteration and `.factor(k)` are read-only (n, n) views of it,
-kept for the traced benchmark.
+Every check reads the patterns of `MatrixSequence.factors` once per factor, through
+the sequence's `word` where the order matters; alpha and the core read the factors
+alone, each of which occurs in the word.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .digraph import completely_reducible, component_periods, distinct_patterns, pattern_product, pattern_walk
+from .digraph import completely_reducible, component_periods, pattern_product, pattern_walk
 from .errors import ContractViolation
 from .stochastic import MatrixSequence, factor_patterns, min_positive_entry
 
@@ -54,40 +54,41 @@ def check_eventual_positivity(seq: MatrixSequence, k: int) -> int | None:
     """
     if not 1 <= k <= len(seq):
         raise ContractViolation(f"start index k={k} outside 1..{len(seq)}")
-    return _positivity_onset(factor_patterns(seq.stack[k - 1 :]), k)
+    return _positivity_onset(factor_patterns(seq.factors), seq.word[k - 1 :], k)
 
 
-def _positivity_onset(factors: np.ndarray, k: int) -> int | None:
-    """check_eventual_positivity on the pattern stack of A(k), A(k+1), ...
+def _positivity_onset(patterns: np.ndarray, word: np.ndarray, k: int) -> int | None:
+    """check_eventual_positivity on factor patterns and the word of A(k), A(k+1), ...
 
     Once full, the accumulated pattern stays full: the summands are nonnegative.
     """
-    running = np.zeros(factors.shape[1:], dtype=bool)
-    for current, product in enumerate(pattern_walk(factors), start=k):
+    running = np.zeros(patterns.shape[1:], dtype=bool)
+    for current, product in enumerate(pattern_walk(patterns, word), start=k):
         running |= product
         if running.all():
             return current
     return None
 
 
-def positivity_onsets(patterns: np.ndarray) -> list[int | None]:
-    """check_eventual_positivity's answer for every start 1..L, in one backward pass.
+def positivity_onsets(patterns: np.ndarray, word: np.ndarray) -> list[int | None]:
+    """check_eventual_positivity's answer for every start 1..L of a word over a (D, n, n) stack of
+    factor patterns, each of which occurs in the word, in one backward pass.
 
     f[i, j] is the least K with (i, j) in the pattern of A(K)...A(k), or L + 1
     for never: f = where(A(k), k, via) with via[i, j] = min{f[i, l] : A(k)[l, j]}
     taken from step k + 1, and K*(k) = max f. O(L) steps on one n x n array.
-    Each distinct pattern's in-edges are listed once, when the pass first meets
-    it, and released at its first occurrence, where the pass last uses them.
+    Each factor's in-edges are listed once, when the pass first meets it, and
+    released at its first occurrence, where the pass last uses them.
     """
-    length, n = patterns.shape[:2]
+    length, n = len(word), patterns.shape[1]
     never = length + 1
-    first, slot = distinct_patterns(patterns)
-    budgets = 64 * np.array([np.count_nonzero(patterns[k]) for k in first])[slot]
+    first = np.unique(word, return_index=True)[1]
+    budgets = [64 * np.count_nonzero(factor) for factor in patterns]  # no bool copy of the whole stack
     tables: dict[int, tuple[np.ndarray, ...]] = {}
     f = np.full((n, n), never, dtype=np.int32)
     onsets: list[int | None] = [None] * length
-    for k in range(length, 0, -1):
-        factor, budget, s = patterns[k - 1], budgets[k - 1], slot[k - 1]
+    for k, s in zip(range(length, 0, -1), reversed(word)):
+        factor, budget = patterns[s], budgets[s]
         via = np.full_like(f, never)
         # Levels cost one BLAS product per distinct finite value of f (D of them),
         # gathering n * nnz(A(k)) reads; the rule picks the faster of these whole
@@ -123,7 +124,8 @@ def analyze(seq: MatrixSequence, all_starts: bool = False) -> HypothesisReport:
     Condition (1) is reported as the realized lower bound alpha rather than
     pass/fail: every row of a validated factor has a positive entry.
     Conditions (2) to (4) all read one stack of factor patterns, edge (i, j)
-    iff entry (i, j) > 0. Eventual positivity is checked from start 1 by the
+    iff entry (i, j) > 0, one per factor, and reducibility and positivity read
+    them through the word. Eventual positivity is checked from start 1 by the
     early-exit forward scan, or with all_starts from every start 1..L by
     positivity_onsets' one backward pass. Individual failures are report
     content, not errors.
@@ -138,16 +140,16 @@ def analyze(seq: MatrixSequence, all_starts: bool = False) -> HypothesisReport:
     the maximal one.
     """
     starts = range(1, len(seq) + 1) if all_starts else (1,)
-    alpha = min_positive_entry(seq.stack)
-    patterns = factor_patterns(seq.stack)
-    failures = tuple((np.flatnonzero(~completely_reducible(patterns)) + 1).tolist())
+    alpha = min_positive_entry(seq)
+    patterns = factor_patterns(seq.factors)
+    failures = tuple((np.flatnonzero(~completely_reducible(patterns)[seq.word]) + 1).tolist())
     common = np.logical_and.reduce(patterns, axis=0)
     labels, periods = component_periods(common)
     node_period = periods[labels]
     offenders = tuple((np.flatnonzero(node_period != 1) + 1).tolist())
     core = common & (labels[:, None] == labels[None, :])
     core.setflags(write=False)
-    onsets = positivity_onsets(patterns) if all_starts else [_positivity_onset(patterns, 1)]
+    onsets = positivity_onsets(patterns, seq.word) if all_starts else [_positivity_onset(patterns, seq.word, 1)]
     positivity = dict(zip(starts, onsets))
 
     violations = [f"eventual-positivity:start={k}" for k in starts if positivity[k] is None]

@@ -12,19 +12,18 @@ Format, line oriented and diffable:
     0 1 0
     0 0 1
 
-The parser takes text; a file is read as UTF-8, a leading byte-order mark skipped. Each
-distinct data line is converted and validated once: one numpy call reads the distinct
-lines, `stochastic.normalize_rows` (the rule the MatrixSequence constructor applies to
-each record) checks their rows, and they are gathered into one validated (L, n, n) stack,
-which the file's MatrixSequence takes over. Finite-set or periodic factors repeat rows
-(101 distinct lines in 15 150 for the periodic counterexample at n=101, L=150); a repeat
-is neither converted nor kept, and a file of distinct lines pays one dict insert per
-line, 4-10% of its parse. The writer takes a MatrixSequence only and formats each
-distinct row once: an entry whose bits are all zero is 0.0, repr writes the rest, and
--0.0 keeps its sign. Only rejected input is scanned again, to name the first bad line or
-record: each distinct line is converted once by `parse_numbers`, which also reads the
-CLI's x0 vectors, and each record is checked by `normalize_rows`. Records and rows in
-error messages are 1-based. Writes are atomic: content goes to a temporary file in the
+The parser takes text; a file is read as UTF-8, a leading byte-order mark skipped. A record
+is keyed by the tuple of its n line texts, and the file becomes the MatrixSequence of its
+distinct records and a word over them, with no (L, n, n) stack: finite-set or periodic files
+repeat whole records (1 distinct record in 150 for the periodic counterexample at n=101), and a
+repeat is neither converted nor kept. One numpy call reads the distinct records' lines, and
+`stochastic.normalize_rows` (the rule the MatrixSequence constructor applies to each record)
+checks their rows. The writer takes a MatrixSequence only, formats each factor's rows once and
+writes the records in word order: an entry whose bits are all zero is 0.0, repr writes the rest,
+and -0.0 keeps its sign. Only rejected input is scanned again, to name the first bad line or
+record: each distinct line is converted once by `parse_numbers`, which also reads the CLI's x0
+vectors, and the first occurrence of each record is checked by `normalize_rows`. Records and
+rows in error messages are 1-based. Writes are atomic: content goes to a temporary file in the
 target directory and is renamed into place.
 """
 
@@ -75,8 +74,9 @@ def parse_sequence_text(text: str) -> SequenceFile:
     n: int | None = None
     metadata: dict[str, str] = {}
     line_numbers: list[int] = []
-    slots: dict[str, int] = {}  # distinct data lines in order of first occurrence; repeats are not kept
-    slot_of_line: list[int] = []
+    records: dict[tuple[str, ...], int] = {}  # distinct records by their lines, in order of first occurrence
+    word: list[int] = []
+    record: list[str] = []
 
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.strip()
@@ -97,23 +97,24 @@ def parse_sequence_text(text: str) -> SequenceFile:
                 raise SequenceFileError(f"line {lineno}: dimension must be at least 1")
             continue
         line_numbers.append(lineno)
-        slot_of_line.append(slots.setdefault(line, len(slots)))
+        record.append(line)
+        if len(record) == n:
+            word.append(records.setdefault(tuple(record), len(records)))
+            record = []
 
     if n is None:
         raise SequenceFileError("missing header line 'n=<int>'")
-    if not slots:
+    if not line_numbers:
         raise SequenceFileError("no matrices")
-    distinct = list(slots)
+    distinct = list(records)
     try:
-        values = np.loadtxt(distinct, dtype=float, comments=None, ndmin=2)
-        if values.shape[1] != n or len(slot_of_line) % n:
+        values = np.loadtxt([*(line for rows in distinct for line in rows), *record], comments=None, ndmin=2)
+        if values.shape[1] != n or record:  # the lines of an incomplete last record are left over
             raise ValueError("the rows do not form n x n records")
         normalize_rows(values)
     except ValueError:
-        _diagnose(distinct, slot_of_line, line_numbers, n)
-    if len(distinct) < len(slot_of_line):
-        values = values[slot_of_line]
-    return SequenceFile(metadata, MatrixSequence._of_stack(values.reshape(-1, n, n)))
+        _diagnose(distinct, word, record, line_numbers, n)
+    return SequenceFile(metadata, MatrixSequence._of_word(values.reshape(-1, n, n), np.array(word, dtype=np.intp)))
 
 
 def parse_numbers(line: str) -> np.ndarray:
@@ -126,38 +127,37 @@ def parse_numbers(line: str) -> np.ndarray:
     return np.loadtxt([line], dtype=float, comments=None, ndmin=2)[0]
 
 
-def _diagnose(distinct: list[str], slot_of_line: list[int], line_numbers: list[int], n: int) -> NoReturn:
+def _diagnose(distinct: list[tuple[str, ...]], word: list[int], tail: list[str], line_numbers: list[int], n: int) -> NoReturn:
     """Raise the error of data the one-call parse rejected, converting each distinct line once.
 
-    A non-numeric line anywhere comes first; then records in order, a wrong
-    row length before a stochasticity error.
+    A non-numeric line anywhere comes first, then an incomplete last record (its lines are the
+    tail); then records in order, a wrong row length before a stochasticity error. A repeated
+    record fails as its first occurrence does, so only first occurrences are checked.
     """
-    converted: list[np.ndarray] = []
-    for lineno, slot in zip(line_numbers, slot_of_line):
-        if slot == len(converted):  # slots are numbered in order of first occurrence
+    first = np.unique(word, return_index=True)[1].tolist()
+    lines = [(line_numbers[r * n + i], line) for d, r in enumerate(first) for i, line in enumerate(distinct[d])]
+    converted: dict[str, np.ndarray] = {}
+    for lineno, line in [*lines, *zip(line_numbers[len(word) * n :], tail)]:  # in file order
+        if line not in converted:
             try:
-                converted.append(parse_numbers(distinct[slot]))
+                converted[line] = parse_numbers(line)
             except ValueError:
-                raise SequenceFileError(f"line {lineno}: non-numeric value in {distinct[slot]!r}") from None
-    rows = [converted[slot] for slot in slot_of_line]
-    if len(rows) % n != 0:
-        raise SequenceFileError(
-            f"record {len(rows) // n + 1} is incomplete: {len(rows) % n} of {n} rows present"
-        )
-    for record_index in range(len(rows) // n):
-        block = rows[record_index * n : (record_index + 1) * n]
+                raise SequenceFileError(f"line {lineno}: non-numeric value in {line!r}") from None
+    if tail:
+        raise SequenceFileError(f"record {len(word) + 1} is incomplete: {len(tail)} of {n} rows present")
+    for d, r in enumerate(first):
+        block = [converted[line] for line in distinct[d]]
         for offset, row in enumerate(block):
             if len(row) != n:
-                lineno = line_numbers[record_index * n + offset]
                 raise SequenceFileError(
-                    f"record {record_index + 1}, row {offset + 1} (line {lineno}): "
+                    f"record {r + 1}, row {offset + 1} (line {line_numbers[r * n + offset]}): "
                     f"expected {n} values, got {len(row)}"
                 )
         try:
             normalize_rows(np.array(block, dtype=float))
         except StochasticityError as err:
-            raise SequenceFileError(f"record {record_index + 1}: {err}") from err
-    raise RuntimeError("internal error: every record passed the checks the whole stack failed")
+            raise SequenceFileError(f"record {r + 1}: {err}") from err
+    raise RuntimeError("internal error: every record passed the checks the one-call parse failed")
 
 
 def read_sequence_file(path: str | Path) -> SequenceFile:
@@ -167,30 +167,25 @@ def read_sequence_file(path: str | Path) -> SequenceFile:
 def format_sequence(factors, metadata: dict[str, str] | None = None) -> str:
     """Render a MatrixSequence in the file format (TypeError for anything else); floats use
     shortest round-trip form. Refuses metadata keys or values that are not str or would not
-    read back unchanged. Each distinct row, keyed by its bytes, is formatted once, all of
-    them by one %-template: an entry whose bits are all zero is 0.0, %r writes the others,
-    and -0.0 keeps its own text."""
+    read back unchanged. Each factor's rows are formatted once, all of them by one %-template,
+    and the records are written in word order: an entry whose bits are all zero is 0.0, %r
+    writes the others, and -0.0 keeps its own text."""
     if not isinstance(factors, MatrixSequence):
         raise TypeError(f"the writer takes a MatrixSequence, got {type(factors).__name__}")
-    stack = factors.stack
-    n = stack.shape[1]
+    n = factors.n
     lines = [f"n={n}"]
     for key, value in (metadata or {}).items():
         readable = all(isinstance(s, str) and len(s.splitlines()) <= 1 and s == s.strip() for s in (key, value))
         if not readable or not key or "=" in key:
             raise SequenceFileError(f"metadata {key!r}: {value!r} would not read back unchanged")
         lines.append(f"# {key}={value}")
-    rows = stack.reshape(len(stack) * n, n)
-    slots: dict[bytes, int] = {}
-    slot = [slots.setdefault(row.tobytes(), len(slots)) for row in rows]
-    unique = rows[np.unique(np.array(slot, dtype=np.intp), return_index=True)[1]]
-    nonzero = (unique != 0) | np.signbit(unique)
+    rows = factors.factors.reshape(-1, n)
+    nonzero = (rows != 0) | np.signbit(rows)
     tokens = np.array([["0.0 ", "%r "], ["0.0\n", "%r\n"]], dtype=bytes)  # [row end?][not all-zero bits?]
     template = tokens[(np.arange(n) == n - 1).view(np.uint8), nonzero.view(np.uint8)].tobytes()
-    row_text = (template.replace(b"\0", b"").decode() % tuple(unique[nonzero].tolist())).split("\n")
-    for record in range(len(stack)):
-        lines += ["", *(row_text[k] for k in slot[record * n : (record + 1) * n])]
-    return "\n".join(lines) + "\n"
+    row_text = (template.replace(b"\0", b"").decode() % tuple(rows[nonzero].tolist())).split("\n")
+    blocks = ["\n" + "\n".join(row_text[d * n : (d + 1) * n]) for d in range(len(factors.factors))]
+    return "\n".join([*lines, *(blocks[w] for w in factors.word)]) + "\n"
 
 
 def write_sequence_file(path: str | Path, factors, metadata: dict[str, str] | None = None) -> None:

@@ -1,8 +1,9 @@
 """Validated sequences of row-stochastic matrices and the disagreement semi-norm calculus.
 
 Every matrix the library takes or returns is a float64 ndarray; those it
-returns (a sequence's stack and its views, products, the identity) are
-read-only. The semi-norm of a vector is its distance to the constant vectors
+returns (a sequence's factors and its views of them, products, the identity)
+are read-only. A sequence is a word over its distinct factors, so a fact about
+one factor is computed once however often the factor recurs. The semi-norm of a vector is its distance to the constant vectors
 in the sup norm, which works out to half its spread. The induced matrix
 semi-norm has the closed form of the coefficient of ergodicity: half the
 largest L1 distance between two rows.
@@ -56,11 +57,13 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class MatrixSequence:
-    """Factors A(1), ..., A(L) of one dimension as one read-only (L, n, n) stack of validated
-    entries, A(k) = stack[k - 1]. The constructor copies an (L, n, n) array-like, or a list of
-    (n, n) arrays, and runs normalize_rows on each record; an error names the record."""
+    """A(1), ..., A(L) of one dimension as a read-only (D, n, n) stack of validated `factors` and a
+    read-only (L,) `word` in which each factor occurs: A(k) = factors[word[k - 1]]. The constructor
+    copies an (L, n, n) array-like, or a list of (n, n) arrays, runs normalize_rows on each record
+    (an error names the record) and takes word = 0..L-1."""
 
-    stack: np.ndarray
+    factors: np.ndarray
+    word: np.ndarray
 
     def __init__(self, factors) -> None:
         try:
@@ -74,35 +77,37 @@ class MatrixSequence:
                 normalize_rows(entries)
             except StochasticityError as err:
                 raise type(err)(f"record {record}: {err}") from None
-        object.__setattr__(self, "stack", _read_only(stack))
+        object.__setattr__(self, "factors", _read_only(stack))
+        object.__setattr__(self, "word", _read_only(np.arange(len(stack))))
 
     @classmethod
-    def _of_stack(cls, stack: np.ndarray) -> MatrixSequence:
-        """Take over an already validated stack, as the parser does: no copy, checks or renormalization."""
+    def _of_word(cls, factors: np.ndarray, word: np.ndarray) -> MatrixSequence:
+        """Take over validated factors and a word that uses each one: no copy, checks or renormalization."""
         out = cls.__new__(cls)
-        object.__setattr__(out, "stack", _read_only(stack))
+        object.__setattr__(out, "factors", _read_only(factors))
+        object.__setattr__(out, "word", _read_only(word))
         return out
 
     @property
     def n(self) -> int:
-        return self.stack.shape[1]
+        return self.factors.shape[1]
 
     def __len__(self) -> int:
-        return len(self.stack)
+        return len(self.word)
 
     @property
     def items(self) -> tuple[np.ndarray, ...]:
-        """Read-only views of the stack, kept for the benchmark's traced run as are iteration and factor(k)."""
-        return tuple(self.stack)
+        """Read-only views of A(1), ..., A(L), kept for the benchmark's traced run as are iteration and factor(k)."""
+        return tuple(self)
 
     def __iter__(self) -> Iterator[np.ndarray]:
-        return iter(self.stack)
+        return (self.factors[w] for w in self.word)
 
     def factor(self, k: int) -> np.ndarray:
         """A(k), 1-based."""
         if not 1 <= k <= len(self):
             raise ContractViolation(f"index k={k} outside 1..{len(self)}")
-        return self.stack[k - 1]
+        return self.factors[self.word[k - 1]]
 
 
 def identity_matrix(n: int) -> np.ndarray:
@@ -122,7 +127,7 @@ def digraph_of(a: np.ndarray) -> Digraph:
 
 
 def factor_patterns(stack: np.ndarray) -> np.ndarray:
-    """The boolean patterns of an (L, n, n) stack of factors: edge (i, j) iff entry (i, j) > 0.
+    """The boolean patterns of a stack of factors: edge (i, j) iff entry (i, j) > 0.
 
     Every condition check and the saturation scan read their factor patterns
     from this stack, so all of them draw the edge line in the same place.
@@ -131,10 +136,11 @@ def factor_patterns(stack: np.ndarray) -> np.ndarray:
 
 
 def min_positive_entry(factors) -> float | None:
-    """Smallest positive entry of a MatrixSequence's stack, or of an (L, n, n) array-like of factors
-    (the benchmark's traced run passes a sequence's items), read in chunks of records within the
-    block budget; None if there is none, which a validated factor never gives: each row sums to 1."""
-    stack = factors.stack if isinstance(factors, MatrixSequence) else np.asarray(factors, dtype=float)
+    """Smallest positive entry of a MatrixSequence's factors, each of which occurs in its word, or of
+    an (L, n, n) array-like of factors (the benchmark's traced run passes a sequence's items), read in
+    chunks of records within the block budget; None if there is none, which a validated factor never
+    gives: each row sums to 1."""
+    stack = factors.factors if isinstance(factors, MatrixSequence) else np.asarray(factors, dtype=float)
     if stack.ndim != 3:
         raise DimensionError(f"expected an (L, n, n) stack of factors, got shape {stack.shape}")
     records = max(1, _SEMINORM_BLOCK_BYTES // (stack[:1].nbytes or 1))

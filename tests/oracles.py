@@ -8,8 +8,8 @@ a per-step walk frontier and integer matrix products instead of
 pattern_product's float32 BLAS products, one BFS per node instead of the
 reachability closure, exhaustive subgraph search instead of the component
 period rule, Python float() per token with one normalize_rows call per
-record instead of one numpy parse and one stack check, and repr per value
-instead of one text per distinct row with a token for zero entries. The
+record instead of one numpy parse and one check of the distinct records, and
+repr per value instead of one text per factor row with a token for zero entries. The
 classical hypotheses the paper's theorem generalizes are predicates here:
 cut balance by enumerating every cut, B-connectivity by one BFS per node
 of every window's union.
@@ -17,15 +17,17 @@ of every window's union.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from collections import deque
 from itertools import product as iter_product
 
 import numpy as np
 
-from ergocert.convergence import iter_products
+from ergocert.convergence import contraction_certificate, iter_products, run_to_tolerance
 from ergocert.digraph import Digraph, is_aperiodic, pattern_product, wielandt_bound
-from ergocert.errors import ContractViolation, DimensionError, StochasticityError
+from ergocert.errors import CertificationRefused, ContractViolation, DimensionError, StochasticityError
+from ergocert.hypotheses import analyze
 from ergocert.seqfile import SequenceFile, SequenceFileError
 from ergocert.stochastic import MatrixSequence, matrix_seminorm, normalize_rows
 
@@ -33,6 +35,40 @@ from ergocert.stochastic import MatrixSequence, matrix_seminorm, normalize_rows
 def validated(raw) -> np.ndarray:
     """One matrix through the public constructor: the read-only A(1) of MatrixSequence([raw])."""
     return MatrixSequence([raw]).factor(1)
+
+
+def stack_of(seq: MatrixSequence) -> np.ndarray:
+    """A(1), ..., A(L) of a sequence as one (L, n, n) stack: its factors gathered by its word."""
+    return seq.factors[seq.word]
+
+
+def sequence_of_stack(stack: np.ndarray) -> MatrixSequence:
+    """A sequence that takes over an already validated (L, n, n) stack, one factor per record."""
+    return MatrixSequence._of_word(stack, np.arange(len(stack)))
+
+
+def report_text(value) -> str:
+    """Every field of a result, nested results and arrays included, as text that two
+    results share iff they are equal bit for bit."""
+    if dataclasses.is_dataclass(value):
+        fields = (f"{f.name}={report_text(getattr(value, f.name))}" for f in dataclasses.fields(value))
+        return f"{type(value).__name__}({', '.join(fields)})"
+    if isinstance(value, np.ndarray):
+        return f"array({value.dtype}, {value.shape}, {value.tobytes().hex()})"
+    if isinstance(value, tuple):
+        return f"({', '.join(map(report_text, value))})"
+    return repr(value)
+
+
+def reports(seq: MatrixSequence, x0) -> list[str]:
+    """report_text of analyze from start 1 and from all starts, of contraction_certificate
+    (or its refusal), and of run_to_tolerance without and with x0."""
+    texts = [report_text(analyze(seq)), report_text(analyze(seq, all_starts=True))]
+    try:
+        texts.append(report_text(contraction_certificate(seq)))
+    except CertificationRefused as refusal:
+        texts.append(repr(refusal.reasons))
+    return texts + [report_text(run_to_tolerance(seq, 1e-9)), report_text(run_to_tolerance(seq, 1e-9, x0))]
 
 
 def normalized_records(raw) -> np.ndarray:
@@ -396,7 +432,7 @@ def parse_per_token(text: str) -> SequenceFile:
         except StochasticityError as err:
             raise SequenceFileError(f"record {record_index + 1}: {err}") from err
     # already validated: the constructor would renormalize the rows once more
-    return SequenceFile(metadata, MatrixSequence._of_stack(np.stack(matrices)))
+    return SequenceFile(metadata, sequence_of_stack(np.stack(matrices)))
 
 
 def format_per_value(stack: np.ndarray, metadata: dict[str, str] | None = None) -> str:

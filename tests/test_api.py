@@ -39,6 +39,8 @@ from ergocert.hypotheses import MatrixSequence, check_eventual_positivity
 from ergocert.seqfile import read_sequence_file, write_sequence_file
 from ergocert.stochastic import digraph_of, identity_matrix, matrix_seminorm, min_positive_entry, multiply
 
+from oracles import stack_of
+
 MODULES = {"convergence": convergence, "digraph": digraph, "generate": generate,
            "hypotheses": hypotheses, "seqfile": seqfile, "stochastic": stochastic}
 ROOT = Path(__file__).resolve().parents[1]
@@ -214,9 +216,9 @@ def test_readme_library_example_runs(tmp_path, monkeypatch):
     seqf = generate_sequence("positive-diagonal", 3, 8, 0.1, 1)
     write_sequence_file(tmp_path / "walk.seq", seqf.sequence, seqf.metadata)
     monkeypatch.chdir(tmp_path)
-    names = {"arrays": [np.array(a) for a in seqf.sequence.stack], "x0": np.arange(3.0)}
+    names = {"arrays": [np.array(a) for a in seqf.sequence], "x0": np.arange(3.0)}
     exec(readme_example(), names)
-    assert np.allclose(names["seq"].stack, seqf.sequence.stack, rtol=0, atol=1e-15)  # renormalized once more
+    assert np.allclose(stack_of(names["seq"]), stack_of(seqf.sequence), rtol=0, atol=1e-15)  # renormalized once more
     assert isinstance(names["report"], ergocert.HypothesisReport)
     assert isinstance(names["run"], ergocert.ToleranceRun) and names["run"].vector_seminorms is not None
     assert len(names["traj"]) == 9

@@ -1,5 +1,9 @@
 import hashlib
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -41,6 +45,22 @@ def identity_file(tmp_path):
     path = tmp_path / "identity.seq"
     write_sequence_file(path, MatrixSequence([identity_matrix(2)] * 5))
     return str(path)
+
+
+def test_python_m_ergocert_runs_the_cli(tmp_path, capsys):
+    # python -m ergocert failed with "No module named ergocert.__main__"; it now prints
+    # what main prints, with its exit code
+    path = tmp_path / "c.seq"
+    assert main(["generate", "cycle-core", "--n", "4", "--length", "30", "--out", str(path)]) == 0
+    capsys.readouterr()
+    code = main(["validate", str(path)])
+    expected = capsys.readouterr().out
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    result = subprocess.run([sys.executable, "-m", "ergocert", "validate", str(path)],
+                            env=env, capture_output=True, text=True, timeout=60)
+    assert (result.stdout, result.returncode) == (expected, code) == (expected, 0)
+    assert expected.endswith("validation = ok\nexit_status = 0\n")
 
 
 class TestValidate:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ergocert import convergence, digraph, stochastic
+from ergocert import cli, convergence, digraph, stochastic
 from ergocert.convergence import (
     consensus_row,
     contraction_certificate,
@@ -33,7 +33,9 @@ from oracles import (
     patterns_by_blas,
     products_by_blas,
     random_stochastic,
+    reports,
     seminorm_one_shot,
+    stack_of,
     supports_and_minima,
     time_varying_walk_exists,
     validated,
@@ -164,9 +166,9 @@ class TestSaturation:
         factors = {"spread": spread, "one-hot": one_hot, "mixed": [*spread[: length // 2], *one_hot[length // 2 :]],
                    "tiny": [lazy_cycle(n, 10.0 ** -rng.uniform(1, 300))] * length}
         seq = seq_of(*factors[kind])
-        alpha = min_positive_entry(seq.stack)
-        assert alpha <= 0.5 or np.isin(seq.stack, (0.0, 1.0)).all()
-        full = (k for k, pattern in enumerate(pattern_walk(seq.stack > 0), start=1) if pattern.all())
+        alpha = min_positive_entry(seq)
+        assert alpha <= 0.5 or np.isin(seq.factors, (0.0, 1.0)).all()
+        full = (k for k, pattern in enumerate(pattern_walk(seq.factors > 0, seq.word), start=1) if pattern.all())
         expected = next(full, None)
         assert find_saturation_K(seq, alpha) == find_saturation_K(seq, alpha * shrink) == expected
 
@@ -464,18 +466,18 @@ class TestMapSteps:
     def test_every_state_equals_the_blas_walk(self, n, kinds, seed):
         rng = np.random.default_rng(seed)
         seq = seq_of(*(factor_of(kind, rng, n) for kind in kinds))
-        for state, (matrix, drift, seminorm) in zip(iter_products(seq), products_by_blas(seq.stack), strict=True):
+        for state, (matrix, drift, seminorm) in zip(iter_products(seq), products_by_blas(stack_of(seq)), strict=True):
             assert state.matrix.tobytes() == matrix.tobytes()
             assert repr(state.row_sum_drift) == repr(drift)
             assert repr(state.seminorm) == repr(seminorm)
-        patterns = factor_patterns(seq.stack)
-        for walked, expected in zip(pattern_walk(patterns), patterns_by_blas(patterns), strict=True):
+        walk = pattern_walk(factor_patterns(seq.factors), seq.word)
+        for walked, expected in zip(walk, patterns_by_blas(factor_patterns(stack_of(seq))), strict=True):
             assert np.array_equal(walked, expected)
 
     def test_negative_zeros_survive_validation(self):
         # the property test's "map with -0.0" factors reach the walk with their signed zeros
         seq = seq_of(factor_of("map with -0.0", np.random.default_rng(1), 4))
-        assert np.signbit(seq.stack).sum() == 12
+        assert np.signbit(seq.factors).sum() == 12
         assert not np.signbit(list(iter_products(seq))[1].matrix).any()
 
     def test_identity_carries_every_row(self):
@@ -517,7 +519,7 @@ class TestMapSteps:
         with mock.patch.object(convergence, "matrix_seminorm", side_effect=matrix_seminorm) as measured:
             run = run_to_tolerance(seq, 1e-6)
         with mock.patch.object(digraph, "pattern_product", side_effect=pattern_product) as multiplied:
-            walked = list(pattern_walk(factor_patterns(seq.stack)))
+            walked = list(pattern_walk(factor_patterns(seq.factors), seq.word))
         assert len(walked) == length
         if maps:
             assert run.matrix_seminorms == (1.0,) * (length + 1)
@@ -526,6 +528,38 @@ class TestMapSteps:
             assert run.state.k > 1
             assert measured.call_count == run.state.k  # every step; P(0) = I is a map's product
             assert multiplied.call_count == length
+
+    @pytest.mark.parametrize("command, calls", [("simulate", 1), ("analyze", 1), ("certify", 1)])
+    def test_each_factor_is_tested_for_a_map_once(self, tmp_path, command, calls):
+        # periodic-counterexample at odd n repeats one permutation in all 150 records; a walk
+        # decides row_targets once per factor, where one test per record took 150 in simulate
+        # and 101 in analyze, up to the onset; certify refuses it before any walk of its own
+        path = tmp_path / "p.seq"
+        assert cli.main(["generate", "periodic-counterexample", "--n", "101", "--length", "150",
+                         "--out", str(path)]) == 0
+        original = digraph.row_targets
+        with mock.patch.object(digraph, "row_targets", wraps=original) as walk, \
+                mock.patch.object(convergence, "row_targets", wraps=original) as products:
+            cli.main([command, str(path)])
+        assert walk.call_count + products.call_count == calls
+
+
+class TestWordForm:
+    """A sequence held as distinct factors and a word reports as the stack it stands for."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(1, 7), st.lists(st.sampled_from(FACTOR_KINDS), min_size=1, max_size=5),
+           st.integers(0, 2**32 - 1), st.data())
+    def test_a_word_reports_as_its_stack(self, n, kinds, seed, data):
+        # every factor occurs in the word, in random order and with repeats; -0.0 rows
+        # and -0.0 in x0 keep the map steps and the iterates to the last bit
+        rng = np.random.default_rng(seed)
+        raw = np.array([factor_of(kind, rng, n) for kind in kinds])
+        repeats = data.draw(st.lists(st.integers(0, len(kinds) - 1), max_size=20))
+        word = np.array(data.draw(st.permutations([*range(len(kinds)), *repeats])))
+        x0 = np.where(rng.random(n) < 0.3, -0.0, rng.standard_normal(n))
+        held = MatrixSequence._of_word(MatrixSequence(raw).factors, word)
+        assert reports(held, x0) == reports(MatrixSequence(raw[word]), x0)
 
 
 class TestSupportOnsets:

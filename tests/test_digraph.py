@@ -298,16 +298,20 @@ class TestPatternWalk:
                     lambda bits: np.array(bits, dtype=bool).reshape(length, n, n)
                 )
             )
-        )
+        ),
+        st.data(),
     )
-    def test_matches_the_backward_product_oracle(self, stack):
-        walked = list(pattern_walk(stack))
-        assert len(walked) == len(stack)
+    def test_matches_the_backward_product_oracle(self, stack, data):
+        # a word over the stack's patterns, with repeats and skipped patterns
+        word = data.draw(st.lists(st.integers(0, len(stack) - 1), min_size=1, max_size=12))
+        walked = list(pattern_walk(stack, word))
+        assert len(walked) == len(word)
         for k, pattern in enumerate(walked, start=1):
             assert pattern.dtype == bool
-            assert np.array_equal(pattern, boolean_product_pattern([Digraph.from_adjacency(a) for a in stack[:k]]))
+            graphs = [Digraph.from_adjacency(stack[w]) for w in word[:k]]
+            assert np.array_equal(pattern, boolean_product_pattern(graphs))
         # any 0/1 stack: the same walk from integers
-        assert all(np.array_equal(a, b) for a, b in zip(pattern_walk(stack.astype(int)), walked))
+        assert all(np.array_equal(a, b) for a, b in zip(pattern_walk(stack.astype(int), word), walked))
 
 
 class TestCompleteReducibility:

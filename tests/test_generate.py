@@ -15,7 +15,7 @@ from ergocert.hypotheses import analyze
 from ergocert.seqfile import format_sequence, parse_sequence_text
 from ergocert.stochastic import digraph_of, min_positive_entry
 
-from oracles import components_by_bfs, exact_exponent, is_subgraph
+from oracles import components_by_bfs, exact_exponent, is_subgraph, report_text
 
 
 def cycle_pattern(n):
@@ -137,6 +137,20 @@ class TestWolfowitzSet:
             g = digraph_of(m)
             assert exact_exponent(g) is not None  # each generator is primitive
         assert min_positive_entry(seq.items) >= 0.1
+
+
+    @pytest.mark.parametrize("length", [1, 2, 3])
+    def test_a_short_word_analyzes_as_its_file(self, length):
+        # at seed 1, n = 5 each of these words draws one generator of the three: a sequence
+        # that kept the generators its word skips found no core over them, and offenders 1-5
+        seqf = generate_sequence("wolfowitz-set", 5, length, None, 1)
+        back = parse_sequence_text(format_sequence(seqf.matrices, seqf.metadata))
+        assert seqf.metadata["set-size"] == "3"
+        assert len(seqf.sequence.factors) == len(back.sequence.factors) == 1
+        for all_starts in (False, True):
+            report = analyze(seqf.sequence, all_starts)
+            assert report_text(report) == report_text(analyze(back.sequence, all_starts))
+            assert report.core is not None
 
 
 class TestPeriodicCounterexample:

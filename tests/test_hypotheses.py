@@ -15,6 +15,7 @@ from ergocert.hypotheses import (
     positivity_onsets,
 )
 from ergocert.generate import generate_sequence
+from ergocert.seqfile import format_sequence, parse_sequence_text
 from ergocert.stochastic import digraph_of, factor_patterns, identity_matrix
 
 from oracles import (
@@ -29,7 +30,9 @@ from oracles import (
     is_subgraph,
     random_stochastic,
     relabel_entries,
+    sequence_of_stack,
     sinks,
+    stack_of,
     validated,
 )
 
@@ -104,8 +107,8 @@ class TestCompleteReducibility:
 
     @settings(deadline=None)
     @given(st.integers(2, 6), st.integers(1, 4), st.integers(0, 2**32 - 1), st.data())
-    def test_one_closure_per_distinct_pattern(self, n, size, seed, data):
-        # a set of `size` factors drawn in random order; the first is upper triangular
+    def test_one_closure_per_distinct_factor(self, n, size, seed, data):
+        # a file of `size` factors drawn in random order; the first is upper triangular
         # with edge 1 -> 2 under a random relabelling, so never completely reducible,
         # and it occurs at two indices or more
         rng = np.random.default_rng(seed)
@@ -116,7 +119,7 @@ class TestCompleteReducibility:
         factors = [validated(upper[perm][:, perm] / upper.sum(axis=1)[perm, None])]
         factors += [validated(random_stochastic(rng, n, float(rng.uniform(0.2, 0.9)))) for _ in range(size - 1)]
         order = data.draw(st.permutations(data.draw(st.lists(st.integers(0, size - 1), max_size=10)) + [0, 0]))
-        seq = seq_of(*(factors[i] for i in order))
+        seq = parse_sequence_text(format_sequence(seq_of(*(factors[i] for i in order)))).sequence
         expected = tuple(
             k for k, i in enumerate(order, start=1)
             if not completely_reducible_by_bfs(Digraph.from_adjacency(factors[i] > 0))
@@ -126,12 +129,13 @@ class TestCompleteReducibility:
         assert report.reducibility_failures == expected
         assert len(expected) >= 2
         # component_periods closes the one 2-D common pattern; complete reducibility
-        # closes one stack: each distinct factor pattern once, in order of first occurrence
+        # closes one stack: each distinct record of the file once, in order of first occurrence
         closed = [c.args[0] for c in spy.call_args_list if np.ndim(c.args[0]) == 3]
-        distinct = list({p.tobytes(): p for p in seq.stack > 0}.values())
         assert len(closed) == 1
-        assert len(distinct) <= size
-        assert np.array_equal(closed[0] != 0, distinct)
+        keys = [factors[i].tobytes() for i in order]  # two drawn factors may be equal at n = 2
+        assert seq.word.tolist() == [list(dict.fromkeys(keys)).index(key) for key in keys]
+        assert len(seq.factors) <= size
+        assert np.array_equal(closed[0] != 0, seq.factors > 0)
 
 
 class TestAperiodicCore:
@@ -294,8 +298,9 @@ class TestPositivityOnsets:
            st.sampled_from([0.0, 0.5]), st.integers(0, 2**32 - 1))
     def test_matches_scans_and_walks(self, n, length, sparse, drop, seed):
         stack = pattern_stack(np.random.default_rng(seed), n, length, sparse, drop)
-        onsets = positivity_onsets(stack.astype(np.float32))
-        assert positivity_onsets(stack) == onsets
+        records = np.arange(length)
+        onsets = positivity_onsets(stack.astype(np.float32), records)
+        assert positivity_onsets(stack, records) == onsets
         graphs = [Digraph.from_adjacency(p) for p in stack]
         never = length + 1
         by_walks = []
@@ -342,7 +347,7 @@ class TestPositivityOnsets:
 
     @staticmethod
     def assert_matches_scans(seq):
-        onsets = positivity_onsets(factor_patterns(seq.stack))
+        onsets = positivity_onsets(factor_patterns(seq.factors), seq.word)
         assert onsets == [check_eventual_positivity(seq, k) for k in range(1, len(seq) + 1)]
         return onsets
 
@@ -388,13 +393,13 @@ class TestPositivityOnsets:
 
     def test_edge_cases(self):
         # n = 1 and L = 1; an empty pattern never fills; an empty column stays unreached
-        assert positivity_onsets(np.ones((1, 1, 1))) == [1]
-        assert positivity_onsets(np.zeros((1, 1, 1))) == [None]
-        assert positivity_onsets(np.ones((3, 1, 1))) == [1, 2, 3]
+        assert positivity_onsets(np.ones((1, 1, 1)), [0]) == [1]
+        assert positivity_onsets(np.zeros((1, 1, 1)), [0]) == [None]
+        assert positivity_onsets(np.ones((1, 1, 1)), [0, 0, 0]) == [1, 2, 3]
         swap = np.array([[0.0, 1.0], [1.0, 0.0]])
         to_first = np.array([[1.0, 0.0], [1.0, 0.0]])
-        assert positivity_onsets(np.stack([swap, swap, np.eye(2)])) == [2, None, None]
-        assert positivity_onsets(np.stack([to_first] * 4)) == [None] * 4
+        assert positivity_onsets(np.stack([swap, np.eye(2)]), [0, 0, 1]) == [2, None, None]
+        assert positivity_onsets(to_first[None], [0] * 4) == [None] * 4
 
     def test_long_identity_never_fills(self):
         # one scan per start was quadratic in L: 5.4 s at L = 1200
@@ -553,7 +558,7 @@ class TestClassicalConditions:
             length = int(rng.integers(1, 3 * n * window))
             stack = self.b_connected(rng, n, window, length)
             assert is_b_connected([Digraph.from_adjacency(p) for p in stack], window)
-            onsets = positivity_onsets(stack)
+            onsets = positivity_onsets(stack, np.arange(length))
             report = analyze(TestPositivityOnsets.weighted(stack, 0.0), all_starts=True)
             assert report.eventual_positivity == dict(enumerate(onsets, start=1))
             for k in range(1, length - (n - 1) * window + 2):
@@ -572,14 +577,14 @@ class TestClassicalConditions:
         failing_at_one = 0
         for n in range(3, 7):
             for seed in range(4):
-                stack = generate_sequence("wolfowitz-set", n, 300, 0.1 if n <= 4 else 0.05, seed).sequence.stack
+                stack = stack_of(generate_sequence("wolfowitz-set", n, 300, 0.1 if n <= 4 else 0.05, seed).sequence)
                 for b in range(1, wielandt_bound(n) + 1):
                     windows = stack[: len(stack) // b * b].reshape(-1, b, n, n)
                     blocks = np.stack([np.linalg.multi_dot([*window[::-1], np.eye(n)]) for window in windows])
                     for block, window in zip(blocks, windows):
                         graphs = [Digraph.from_adjacency(pattern) for pattern in factor_patterns(window)]
                         assert np.array_equal(block > 0, boolean_product_pattern(graphs))
-                    report = analyze(MatrixSequence._of_stack(blocks))
+                    report = analyze(sequence_of_stack(blocks))
                     if b == 1 and "aperiodic-core" in report.violations:
                         failing_at_one += 1
                     if report.holds:

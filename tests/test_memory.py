@@ -3,8 +3,9 @@ parser holds no Python float per value.
 
 Peaks are tracemalloc's, which counts numpy's array buffers. At n = 300 one
 n x n float array is 0.69 MiB and a one-shot n x n x n semi-norm temporary
-would be 206 MiB. At n = 101 and L = 150 the validated stack is 11.7 MiB;
-a parse that held one Python float per value peaked at 62 MiB there.
+would be 206 MiB. At n = 101 and L = 150 a stack of 150 distinct factors is
+11.7 MiB; a parse that held one Python float per value peaked at 62 MiB there.
+A file of repeated records keeps each distinct record once.
 """
 
 import tracemalloc
@@ -31,6 +32,17 @@ def peak_mib(fn, *args) -> float:
     finally:
         tracemalloc.stop()
     return peak / MIB
+
+
+def retained_mib(fn, *args) -> float:
+    """tracemalloc's count of what the call's result still holds when it returns."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)  # noqa: F841  (held while the count is read)
+        current, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return current / MIB
 
 
 def random_matrix(rng) -> np.ndarray:
@@ -71,9 +83,9 @@ def test_parse_peak_at_n101_l150():
 
 
 def test_parse_peak_of_a_periodic_file_at_n101_l150():
-    # 15 150 data lines repeat 101 distinct rows: those are converted once and gathered
-    # into the 11.7 MiB stack, after the text's 6 MiB of lines are released. Measured
-    # 12.6 MiB; a parse that held every line peaked at 19 MiB, one converting every line at 21
+    # 150 records repeat one record of 101 lines: its lines are converted once, and no
+    # stack is gathered. Measured 7.2 MiB, the text's lines; gathering the 11.7 MiB stack
+    # peaked at 12.6 MiB, a parse that held every line at 19 MiB, one converting every line at 21
     seqf = generate_sequence("periodic-counterexample", 101, 150, 0.001, seed=3)
     text = format_sequence(seqf.matrices, seqf.metadata)
     del seqf
@@ -88,21 +100,32 @@ def test_min_positive_entry_peak_of_a_positive_stack_at_n101_l150():
 
 
 def test_positivity_onsets_peak_of_a_non_repeating_sparse_stack_at_n200_l400():
-    # every pattern is distinct, so each predecessor table is built and released at one
-    # step; what stays is a 5000-byte packed key per pattern. Measured 2.0 MiB; keys
-    # copied with tobytes() (a 160 KB float32 record each) peaked at 61 MiB, and keys
-    # packed from one bool copy of the whole stack at 17 MiB
+    # every factor occurs once, so each predecessor table is built and released at one
+    # step. Measured 1.1 MiB; keys copied with tobytes() (a 160 KB float32 record each)
+    # peaked at 61 MiB, and one bool copy of the whole stack at 15-17 MiB
     rng = np.random.default_rng(63)
     stack = rng.random((400, 200, 200)) < 0.01
     order = rng.permutation(200)
     stack[:, order, np.roll(order, -1)] = True
     patterns = stack.astype(np.float32)
     del stack
-    assert peak_mib(positivity_onsets, patterns) < 4
+    assert peak_mib(positivity_onsets, patterns, np.arange(400)) < 4
 
 
 def test_analyze_all_starts_peak_of_a_periodic_file_at_n101_l150():
-    # the boolean pattern stack is 1.5 MiB and the all-starts pass adds O(n^2) per step.
-    # Measured 1.6 MiB; a float32 pattern stack alone is 5.8 MiB, and with one analyze peaked at 7.3
+    # the one factor's pattern is 10 KiB and the all-starts pass adds O(n^2) per step.
+    # Measured 0.16 MiB; a boolean pattern stack of all 150 records peaked at 1.6 MiB, and a
+    # float32 one at 7.3
     seq = generate_sequence("periodic-counterexample", 101, 150, 0.001, seed=3).to_sequence()
     assert peak_mib(analyze, seq, True) < 4
+
+
+def test_parsed_periodic_file_retains_its_distinct_records_at_n50_l2000():
+    # a 20 MB file of 2000 records that alternate two permutations: the sequence keeps two
+    # factors (39 KiB) and a word of 2000 indices. Measured 0.06 MiB; the gathered
+    # (2000, 50, 50) stack held 38.1 MiB
+    seqf = generate_sequence("periodic-counterexample", 50, 2000, None, seed=0)
+    text = format_sequence(seqf.matrices, seqf.metadata)
+    del seqf
+    assert len(text) > 20_000_000
+    assert retained_mib(parse_sequence_text, text) < 1

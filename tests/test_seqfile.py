@@ -19,7 +19,7 @@ from ergocert.seqfile import (
 )
 from ergocert.stochastic import NEGATIVITY_TOL, MatrixSequence, normalize_rows
 
-from oracles import format_per_value, parse_per_token
+from oracles import format_per_value, parse_per_token, reports, sequence_of_stack, stack_of
 
 GOOD = """n=2
 # preset=demo
@@ -37,7 +37,7 @@ class TestParsing:
         assert seqf.n == 2
         assert seqf.length == 2
         assert seqf.metadata == {"preset": "demo"}
-        assert np.allclose(seqf.sequence.stack[0], [[0.5, 0.5], [0.25, 0.75]])
+        assert np.allclose(stack_of(seqf.sequence)[0], [[0.5, 0.5], [0.25, 0.75]])
 
     def test_missing_header(self):
         # a data line before the header, and a text of only comments and blank lines
@@ -74,7 +74,8 @@ class TestParsing:
             parse_sequence_text("n=2\n1 zero\n0 1\n")
 
     def test_each_distinct_line_is_converted_once(self):
-        # a periodic sequence repeats n rows; the numpy call used to convert all n * L lines
+        # a periodic sequence at odd n repeats one record; the numpy call used to convert all
+        # n * L lines, and now reads the lines of each distinct record once
         seqf = generate_sequence("periodic-counterexample", 7, 30, 0.1, 0)
         text = format_sequence(seqf.sequence, seqf.metadata)
         data_lines = [line for line in text.splitlines()[1:] if line and not line.startswith("#")]
@@ -85,7 +86,8 @@ class TestParsing:
         spy.assert_called_once()
         assert list(spy.call_args.args[0]) == distinct
         assert_same_parse(parsed, parse_per_token(text))
-        assert np.array_equal(parsed.sequence.stack, seqf.sequence.stack)
+        assert len(parsed.sequence.factors) == 1
+        assert np.array_equal(stack_of(parsed.sequence), stack_of(seqf.sequence))
 
     def test_rejected_text_converts_each_distinct_line_once(self):
         # the diagnosis converted all n * L lines again, 15 150 at n = 101, L = 150
@@ -104,7 +106,7 @@ class TestParsing:
         with pytest.raises(SequenceFileError, match="record 1: entry \\(1,2\\) = -1e-11 is below"):
             parse_sequence_text("n=2\n1.0 -1e-11\n0 1\n")
         seqf = parse_sequence_text("n=2\n1.0 -1e-13\n0 1\n")
-        assert seqf.sequence.stack[0, 0, 1] == 0.0
+        assert seqf.sequence.factors[0, 0, 1] == 0.0
 
 
 class TestRoundTrip:
@@ -116,7 +118,7 @@ class TestRoundTrip:
         assert back.metadata["seed"] == "60"
         # written floats round-trip exactly; re-validation renormalizes
         # rows again, which can move entries by one ulp
-        assert np.allclose(seq.stack, back.sequence.stack, rtol=0, atol=1e-15)
+        assert np.allclose(stack_of(seq), stack_of(back.sequence), rtol=0, atol=1e-15)
 
     def test_write_and_read_file(self, tmp_path):
         path = tmp_path / "seq.txt"
@@ -124,7 +126,7 @@ class TestRoundTrip:
         seqf = read_sequence_file(path)
         assert seqf.length == 2
         assert seqf.metadata["kind"] == "fixture"
-        assert np.array_equal(seqf.sequence.stack[1], [[0.25, 0.75], [0.5, 0.5]])
+        assert np.array_equal(stack_of(seqf.sequence)[1], [[0.25, 0.75], [0.5, 0.5]])
 
     def test_decorative_comment_is_not_metadata(self, tmp_path):
         # "# ===== walk =====" was read as the key '' with value '==== walk =====',
@@ -136,7 +138,7 @@ class TestRoundTrip:
         write_sequence_file(path, seqf.sequence, seqf.metadata)
         back = read_sequence_file(path)
         assert back.metadata == {"preset": "cycle-core"}
-        assert np.array_equal(back.sequence.stack, seqf.sequence.stack)
+        assert np.array_equal(stack_of(back.sequence), stack_of(seqf.sequence))
 
     def test_write_replaces_existing_atomically(self, tmp_path):
         path = tmp_path / "seq.txt"
@@ -193,10 +195,32 @@ class TestRoundTrip:
         assert list(tmp_path.iterdir()) == []
 
     def test_writer_keeps_the_text_of_signed_zero_rows(self):
-        # each distinct row is formatted once, keyed by its bytes: -0.0 == 0.0, but its text differs
+        # a row formatted once per equal value would write -0.0 as 0.0: -0.0 == 0.0, but its text differs
         stack = np.array([[[0.0, 1.0], [-0.0, 1.0]], [[-0.0, 1.0], [0.0, 1.0]]])
-        text = format_sequence(MatrixSequence._of_stack(stack))
+        text = format_sequence(sequence_of_stack(stack))
         assert text == "n=2\n\n0.0 1.0\n-0.0 1.0\n\n-0.0 1.0\n0.0 1.0\n"
+
+    def test_records_sharing_rows_round_trip(self):
+        # at even n the two permutations of periodic-counterexample share every row, each
+        # at another index: the writer and the parser key whole records, not rows
+        seqf = generate_sequence("periodic-counterexample", 6, 9, 0.1, 0)
+        text = format_sequence(seqf.sequence, seqf.metadata)
+        back = parse_sequence_text(text)
+        factors = seqf.sequence.factors
+        assert len(factors) == len(back.sequence.factors) == 2
+        assert {row.tobytes() for row in factors[0]} == {row.tobytes() for row in factors[1]}
+        assert back.sequence.word.tolist() == seqf.sequence.word.tolist() == [0, 1] * 4 + [0]
+        assert back.sequence.factors.tobytes() == factors.tobytes()
+        assert format_sequence(back.sequence, back.metadata) == text
+
+    def test_records_equal_in_value_but_written_differently(self):
+        # '0.5' and '0.50' are two records to the parser, which keys lines by their text:
+        # two factors, one word, and the reports of the file that writes one record twice
+        written_twice = parse_sequence_text("n=2\n0.5 0.5\n1 0\n\n0.50 0.5\n1 0\n\n0.5 0.5\n1 0\n").sequence
+        written_once = parse_sequence_text("n=2\n0.5 0.5\n1 0\n\n0.5 0.5\n1 0\n\n0.5 0.5\n1 0\n").sequence
+        assert (len(written_twice.factors), len(written_once.factors)) == (2, 1)
+        assert written_twice.word.tolist() == [0, 1, 0]
+        assert reports(written_twice, np.array([1.0, -0.0])) == reports(written_once, np.array([1.0, -0.0]))
 
     def test_to_sequence(self):
         seqf = parse_sequence_text(GOOD)
@@ -276,7 +300,7 @@ def assert_same_parse(new, old):
     assert new.metadata == old.metadata
     assert new.length == old.length
     # bit for bit: signed zeros and subnormals included
-    assert new.sequence.stack.tobytes() == old.sequence.stack.tobytes()
+    assert stack_of(new.sequence).tobytes() == stack_of(old.sequence).tobytes()
 
 
 class TestAgainstPerTokenParse:
@@ -361,24 +385,26 @@ class TestAgainstPerTokenParse:
             assert outcome(parse, text) == f"line 1: malformed header 'n={digits}'"
 
     def test_records_are_read_only(self):
-        # one stack per sequence, parsed or generated: the file's matrices are its sequence,
-        # and items, iteration and factors are read-only views of the stack
+        # one factor stack and one word per sequence, parsed or generated: the file's matrices
+        # are its sequence, and items, iteration and factor(k) are read-only views of the factors
         for seqf in (parse_sequence_text(GOOD), generate_sequence("wolfowitz-set", 3, 6, 0.1, 0)):
             seq = seqf.to_sequence()
             assert seqf.matrices is seq
             views = [*seq.items, *seq, seq.factor(1)]
             assert len(views) == 2 * seqf.length + 1
-            assert not seq.stack.flags.writeable
+            assert not seq.factors.flags.writeable and not seq.word.flags.writeable
             assert not any(m.flags.writeable for m in views)
-            assert all(np.shares_memory(m, seq.stack) for m in views)
+            assert all(np.shares_memory(m, seq.factors) for m in views)
             with pytest.raises(ValueError, match="read-only"):
-                seq.stack[0, 0, 0] = 0.5
+                seq.factors[0, 0, 0] = 0.5
+            with pytest.raises(ValueError, match="read-only"):
+                seq.word[0] = 0
 
     def test_generation_and_diagnosis_build_no_matrix(self):
-        # the parser and generate each validate their distinct rows with one normalize_rows
-        # call and take the stack over: no per-record validation, and no MatrixSequence
+        # the parser and generate each validate their distinct factors with one normalize_rows
+        # call and take them over: no per-record validation, and no MatrixSequence
         # constructor, which would check each record once more. A rejected record is
-        # checked by the rule the stack failed
+        # checked by the rule the factors failed
         def normalize_rows_calls(fn, *args):
             spy = mock.Mock(wraps=normalize_rows)
             with mock.patch.object(stochastic, "normalize_rows", spy), \
@@ -404,16 +430,20 @@ def repeating_stacks(draw, entry):
 
 
 class TestAgainstPerValueWriter:
-    """format_sequence's one text per distinct row, with a token for entries whose bits
-    are all zero, against repr of every value."""
+    """format_sequence's one text per factor row, with a token for entries whose bits
+    are all zero, written in word order, against repr of every value."""
 
     @settings(max_examples=150, deadline=None)
     @given(repeating_stacks(st.one_of(
         st.sampled_from([0.0, -0.0, 5e-324, 1e-5, 1e16]), st.floats(allow_nan=False, allow_infinity=False)
     )))
     def test_float64_sequences(self, drawn):
-        # a MatrixSequence's stack is written as it is, unchecked, as generate writes its sequences
+        # a MatrixSequence's factors are written as they are, unchecked, as generate writes its
+        # sequences; a word takes them backwards, then the first once more
         rows, n = drawn
         stack = np.array(rows, dtype=np.float64).reshape(-1, n, n)
         metadata = {"preset": "drawn"}
-        assert format_sequence(MatrixSequence._of_stack(stack), metadata) == format_per_value(stack, metadata)
+        assert format_sequence(sequence_of_stack(stack), metadata) == format_per_value(stack, metadata)
+        word = np.r_[np.arange(len(stack))[::-1], 0]
+        text = format_sequence(MatrixSequence._of_word(stack, word), metadata)
+        assert text == format_per_value(stack[word], metadata)

@@ -31,6 +31,7 @@ from oracles import (
     seminorm_bruteforce,
     seminorm_by_shift_search,
     seminorm_one_shot,
+    stack_of,
     validated,
 )
 
@@ -112,8 +113,9 @@ class TestValidation:
         # bit for bit what one validating constructor call per matrix gave, for an
         # (L, n, n) array or a list of (n, n) arrays
         factors = np.array(raw) if as_array else [np.array(record) for record in raw]
-        stack = MatrixSequence(factors).stack
-        assert stack.tobytes() == normalized_records(raw).tobytes()
+        seq = MatrixSequence(factors)
+        assert seq.word.tolist() == list(range(len(raw)))
+        assert stack_of(seq).tobytes() == seq.factors.tobytes() == normalized_records(raw).tobytes()
 
     def test_input_not_aliased(self):
         # the constructor copies its input, for an (L, n, n) array and a list of (n, n) arrays
@@ -124,7 +126,7 @@ class TestValidation:
         stacked = np.array([[[0.0, 1.0], [1.0, 0.0]]])
         seq = MatrixSequence(stacked)
         stacked[0, 0, 0] = 7.0
-        assert seq.stack[0, 0, 0] == 0.0
+        assert seq.factors[0, 0, 0] == 0.0
 
     def test_entries_read_only(self):
         # the array flag carries the read-only guarantee: every matrix the library returns
@@ -136,7 +138,7 @@ class TestValidation:
         assert core is not None
         returned = [
             *(state.matrix for state in states), partial_product(seq, 0, 2), multiply(seq.factor(2), seq.factor(1)),
-            identity_matrix(2), seq.stack, *seq.items, *seq, seq.factor(1), seq.factor(2), core,
+            identity_matrix(2), seq.factors, *seq.items, *seq, seq.factor(1), seq.factor(2), core,
         ]
         for array in returned:
             with pytest.raises(ValueError, match="read-only"):
