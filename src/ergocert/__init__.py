@@ -7,25 +7,30 @@ contraction certificates and disagreement trajectories.
 
 The package root exports the documented calls, their types and exceptions;
 every other name is imported from its module (`ergocert.stochastic`, ...).
+`_EXPORTS` maps each export to its module, which is imported on first access
+(PEP 562): `import ergocert` alone imports no ergocert module.
 """
 
-from .convergence import (
-    ConvergenceCertificate,
-    ProductState,
-    ToleranceRun,
-    contraction_certificate,
-    disagreement_trajectory,
-    run_to_tolerance,
-)
-from .errors import (
-    CertificationRefused,
-    ContractViolation,
-    DimensionError,
-    NegativityError,
-    StochasticityError,
-)
-from .hypotheses import HypothesisReport, analyze
-from .seqfile import SequenceFile, SequenceFileError, read_sequence_file
-from .stochastic import MatrixSequence
+from importlib import import_module
 
+_EXPORTS = {name: module for module, names in {
+    "convergence": ("ConvergenceCertificate", "ProductState", "ToleranceRun", "contraction_certificate",
+                    "disagreement_trajectory", "run_to_tolerance"),
+    "errors": ("CertificationRefused", "ContractViolation", "DimensionError", "NegativityError",
+               "StochasticityError"),
+    "hypotheses": ("HypothesisReport", "analyze"),
+    "seqfile": ("SequenceFile", "SequenceFileError", "read_sequence_file"),
+    "stochastic": ("MatrixSequence",),
+}.items() for name in names}
+__all__ = sorted(_EXPORTS)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+
+
+def __dir__() -> list[str]:
+    return list(__all__)

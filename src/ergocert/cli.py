@@ -7,7 +7,8 @@ violation or refused certification, 2 input error, 3 horizon exhausted.
 Each cmd_* returns its report as ordered (key, value) pairs and its exit
 code. Only main prints: the pairs, then exit_status, and nothing after it.
 A command that raises has printed nothing, so a report is printed whole or
-not at all.
+not at all. Each cmd_* imports the modules it calls, so a command loads only
+the code it runs: validate loads no condition check, certificate or generator.
 """
 
 from __future__ import annotations
@@ -15,20 +16,16 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .convergence import contraction_certificate, run_to_tolerance
-from .digraph import render
 from .errors import (
     CertificationRefused,
     ContractViolation,
     DimensionError,
     StochasticityError,
 )
-from .generate import PRESETS, generate_sequence
-from .hypotheses import HypothesisReport, analyze
 from .seqfile import (
     SequenceFile,
     SequenceFileError,
@@ -37,6 +34,9 @@ from .seqfile import (
     write_sequence_file,
 )
 from .stochastic import min_positive_entry
+
+if TYPE_CHECKING:
+    from .hypotheses import HypothesisReport
 
 EXIT_OK = 0
 EXIT_HYPOTHESIS = 1
@@ -62,6 +62,7 @@ def _read(path: str) -> tuple[SequenceFile, list]:
 
 def _hypotheses(report: HypothesisReport) -> list:
     """The hypotheses pairs that analyze and certify share."""
+    from .digraph import render
     pairs = [
         ("hypotheses.alpha", report.alpha),
         ("hypotheses.complete_reducibility.failures", " ".join(str(k) for k in report.reducibility_failures) or None),
@@ -96,12 +97,15 @@ def cmd_validate(args: argparse.Namespace) -> tuple[list, int]:
 
 
 def cmd_analyze(args: argparse.Namespace) -> tuple[list, int]:
+    from .hypotheses import analyze
     seqf, pairs = _read(args.path)
     report = analyze(seqf.to_sequence(), all_starts=args.all_starts)
     return pairs + _hypotheses(report), EXIT_OK if report.holds else EXIT_HYPOTHESIS
 
 
 def cmd_certify(args: argparse.Namespace) -> tuple[list, int]:
+    from .convergence import contraction_certificate
+    from .hypotheses import analyze
     seqf, pairs = _read(args.path)
     seq = seqf.to_sequence()
     report = analyze(seq)
@@ -128,6 +132,7 @@ def cmd_certify(args: argparse.Namespace) -> tuple[list, int]:
 
 
 def cmd_simulate(args: argparse.Namespace) -> tuple[list, int]:
+    from .convergence import run_to_tolerance
     seqf, pairs = _read(args.path)
     x0 = _parse_x0(args.x0) if args.x0 is not None else None
     run = run_to_tolerance(seqf.to_sequence(), args.epsilon, x0)
@@ -144,6 +149,7 @@ def cmd_simulate(args: argparse.Namespace) -> tuple[list, int]:
 
 
 def cmd_generate(args: argparse.Namespace) -> tuple[list, int]:
+    from .generate import generate_sequence
     if args.out == "-":  # reports own stdout: '-' would be a file named '-'
         raise ContractViolation("--out must be a file path, not '-'")
     seqf = generate_sequence(args.preset, args.n, args.length, args.alpha, args.seed)
@@ -190,7 +196,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("generate", help="write a sequence file for a named regime")
-    p.add_argument("preset", choices=PRESETS)
+    p.add_argument("preset", help="a preset name; an unknown one is refused with the list of presets")
     p.add_argument("--n", type=int, default=3)
     p.add_argument("--length", type=int, default=30)
     p.add_argument("--alpha", type=float, default=None, help="floor of the positive entries (default: min(0.1, 1/n))")

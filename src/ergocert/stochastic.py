@@ -3,21 +3,23 @@
 Every matrix the library takes or returns is a float64 ndarray; those it
 returns (a sequence's factors and its views of them, products, the identity)
 are read-only. A sequence is a word over its distinct factors, so a fact about
-one factor is computed once however often the factor recurs. The semi-norm of a vector is its distance to the constant vectors
-in the sup norm, which works out to half its spread. The induced matrix
-semi-norm has the closed form of the coefficient of ergodicity: half the
-largest L1 distance between two rows.
+one factor is computed once however often the factor recurs. The semi-norm of
+a vector is its distance to the constant vectors in the sup norm, which works
+out to half its spread. The induced matrix semi-norm has the closed form of
+the coefficient of ergodicity: half the largest L1 distance between two rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
-from .digraph import Digraph
 from .errors import ContractViolation, DimensionError, NegativityError, StochasticityError
+
+if TYPE_CHECKING:
+    from .digraph import Digraph
 
 ROW_SUM_TOL = 1e-9
 NEGATIVITY_TOL = 1e-12
@@ -122,7 +124,8 @@ def multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def digraph_of(a: np.ndarray) -> Digraph:
-    """Positivity pattern of the matrix: edge (i, j) iff entry (i, j) > 0."""
+    """Positivity pattern of the matrix: edge (i, j) iff entry (i, j) > 0; imports `digraph` when called."""
+    from .digraph import Digraph
     return Digraph.from_adjacency(a > 0)
 
 

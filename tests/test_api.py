@@ -5,9 +5,9 @@ Removing or renaming one of those names breaks `perfbench/run.py --trace 1`
 and no other test, so this module imports each of them, checks that the
 list below still covers the file, and reads the result attributes the
 traced run reads. It also checks that the package root exports exactly the
-documented library, that the README's library example runs, and that
-the package exports no name, and no public class of a package module an
-attribute, that only tests use. Every other public module-level name must
+documented library, each name imported from its module on first use, that
+the README's library example runs, and that the package exports no name,
+and no public class of a package module an attribute, that only tests use. Every other public module-level name must
 be read in the package or by the traced run, and the names only the traced
 run reads are pinned.
 """
@@ -15,7 +15,10 @@ run reads are pinned.
 import ast
 import dataclasses
 import importlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 from types import ModuleType
 
@@ -99,12 +102,7 @@ def test_names_only_the_traced_run_reads():
 
 
 def test_every_export_has_a_non_test_caller():
-    exported = {
-        alias.asname or alias.name
-        for node in ast.walk(ast.parse(INIT.read_text(encoding="utf-8")))
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    }
+    exported = set(ergocert._EXPORTS)
     assert exported
     assert exported - set().union(*map(top_level_reads, CALLERS)) == set()
 
@@ -209,6 +207,32 @@ def test_root_exports_the_documented_library():
     shown = set(re.findall(r"\bec\.(\w+)", readme_example()))
     assert shown
     assert {name for name in shown if not hasattr(ergocert, name)} == set()
+
+
+def test_each_export_is_its_modules_name():
+    for name in DOCUMENTED:
+        module = importlib.import_module(f"ergocert.{ergocert._EXPORTS[name]}")
+        assert getattr(ergocert, name) is getattr(module, name)
+    assert not hasattr(ergocert, "StochasticMatrix")
+
+
+def test_the_root_imports_a_module_on_first_use():
+    # a fresh interpreter: import ergocert alone loads no ergocert module, an export loads
+    # its own, and a module still imports from the root
+    code = (
+        "import sys\n"
+        "def loaded(): return ','.join(sorted(m for m in sys.modules if m.startswith('ergocert.')))\n"
+        "import ergocert\n"
+        "print(loaded() or '-')\n"
+        "ergocert.MatrixSequence\n"
+        "print(loaded())\n"
+        "from ergocert import convergence\n"
+        "print(convergence.__name__)\n"
+    )
+    src = str(ROOT / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout.split() == ["-", "ergocert.errors,ergocert.stochastic", "ergocert.convergence"]
 
 
 def test_readme_library_example_runs(tmp_path, monkeypatch):

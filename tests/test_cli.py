@@ -47,6 +47,40 @@ def identity_file(tmp_path):
     return str(path)
 
 
+VALIDATE_MODULES = {"cli", "errors", "seqfile", "stochastic"}
+ANALYZE_MODULES = VALIDATE_MODULES | {"digraph", "hypotheses"}
+
+
+@pytest.mark.parametrize("command, status, modules", [
+    (["validate"], 0, VALIDATE_MODULES),
+    (["analyze"], 0, ANALYZE_MODULES),
+    (["analyze", "--all-starts"], 1, ANALYZE_MODULES),
+    (["certify"], 0, ANALYZE_MODULES | {"convergence"}),
+    (["simulate"], 3, ANALYZE_MODULES | {"convergence"}),
+    (["generate", "cycle-core", "--out"], 0, {"cli", "digraph", "errors", "generate", "seqfile", "stochastic"}),
+], ids=["validate", "analyze", "analyze --all-starts", "certify", "simulate", "generate"])
+def test_a_command_loads_only_the_modules_it_calls(tmp_path, capsys, command, status, modules):
+    # a fresh interpreter shows the ergocert modules a command loaded; the package root
+    # and generate's preset list used to load all eight into every command
+    path = tmp_path / "c.seq"
+    assert main(["generate", "cycle-core", "--n", "4", "--length", "30", "--out", str(path)]) == 0
+    capsys.readouterr()
+    script = (
+        "import sys\n"
+        "from ergocert.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(code, *sorted(m for m in sys.modules if m.startswith('ergocert.')))\n"
+    )
+    target = tmp_path / "g.seq" if command[0] == "generate" else path
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    result = subprocess.run([sys.executable, "-c", script, *command, str(target)],
+                            env=env, capture_output=True, text=True, timeout=60)
+    code, *loaded = result.stdout.splitlines()[-1].split()
+    assert (code, result.stderr) == (str(status), "")
+    assert set(loaded) == {f"ergocert.{name}" for name in modules}
+
+
 def test_python_m_ergocert_runs_the_cli(tmp_path, capsys):
     # python -m ergocert failed with "No module named ergocert.__main__"; it now prints
     # what main prints, with its exit code
@@ -253,7 +287,7 @@ class TestCertify:
         def fail(*args, **kwargs):
             raise RuntimeError("no certificate")
 
-        monkeypatch.setattr("ergocert.cli.contraction_certificate", fail)
+        monkeypatch.setattr("ergocert.convergence.contraction_certificate", fail)
         with pytest.raises(RuntimeError):
             main(["certify", lazy_file])
         assert capsys.readouterr().out == ""
@@ -450,6 +484,15 @@ class TestGenerate:
             assert capsys.readouterr() == ("", "error: n must be at least 2\n")
         assert main(["generate", "cycle-core", "--alpha", "0.9", "--out", str(out)]) == 2
         assert not out.exists()
+
+    def test_unknown_preset_is_refused_with_the_list(self, tmp_path, capsys):
+        # one check, in generate_sequence: the parser takes any name
+        out = tmp_path / "x.seq"
+        assert main(["generate", "bogus", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: unknown preset 'bogus'; choose from {', '.join(PRESETS)}\n"
+        assert len(PRESETS) == 4 and not out.exists()
 
     def test_default_alpha_is_at_most_one_over_n(self, tmp_path, capsys):
         # the default was 0.1 for every n, so above n = 10 generate refused it: alpha must lie in (0, 1/n]
