@@ -12,19 +12,18 @@ Format, line oriented and diffable:
     0 1 0
     0 0 1
 
-The parser takes text; a file is read as UTF-8, a leading byte-order mark skipped. A record
-is keyed by the tuple of its n line texts, and the file becomes the MatrixSequence of its
-distinct records and a word over them, with no (L, n, n) stack: finite-set or periodic files
-repeat whole records (1 distinct record in 150 for the periodic counterexample at n=101), and a
-repeat is neither converted nor kept. One numpy call reads the distinct records' lines, and
-`stochastic.normalize_rows` (the rule the MatrixSequence constructor applies to each record)
-checks their rows. The writer takes a MatrixSequence only, formats each factor's rows once and
-writes the records in word order: an entry whose bits are all zero is 0.0, repr writes the rest,
-and -0.0 keeps its sign. Only rejected input is scanned again, to name the first bad line or
-record: each distinct line is converted once by `parse_numbers`, which also reads the CLI's x0
-vectors, and the first occurrence of each record is checked by `normalize_rows`. Records and
-rows in error messages are 1-based. Writes are atomic: content goes to a temporary file in the
-target directory and is renamed into place.
+A file is read as UTF-8 (a leading byte-order mark skipped) line by line, and a line ends at LF,
+CRLF or CR, in a file (universal newlines) as in a str. A record is keyed by the tuple of its n line
+texts, and the file becomes the MatrixSequence of its distinct records and a word over them: only
+the distinct records' lines and where each first occurs are kept, and a repeat (finite-set and
+periodic files repeat whole records) is neither converted nor kept. One numpy call reads the
+distinct records' lines, and `stochastic.normalize_rows` (the MatrixSequence constructor's rule)
+checks their rows. Only rejected input is scanned again, to name the first bad line or record:
+each distinct line is converted once by `parse_numbers`, which also reads the CLI's x0 vectors,
+and each record's first occurrence is checked by `normalize_rows`; records and rows are 1-based.
+The writer takes a MatrixSequence only and writes each factor's rows, formatted once, in word
+order: an entry whose bits are all zero is 0.0, repr writes the rest, and -0.0 keeps its sign.
+Writes are atomic: a temporary file in the target directory is renamed into place.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ import errno
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NoReturn
+from typing import Iterable, NoReturn
 
 import numpy as np
 
@@ -70,15 +69,17 @@ class SequenceFile:
         return self.sequence
 
 
-def parse_sequence_text(text: str) -> SequenceFile:
+def parse_sequence_text(text: str | Iterable[str]) -> SequenceFile:
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n") if isinstance(text, str) else text
     n: int | None = None
     metadata: dict[str, str] = {}
-    line_numbers: list[int] = []
-    records: dict[tuple[str, ...], int] = {}  # distinct records by their lines, in order of first occurrence
+    # distinct records by their lines, in order of first occurrence: index, 1-based record number, first line numbers
+    records: dict[tuple[str, ...], tuple[int, int, list[int]]] = {}
     word: list[int] = []
     record: list[str] = []
+    record_lines: list[int] = []
 
-    for lineno, raw_line in enumerate(text.splitlines(), start=1):
+    for lineno, raw_line in enumerate(lines, start=1):
         line = raw_line.strip()
         if not line:
             continue
@@ -96,15 +97,15 @@ def parse_sequence_text(text: str) -> SequenceFile:
             if n < 1:
                 raise SequenceFileError(f"line {lineno}: dimension must be at least 1")
             continue
-        line_numbers.append(lineno)
         record.append(line)
+        record_lines.append(lineno)
         if len(record) == n:
-            word.append(records.setdefault(tuple(record), len(records)))
-            record = []
+            word.append(records.setdefault(tuple(record), (len(records), len(word) + 1, record_lines))[0])
+            record, record_lines = [], []
 
     if n is None:
         raise SequenceFileError("missing header line 'n=<int>'")
-    if not line_numbers:
+    if not word and not record:
         raise SequenceFileError("no matrices")
     distinct = list(records)
     try:
@@ -113,7 +114,7 @@ def parse_sequence_text(text: str) -> SequenceFile:
             raise ValueError("the rows do not form n x n records")
         normalize_rows(values)
     except ValueError:
-        _diagnose(distinct, word, record, line_numbers, n)
+        _diagnose(records, len(word), [*zip(record_lines, record)], n)
     return SequenceFile(metadata, MatrixSequence._of_word(values.reshape(-1, n, n), np.array(word, dtype=np.intp)))
 
 
@@ -127,41 +128,40 @@ def parse_numbers(line: str) -> np.ndarray:
     return np.loadtxt([line], dtype=float, comments=None, ndmin=2)[0]
 
 
-def _diagnose(distinct: list[tuple[str, ...]], word: list[int], tail: list[str], line_numbers: list[int], n: int) -> NoReturn:
+def _diagnose(records: dict[tuple[str, ...], tuple], length: int, tail: list[tuple[int, str]], n: int) -> NoReturn:
     """Raise the error of data the one-call parse rejected, converting each distinct line once.
 
-    A non-numeric line anywhere comes first, then an incomplete last record (its lines are the
-    tail); then records in order, a wrong row length before a stochasticity error. A repeated
-    record fails as its first occurrence does, so only first occurrences are checked.
+    A non-numeric line anywhere comes first, then an incomplete last record (the tail: the numbered
+    lines after `length` whole records); then records in order, a wrong row length before a
+    stochasticity error. A repeated record fails as its first occurrence does, so only first
+    occurrences are checked.
     """
-    first = np.unique(word, return_index=True)[1].tolist()
-    lines = [(line_numbers[r * n + i], line) for d, r in enumerate(first) for i, line in enumerate(distinct[d])]
     converted: dict[str, np.ndarray] = {}
-    for lineno, line in [*lines, *zip(line_numbers[len(word) * n :], tail)]:  # in file order
-        if line not in converted:
+    for lineno, line in [*(pair for key, (_, _, linenos) in records.items() for pair in zip(linenos, key)), *tail]:
+        if line not in converted:  # in file order
             try:
                 converted[line] = parse_numbers(line)
             except ValueError:
                 raise SequenceFileError(f"line {lineno}: non-numeric value in {line!r}") from None
     if tail:
-        raise SequenceFileError(f"record {len(word) + 1} is incomplete: {len(tail)} of {n} rows present")
-    for d, r in enumerate(first):
-        block = [converted[line] for line in distinct[d]]
+        raise SequenceFileError(f"record {length + 1} is incomplete: {len(tail)} of {n} rows present")
+    for key, (_, r, linenos) in records.items():
+        block = [converted[line] for line in key]
         for offset, row in enumerate(block):
             if len(row) != n:
                 raise SequenceFileError(
-                    f"record {r + 1}, row {offset + 1} (line {line_numbers[r * n + offset]}): "
-                    f"expected {n} values, got {len(row)}"
+                    f"record {r}, row {offset + 1} (line {linenos[offset]}): expected {n} values, got {len(row)}"
                 )
         try:
             normalize_rows(np.array(block, dtype=float))
         except StochasticityError as err:
-            raise SequenceFileError(f"record {r + 1}: {err}") from err
+            raise SequenceFileError(f"record {r}: {err}") from err
     raise RuntimeError("internal error: every record passed the checks the one-call parse failed")
 
 
 def read_sequence_file(path: str | Path) -> SequenceFile:
-    return parse_sequence_text(Path(path).read_text(encoding="utf-8-sig"))
+    with open(path, encoding="utf-8-sig") as handle:
+        return parse_sequence_text(handle)
 
 
 def format_sequence(factors, metadata: dict[str, str] | None = None) -> str:

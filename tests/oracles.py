@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import re
 from collections import deque
 from itertools import product as iter_product
 
@@ -374,13 +375,14 @@ def stochastic_matrix_power(entries: np.ndarray, exponent: int) -> np.ndarray:
 def parse_per_token(text: str) -> SequenceFile:
     """The sequence-file parse token by token: Python float() on every token,
     then normalize_rows on each record, raising at the first bad line, record
-    or row exactly as the library's messages do."""
+    or row exactly as the library's messages do. A line ends at LF, CRLF or
+    CR, split by one regular expression; any other whitespace is a gap."""
     header_n: int | None = None
     metadata: dict[str, str] = {}
     rows: list[list[float]] = []
     row_line_numbers: list[int] = []
 
-    for lineno, raw_line in enumerate(text.splitlines(), start=1):
+    for lineno, raw_line in enumerate(re.split(r"\r\n|\r|\n", text), start=1):
         line = raw_line.strip()
         if not line:
             continue

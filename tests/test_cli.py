@@ -139,13 +139,23 @@ class TestValidate:
         assert usage_error.value.code == 2
 
     def test_undecodable_file_is_an_input_error(self, tmp_path, capsys):
-        # a UnicodeDecodeError escaped with a traceback and exit 1
+        # a UnicodeDecodeError escaped with a traceback and exit 1. The file is read line by
+        # line: the bad bytes follow a header, stand alone, or follow 900 kB of keyed records
         path = tmp_path / "binary.seq"
-        path.write_bytes(b"n=2\n1 0\n0 1\xff\n")
+        for content in (b"n=2\n1 0\n0 1\xff\n", b"\xff\xfe\xfd\n", b"n=2\n" + b"1 0\n0 1\n\n" * 100_000 + b"0 1\xff\n"):
+            path.write_bytes(content)
+            assert main(["validate", str(path)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: 'utf-8' codec can't decode byte") and captured.err.count("\n") == 1
+
+    def test_a_bad_header_is_reported_before_later_undecodable_bytes(self, tmp_path, capsys):
+        # the parse stops at the header, so the bytes after it are never decoded; the text
+        # layer decodes a chunk at a time, and 1 MB of comments puts them far past the first
+        path = tmp_path / "header.seq"
+        path.write_bytes(b"m=2\n" + b"# padding\n" * 100_000 + b"\xff\xfe\n")
         assert main(["validate", str(path)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert capsys.readouterr() == ("", "error: line 1: expected header 'n=<int>', got 'm=2'\n")
 
     def test_byte_order_mark_is_skipped(self, tmp_path, capsys):
         # a file saved as UTF-8 with a byte-order mark failed:

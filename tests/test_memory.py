@@ -1,21 +1,23 @@
 """Memory regressions: the product layer stays O(n^2) per step, and the
-parser holds no Python float per value.
+parser holds no Python float per value, nor the text of a file it reads.
 
 Peaks are tracemalloc's, which counts numpy's array buffers. At n = 300 one
 n x n float array is 0.69 MiB and a one-shot n x n x n semi-norm temporary
 would be 206 MiB. At n = 101 and L = 150 a stack of 150 distinct factors is
 11.7 MiB; a parse that held one Python float per value peaked at 62 MiB there.
-A file of repeated records keeps each distinct record once.
+A file of repeated records keeps each distinct record once, and a file is
+read line by line.
 """
 
 import tracemalloc
 
 import numpy as np
+import pytest
 
 from ergocert.convergence import run_to_tolerance
 from ergocert.generate import generate_sequence
 from ergocert.hypotheses import MatrixSequence, analyze, positivity_onsets
-from ergocert.seqfile import format_sequence, parse_sequence_text
+from ergocert.seqfile import format_sequence, parse_sequence_text, read_sequence_file, write_sequence_file
 from ergocert.stochastic import matrix_seminorm, min_positive_entry, multiply
 
 from oracles import random_stochastic, validated
@@ -78,13 +80,14 @@ def test_parse_peak_at_n101_l150():
     seqf = generate_sequence("positive-diagonal", 101, 150, 0.001, seed=3)
     text = format_sequence(seqf.matrices, seqf.metadata)
     del seqf
-    # the 12 MiB text is allocated before tracing starts
+    # the 12 MiB text is allocated before tracing starts. Measured 27.8 MiB: the text's
+    # lines and the 11.7 MiB stack of 150 distinct factors
     assert peak_mib(parse_sequence_text, text) < 40
 
 
 def test_parse_peak_of_a_periodic_file_at_n101_l150():
     # 150 records repeat one record of 101 lines: its lines are converted once, and no
-    # stack is gathered. Measured 7.2 MiB, the text's lines; gathering the 11.7 MiB stack
+    # stack is gathered. Measured 6.8 MiB, the text's lines; gathering the 11.7 MiB stack
     # peaked at 12.6 MiB, a parse that held every line at 19 MiB, one converting every line at 21
     seqf = generate_sequence("periodic-counterexample", 101, 150, 0.001, seed=3)
     text = format_sequence(seqf.matrices, seqf.metadata)
@@ -122,10 +125,24 @@ def test_analyze_all_starts_peak_of_a_periodic_file_at_n101_l150():
 
 def test_parsed_periodic_file_retains_its_distinct_records_at_n50_l2000():
     # a 20 MB file of 2000 records that alternate two permutations: the sequence keeps two
-    # factors (39 KiB) and a word of 2000 indices. Measured 0.06 MiB; the gathered
+    # factors (39 KiB) and a word of 2000 indices. Measured 0.05 MiB; the gathered
     # (2000, 50, 50) stack held 38.1 MiB
     seqf = generate_sequence("periodic-counterexample", 50, 2000, None, seed=0)
     text = format_sequence(seqf.matrices, seqf.metadata)
     del seqf
     assert len(text) > 20_000_000
     assert retained_mib(parse_sequence_text, text) < 1
+
+
+@pytest.mark.parametrize("n, length, alpha, seed", [(101, 150, 0.001, 3), (50, 2000, None, 0)],
+                         ids=["n101-l150", "n50-l2000"])
+def test_reading_a_periodic_file_holds_no_text(tmp_path, n, length, alpha, seed):
+    # a 6 MB and a 20 MB file of repeated records, read line by line: only the distinct
+    # records' lines, their first line numbers and the word are kept. Measured 0.22 and
+    # 0.13 MiB; reading the whole text and splitting it into lines peaked at 13.0 and 47.0
+    seqf = generate_sequence("periodic-counterexample", n, length, alpha, seed=seed)
+    path = tmp_path / "periodic.seq"
+    write_sequence_file(path, seqf.matrices, seqf.metadata)
+    del seqf
+    assert path.stat().st_size > 6_000_000
+    assert peak_mib(read_sequence_file, path) < 2

@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ergocert import generate, seqfile, stochastic
@@ -232,7 +232,10 @@ class TestRoundTrip:
 # entries at float extremes: tiny, subnormal, signed zero, and negatives that
 # are clamped to zero (the last one exactly at the negativity tolerance)
 SPECIAL_ENTRIES = [0.0, -0.0, 1e-200, 5e-324, 1.5e-310, -1e-13, -NEGATIVITY_TOL]
-FILLER_LINES = ["", "   ", "\t", "# a note", "# seed=1", "#seed=2", "# key = a=b", "#"]
+FILLER_LINES = ["", "   ", "\t", "\f", "# a note", "# seed=1", "#seed=2", "# key = a=b", "#"]
+# only LF, CRLF and CR end a line; str.splitlines also broke lines at each of these
+OTHER_WHITESPACE = ["\f", "\v", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+NEWLINES = ["\n", "\r\n", "\r"]
 TOKEN_FORMATS = ["{!r}", "{:.17e}", "{:.17E}", "{:.17g}"]
 
 
@@ -247,7 +250,7 @@ def sequence_lines(draw):
     n = draw(st.integers(1, 5))
     length = draw(st.integers(1, 4))
     entry = st.one_of(st.sampled_from(SPECIAL_ENTRIES), st.floats(0.0, 1.0 / n))
-    gap = st.sampled_from([" ", "  ", "\t", " \t "])
+    gap = st.sampled_from([" ", "  ", "\t", " \t ", *OTHER_WHITESPACE])
     edge = st.sampled_from(["", " ", "\t"])
 
     def fillers():
@@ -305,10 +308,24 @@ def assert_same_parse(new, old):
 
 class TestAgainstPerTokenParse:
     @settings(max_examples=100, deadline=None)
-    @given(sequence_lines(), st.sampled_from(["\n", "\r\n"]))
+    @given(sequence_lines(), st.sampled_from(NEWLINES))
     def test_valid_files_parse_bit_for_bit(self, drawn, newline):
         text = join_lines(drawn[0], newline)
         assert_same_parse(parse_sequence_text(text), parse_per_token(text))
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(sequence_lines(), st.data())
+    def test_a_file_parses_as_its_text_bit_for_bit(self, tmp_path, drawn, data):
+        # read_sequence_file streams the lines of a file opened with universal newlines, and
+        # parse_sequence_text splits a str: one line rule, so one parse, line endings mixed.
+        # Each example overwrites the one file
+        lines = drawn[0]
+        endings = data.draw(st.lists(st.sampled_from(NEWLINES), min_size=len(lines), max_size=len(lines)))
+        text = "".join(line + ending for line, ending in zip(lines, endings))
+        path = tmp_path / "drawn.seq"
+        path.write_text(text, encoding="utf-8", newline="")
+        assert path.read_bytes() == text.encode()
+        assert_same_parse(read_sequence_file(path), parse_sequence_text(text))
 
     @settings(max_examples=100, deadline=None)
     @given(sequence_lines(), st.data())
@@ -363,12 +380,29 @@ class TestAgainstPerTokenParse:
             # every row equally wide, but not n wide
             ("n=2\n1 0 0\n0 1 0\n", "record 1, row 1 (line 2): expected 2 values, got 3"),
             ("n=2\n1 0\n0 1\n\n1 -0.5\n0 1\n", "record 2: entry (1,2) = -0.5 is below"),
+            # records 2 and 3 are one distinct record, named at its first occurrence (lines 5
+            # and 6), the only one whose line numbers are kept
+            ("n=2\n1 0\n0 1\n\n1 0\n1\n\n1 0\n1\n", "record 2, row 2 (line 6): expected 2 values, got 1"),
+            ("n=2\n1 0\n0 1\n\n1 0\n0 one\n\n1 0\n0 one\n", "line 6: non-numeric value in '0 one'"),
         ],
     )
-    def test_error_precedence(self, text, prefix):
+    def test_error_precedence(self, tmp_path, text, prefix):
         message = outcome(parse_sequence_text, text)
         assert message.startswith(prefix)
         assert message == outcome(parse_per_token, text)
+        path = tmp_path / "case.seq"
+        path.write_text(text, encoding="utf-8")
+        assert outcome(read_sequence_file, path) == message
+
+    def test_a_form_feed_inside_a_line_separates_tokens(self, tmp_path):
+        # only LF, CRLF and CR end a line: str.splitlines broke each row at its form feed,
+        # into records of 2-value rows ("expected 4 values, got 2")
+        text = "n=4\n" + "0.25 0.25\f0.25 0.25\n" * 4
+        path = tmp_path / "ff.seq"
+        path.write_text(text, encoding="utf-8")
+        for seqf in (parse_sequence_text(text), read_sequence_file(path), parse_per_token(text)):
+            assert (seqf.n, seqf.length) == (4, 1)
+            assert stack_of(seqf.sequence).tobytes() == np.full((1, 4, 4), 0.25).tobytes()
 
     def test_underscore_separators_are_non_numeric(self):
         # Python float() reads '1_0' as 10; numpy's number grammar has no '_'
