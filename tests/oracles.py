@@ -19,18 +19,28 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
 import re
 from collections import deque
 from itertools import product as iter_product
+from pathlib import Path
 
 import numpy as np
 
+import ergocert
 from ergocert.convergence import contraction_certificate, iter_products, run_to_tolerance
 from ergocert.digraph import Digraph, is_aperiodic, pattern_product, wielandt_bound
 from ergocert.errors import CertificationRefused, ContractViolation, DimensionError, StochasticityError
 from ergocert.hypotheses import analyze
 from ergocert.seqfile import SequenceFile, SequenceFileError
 from ergocert.stochastic import MatrixSequence, matrix_seminorm, normalize_rows
+
+
+def child_env() -> dict[str, str]:
+    """The environment of a child interpreter that imports the ergocert these tests
+    import, installed or in the checkout: its directory goes first on PYTHONPATH."""
+    home = str(Path(ergocert.__file__).parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (home, os.environ.get("PYTHONPATH"))))}
 
 
 def validated(raw) -> np.ndarray:
@@ -390,7 +400,8 @@ def parse_per_token(text: str) -> SequenceFile:
             body = line.lstrip("#").strip()
             if "=" in body:
                 key, value = body.split("=", 1)
-                metadata.setdefault(key.strip(), value.strip())
+                if key.strip():  # "# ==== walk ====" has an empty key and is no metadata
+                    metadata.setdefault(key.strip(), value.strip())
             continue
         if header_n is None:
             if not line.startswith("n="):

@@ -15,7 +15,6 @@ run reads are pinned.
 import ast
 import dataclasses
 import importlib
-import os
 import re
 import subprocess
 import sys
@@ -42,13 +41,13 @@ from ergocert.hypotheses import MatrixSequence, check_eventual_positivity
 from ergocert.seqfile import read_sequence_file, write_sequence_file
 from ergocert.stochastic import digraph_of, identity_matrix, matrix_seminorm, min_positive_entry, multiply
 
-from oracles import stack_of
+from oracles import child_env, stack_of
 
 MODULES = {"convergence": convergence, "digraph": digraph, "generate": generate,
            "hypotheses": hypotheses, "seqfile": seqfile, "stochastic": stochastic}
 ROOT = Path(__file__).resolve().parents[1]
 LAYERS = ROOT / "perfbench" / "layers.py"
-PACKAGE = ROOT / "src" / "ergocert"
+PACKAGE = Path(ergocert.__file__).parent  # the imported package, installed or in the checkout
 README = ROOT / "README.md"
 DOCUMENTED = {
     "read_sequence_file", "analyze", "contraction_certificate", "run_to_tolerance", "disagreement_trajectory",
@@ -218,7 +217,8 @@ def test_each_export_is_its_modules_name():
 
 def test_the_root_imports_a_module_on_first_use():
     # a fresh interpreter: import ergocert alone loads no ergocert module, an export loads
-    # its own, and a module still imports from the root
+    # its own, a module still imports from the root, and the package is the one this test
+    # imported: an installed copy, not the checkout's src/
     code = (
         "import sys\n"
         "def loaded(): return ','.join(sorted(m for m in sys.modules if m.startswith('ergocert.')))\n"
@@ -228,11 +228,12 @@ def test_the_root_imports_a_module_on_first_use():
         "print(loaded())\n"
         "from ergocert import convergence\n"
         "print(convergence.__name__)\n"
+        "print(ergocert.__file__)\n"
     )
-    src = str(ROOT / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert result.stdout.split() == ["-", "ergocert.errors,ergocert.stochastic", "ergocert.convergence"]
+    result = subprocess.run([sys.executable, "-c", code], env=child_env(), capture_output=True, text=True, check=True)
+    assert result.stdout.splitlines() == [
+        "-", "ergocert.errors,ergocert.stochastic", "ergocert.convergence", ergocert.__file__,
+    ]
 
 
 def test_readme_library_example_runs(tmp_path, monkeypatch):

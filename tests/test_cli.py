@@ -1,9 +1,7 @@
 import hashlib
-import os
 import re
 import subprocess
 import sys
-from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -16,6 +14,8 @@ from ergocert.generate import PRESETS, generate_sequence
 from ergocert.hypotheses import analyze
 from ergocert.seqfile import read_sequence_file, write_sequence_file
 from ergocert.stochastic import ROW_SUM_TOL, MatrixSequence, identity_matrix
+
+from oracles import child_env
 
 LAZY = [[0.9, 0.1], [0.1, 0.9]]
 SWAP = [[0.0, 1.0], [1.0, 0.0]]
@@ -72,10 +72,8 @@ def test_a_command_loads_only_the_modules_it_calls(tmp_path, capsys, command, st
         "print(code, *sorted(m for m in sys.modules if m.startswith('ergocert.')))\n"
     )
     target = tmp_path / "g.seq" if command[0] == "generate" else path
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     result = subprocess.run([sys.executable, "-c", script, *command, str(target)],
-                            env=env, capture_output=True, text=True, timeout=60)
+                            env=child_env(), capture_output=True, text=True, timeout=60)
     code, *loaded = result.stdout.splitlines()[-1].split()
     assert (code, result.stderr) == (str(status), "")
     assert set(loaded) == {f"ergocert.{name}" for name in modules}
@@ -89,10 +87,8 @@ def test_python_m_ergocert_runs_the_cli(tmp_path, capsys):
     capsys.readouterr()
     code = main(["validate", str(path)])
     expected = capsys.readouterr().out
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     result = subprocess.run([sys.executable, "-m", "ergocert", "validate", str(path)],
-                            env=env, capture_output=True, text=True, timeout=60)
+                            env=child_env(), capture_output=True, text=True, timeout=60)
     assert (result.stdout, result.returncode) == (expected, code) == (expected, 0)
     assert expected.endswith("validation = ok\nexit_status = 0\n")
 
@@ -159,17 +155,20 @@ class TestValidate:
 
     def test_byte_order_mark_is_skipped(self, tmp_path, capsys):
         # a file saved as UTF-8 with a byte-order mark failed:
-        # "line 1: expected header 'n=<int>', got '\ufeffn=2'"
-        plain, marked = tmp_path / "plain.seq", tmp_path / "marked.seq"
+        # "line 1: expected header 'n=<int>', got '\ufeffn=2'"; one with CR or CRLF line
+        # endings reports as its LF text does too
+        plain, marked, cr, crlf = (tmp_path / f"{name}.seq" for name in ("plain", "marked", "cr", "crlf"))
         seqf = generate_sequence("cycle-core", 4, 30, 0.1, 0)
         write_sequence_file(plain, seqf.to_sequence(), seqf.metadata)
         marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        cr.write_bytes(plain.read_bytes().replace(b"\n", b"\r"))
+        crlf.write_bytes(plain.read_bytes().replace(b"\n", b"\r\n"))
         for command in (["validate"], ["analyze"], ["analyze", "--all-starts"]):
             reports = []
-            for path in (plain, marked):
+            for path in (plain, marked, cr, crlf):
                 code = main([*command, str(path)])
                 reports.append((code, {k: v for k, v in report_lines(capsys).items() if k != "input.path"}))
-            assert reports[0] == reports[1]
+            assert reports == reports[:1] * 4
             assert reports[0][1]["exit_status"] == str(reports[0][0])
 
 

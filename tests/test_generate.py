@@ -1,7 +1,5 @@
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +13,7 @@ from ergocert.hypotheses import analyze
 from ergocert.seqfile import format_sequence, parse_sequence_text
 from ergocert.stochastic import digraph_of, min_positive_entry
 
-from oracles import components_by_bfs, exact_exponent, is_subgraph, report_text
+from oracles import child_env, components_by_bfs, exact_exponent, is_subgraph, report_text
 
 
 def cycle_pattern(n):
@@ -182,8 +180,6 @@ class TestPeriodicCounterexample:
             "generate_sequence('periodic-counterexample', 6, 8, 0.1, 0)\n"
             "print(eager, 'numpy.random' in sys.modules)\n"
         )
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        result = subprocess.run([sys.executable, "-c", code], env=child_env(), capture_output=True, text=True, check=True)
         eager, loaded = result.stdout.split()
         assert loaded == eager

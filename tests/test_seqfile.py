@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from ergocert import generate, seqfile, stochastic
@@ -232,7 +232,7 @@ class TestRoundTrip:
 # entries at float extremes: tiny, subnormal, signed zero, and negatives that
 # are clamped to zero (the last one exactly at the negativity tolerance)
 SPECIAL_ENTRIES = [0.0, -0.0, 1e-200, 5e-324, 1.5e-310, -1e-13, -NEGATIVITY_TOL]
-FILLER_LINES = ["", "   ", "\t", "\f", "# a note", "# seed=1", "#seed=2", "# key = a=b", "#"]
+FILLER_LINES = ["", "   ", "\t", "\f", "# a note", "# seed=1", "#seed=2", "# key = a=b", "#", "# ==== walk ====", "#=x"]
 # only LF, CRLF and CR end a line; str.splitlines also broke lines at each of these
 OTHER_WHITESPACE = ["\f", "\v", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
 NEWLINES = ["\n", "\r\n", "\r"]
@@ -309,6 +309,7 @@ def assert_same_parse(new, old):
 class TestAgainstPerTokenParse:
     @settings(max_examples=100, deadline=None)
     @given(sequence_lines(), st.sampled_from(NEWLINES))
+    @example((["n=1", "# ==== walk ====", "1"], [2]), "\n")  # an empty key is no metadata
     def test_valid_files_parse_bit_for_bit(self, drawn, newline):
         text = join_lines(drawn[0], newline)
         assert_same_parse(parse_sequence_text(text), parse_per_token(text))
@@ -384,6 +385,8 @@ class TestAgainstPerTokenParse:
             # and 6), the only one whose line numbers are kept
             ("n=2\n1 0\n0 1\n\n1 0\n1\n\n1 0\n1\n", "record 2, row 2 (line 6): expected 2 values, got 1"),
             ("n=2\n1 0\n0 1\n\n1 0\n0 one\n\n1 0\n0 one\n", "line 6: non-numeric value in '0 one'"),
+            # a row sum broken in the last record of a periodic file, named by its record number
+            ("n=2\n0 1\n1 0\n\n1 0\n0 1\n\n0 1\n1 0\n\n1 0\n0 1.5\n", "record 4: row 2 sums to 1.5"),
         ],
     )
     def test_error_precedence(self, tmp_path, text, prefix):

@@ -115,6 +115,7 @@ class TestValidation:
         factors = np.array(raw) if as_array else [np.array(record) for record in raw]
         seq = MatrixSequence(factors)
         assert seq.word.tolist() == list(range(len(raw)))
+        assert not seq.word.flags.writeable and not hasattr(seq, "stack")
         assert stack_of(seq).tobytes() == seq.factors.tobytes() == normalized_records(raw).tobytes()
 
     def test_input_not_aliased(self):
