@@ -1,4 +1,6 @@
+import gc
 import hashlib
+import os
 import re
 import subprocess
 import sys
@@ -65,32 +67,66 @@ def test_a_command_loads_only_the_modules_it_calls(tmp_path, capsys, command, st
     path = tmp_path / "c.seq"
     assert main(["generate", "cycle-core", "--n", "4", "--length", "30", "--out", str(path)]) == 0
     capsys.readouterr()
+    # main() as the console script calls it: the process's entry point, which freezes the heap
     script = (
-        "import sys\n"
+        "import gc, sys\n"
         "from ergocert.cli import main\n"
-        "code = main(sys.argv[1:])\n"
-        "print(code, *sorted(m for m in sys.modules if m.startswith('ergocert.')))\n"
+        "code = main()\n"
+        "print(code, gc.get_freeze_count() > 0, *sorted(m for m in sys.modules if m.startswith('ergocert.')))\n"
     )
     target = tmp_path / "g.seq" if command[0] == "generate" else path
     result = subprocess.run([sys.executable, "-c", script, *command, str(target)],
                             env=child_env(), capture_output=True, text=True, timeout=60)
-    code, *loaded = result.stdout.splitlines()[-1].split()
-    assert (code, result.stderr) == (str(status), "")
+    code, frozen, *loaded = result.stdout.splitlines()[-1].split()
+    assert (code, frozen, result.stderr) == (str(status), "True", "")
     assert set(loaded) == {f"ergocert.{name}" for name in modules}
 
 
-def test_python_m_ergocert_runs_the_cli(tmp_path, capsys):
+@pytest.mark.parametrize("command, status, last_pair", [
+    (["validate"], 0, "validation = ok\n"),
+    (["analyze", "--all-starts"], 1, "hypotheses.verdict = conditions-violated\n"),
+    (["certify"], 0, "numerics.row_sum_drift = "),
+    (["simulate"], 3, "numerics.row_sum_drift = "),
+], ids=["validate", "analyze --all-starts", "certify", "simulate"])
+def test_python_m_ergocert_runs_the_cli(tmp_path, capsys, command, status, last_pair):
     # python -m ergocert failed with "No module named ergocert.__main__"; it now prints
-    # what main prints, with its exit code
+    # what main prints, with its exit code; main(argv) in process leaves the collector alone
     path = tmp_path / "c.seq"
     assert main(["generate", "cycle-core", "--n", "4", "--length", "30", "--out", str(path)]) == 0
     capsys.readouterr()
-    code = main(["validate", str(path)])
+    frozen = gc.get_freeze_count()
+    code = main([*command, str(path)])
+    assert gc.get_freeze_count() == frozen
     expected = capsys.readouterr().out
-    result = subprocess.run([sys.executable, "-m", "ergocert", "validate", str(path)],
+    result = subprocess.run([sys.executable, "-m", "ergocert", *command, str(path)],
                             env=child_env(), capture_output=True, text=True, timeout=60)
-    assert (result.stdout, result.returncode) == (expected, code) == (expected, 0)
-    assert expected.endswith("validation = ok\nexit_status = 0\n")
+    assert (result.stdout, result.returncode) == (expected, code) == (expected, status)
+    *_, last, exit_line = expected.splitlines(keepends=True)
+    assert last.startswith(last_pair) and exit_line == f"exit_status = {status}\n"
+
+
+def _unwritable_stdout_run(path, stdout):
+    result = subprocess.run([sys.executable, "-m", "ergocert", "validate", str(path)], stdout=stdout,
+                            stderr=subprocess.PIPE, env=child_env(), text=True, timeout=60)
+    return result.returncode, result.stderr.splitlines()
+
+
+def test_a_report_to_a_closed_pipe_is_one_error_line(lazy_file):
+    # a closed pipe was a BrokenPipeError traceback and exit code 1, read as a condition violation
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        code, err = _unwritable_stdout_run(lazy_file, write_end)
+    finally:
+        os.close(write_end)
+    assert (code, err) == (2, ["error: cannot write the report: [Errno 32] Broken pipe"])
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+def test_a_report_to_a_full_device_is_one_error_line(lazy_file):
+    with open("/dev/full", "w") as full:
+        code, err = _unwritable_stdout_run(lazy_file, full)
+    assert (code, err) == (2, ["error: cannot write the report: [Errno 28] No space left on device"])
 
 
 class TestValidate:
