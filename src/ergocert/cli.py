@@ -9,7 +9,8 @@ Each cmd_* returns its report as ordered (key, value) pairs and its exit
 code. Only main prints: the pairs, then exit_status, and nothing after it.
 A command that raises has printed nothing, so a report is printed whole or
 not at all. Each cmd_* imports the modules it calls, so a command loads only
-the code it runs: validate loads no condition check, certificate or generator.
+the code it runs: validate loads no condition check, certificate or generator,
+and simulate adds only the products (convergence), no pattern or condition code.
 
 main() without argv, as the `ergocert` script and `python -m ergocert` call it,
 freezes the heap as its last step, so the collections at exit have nothing to

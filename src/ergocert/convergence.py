@@ -10,16 +10,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice, repeat
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
-from .digraph import pattern_walk, row_targets, wielandt_bound
 from .errors import CertificationRefused, ContractViolation, DimensionError
-from .hypotheses import HypothesisReport, analyze
 from .stochastic import (
-    MatrixSequence, _read_only, factor_patterns, matrix_seminorm, min_positive_entry, vector_seminorm,
+    MatrixSequence, _read_only, factor_patterns, matrix_seminorm, min_positive_entry, row_targets, vector_seminorm,
 )
+
+if TYPE_CHECKING:
+    from .hypotheses import HypothesisReport
 
 # Slack for exact inequalities.
 EXACT_SLACK = 1e-12
@@ -31,7 +32,7 @@ class ProductState:
 
     Products are not renormalized: ``row_sum_drift`` is the largest
     |row sum - 1| over P(0..k). While every factor so far is a map (one
-    positive entry per row, digraph.row_targets), row i of P(k) is row
+    positive entry per row, stochastic.row_targets), row i of P(k) is row
     ``targets[i]`` of the identity; ``targets`` is None from the first other
     factor on. The semi-norm is computed on first read: with ``targets`` it
     is 0.0 when all rows are one row and 1.0 otherwise, as matrix_seminorm gives.
@@ -121,6 +122,7 @@ def partial_product(seq: MatrixSequence, l: int, k: int) -> np.ndarray:
 
 def saturation_floor(n: int, alpha: float) -> float:
     """alpha ** (n * (wielandt_bound(n) + 1)), the certified entry floor."""
+    from .digraph import wielandt_bound
     return alpha ** (n * (wielandt_bound(n) + 1))
 
 
@@ -147,6 +149,7 @@ def find_saturation_K(seq: MatrixSequence, alpha: float) -> int | None:
 
 def _first_saturated(seq: MatrixSequence, alpha: float) -> ProductState | None:
     """The state P(K) for the K of find_saturation_K, alpha already in range."""
+    from .digraph import pattern_walk
     threshold = saturation_floor(seq.n, alpha) - EXACT_SLACK
     products = islice(iter_products(seq), 1, None)
     for state, pattern in zip(products, pattern_walk(factor_patterns(seq.factors), seq.word)):
@@ -166,6 +169,8 @@ def contraction_certificate(
     None when no saturation index exists within the prefix. A measured
     semi-norm check guards the emitted certificate.
     """
+    from .digraph import wielandt_bound
+    from .hypotheses import analyze
     if report is None:
         report = analyze(seq)
     structural = tuple(v for v in report.violations if not v.startswith("eventual-positivity"))

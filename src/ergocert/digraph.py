@@ -6,7 +6,7 @@ also take any 0/1 array. Their products come from pattern_product, and every
 reachability question is answered by one closure primitive built on it. A
 sequence's patterns, one per factor, are read through its word: pattern_walk
 yields the patterns of its backward products A(k)...A(1), taking a map factor
-(one edge per row, row_targets, decided once per factor) as a row gather.
+(one edge per row, stochastic.row_targets, decided once per factor) as a row gather.
 component_periods reads periods from the pattern array, and render writes a
 pattern's edges as text. Digraph and the functions that build or take one serve
 only the benchmark's traced run.
@@ -23,6 +23,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import ContractViolation, DimensionError
+from .stochastic import row_targets
 
 Edge = tuple[int, int]
 
@@ -86,16 +87,6 @@ def pattern_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     5.4 ms against 0.17 ms at n = 200.
     """
     return a.astype(np.float32, copy=False) @ b.astype(np.float32, copy=False) > 0
-
-
-def row_targets(factor) -> np.ndarray | None:
-    """The column of each row's one positive entry, or None unless every row of the
-    (n, n) array has exactly one. Such a factor is a map: row i of its product with
-    any matrix is row targets[i] of that matrix."""
-    positive = np.asarray(factor) > 0
-    if np.count_nonzero(positive) != len(positive) or not positive.any(axis=1).all():
-        return None
-    return positive.argmax(axis=1)
 
 
 def pattern_walk(factors, word) -> Iterator[np.ndarray]:

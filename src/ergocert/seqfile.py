@@ -18,9 +18,12 @@ texts, and the file becomes the MatrixSequence of its distinct records and a wor
 the distinct records' lines and where each first occurs are kept, and a repeat (finite-set and
 periodic files repeat whole records) is neither converted nor kept. One numpy call reads the
 distinct records' lines, and `stochastic.normalize_rows` (the MatrixSequence constructor's rule)
-checks their rows. Only rejected input is scanned again, to name the first bad line or record:
-each distinct line is converted once by `parse_numbers`, which also reads the CLI's x0 vectors,
-and each record's first occurrence is checked by `normalize_rows`; records and rows are 1-based.
+checks their rows. An entry written nonzero that reads as 0.0 is refused, so no positive entry
+drops out of a pattern; only a line with an exponent of -100 or below or a run of 224 zeros can
+hold one, and only such a line is split to look. Only rejected input is scanned again, to name
+the first bad line or record: each distinct line is converted once by `parse_numbers`, which also
+reads the CLI's x0 vectors, and each record's first occurrence is checked by `normalize_rows`;
+records and rows are 1-based.
 The writer takes a MatrixSequence only and writes each factor's rows, formatted once, in word
 order: an entry whose bits are all zero is 0.0, repr writes the rest, and -0.0 keeps its sign.
 Writes are atomic: a temporary file in the target directory is renamed into place.
@@ -31,6 +34,7 @@ from __future__ import annotations
 import contextlib
 import errno
 import os
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, NoReturn
@@ -39,6 +43,8 @@ import numpy as np
 
 from .errors import StochasticityError
 from .stochastic import MatrixSequence, normalize_rows
+
+_EXPONENT_BELOW_MINUS_99 = re.compile("-0*[1-9][0-9][0-9]")  # or a negative number of 3+ digits, refused anyway
 
 
 class SequenceFileError(ValueError):
@@ -107,11 +113,12 @@ def parse_sequence_text(text: str | Iterable[str]) -> SequenceFile:
         raise SequenceFileError("missing header line 'n=<int>'")
     if not word and not record:
         raise SequenceFileError("no matrices")
-    distinct = list(records)
+    lines = [*(line for rows in records for line in rows), *record]
     try:
-        values = np.loadtxt([*(line for rows in distinct for line in rows), *record], comments=None, ndmin=2)
-        if values.shape[1] != n or record:  # the lines of an incomplete last record are left over
-            raise ValueError("the rows do not form n x n records")
+        values = np.loadtxt(lines, comments=None, ndmin=2)
+        # the lines of an incomplete last record are left over; _diagnose names what failed
+        if values.shape[1] != n or record or any(_underflow(line, row) for line, row in zip(lines, values)):
+            raise ValueError("the rows do not form n x n records, or a nonzero entry reads as 0.0")
         normalize_rows(values)
     except ValueError:
         _diagnose(records, len(word), [*zip(record_lines, record)], n)
@@ -128,13 +135,26 @@ def parse_numbers(line: str) -> np.ndarray:
     return np.loadtxt([line], dtype=float, comments=None, ndmin=2)[0]
 
 
+def _underflow(line: str, row: np.ndarray) -> str | None:
+    """The first token of a data line that has a nonzero digit but reads as 0.0 in row, the line's
+    values, or None. Such a token is below 2.5e-324, half the least float64 subnormal. With z zeros
+    between its point and its first nonzero digit and exponent e, it is at least 10 ** (e - z - 1),
+    so z - e >= 323: its exponent is -100 or below, or it holds a run of 224 zeros. Lines with
+    neither, ordinary exponents such as e-05 included, are not split."""
+    if "0" * 224 in line or "-" in line and _EXPONENT_BELOW_MINUS_99.search(line):
+        for token, value in zip(line.split(), row.tolist()):
+            if value == 0.0 and any(digit in token.lower().partition("e")[0] for digit in "123456789"):
+                return token
+    return None
+
+
 def _diagnose(records: dict[tuple[str, ...], tuple], length: int, tail: list[tuple[int, str]], n: int) -> NoReturn:
     """Raise the error of data the one-call parse rejected, converting each distinct line once.
 
-    A non-numeric line anywhere comes first, then an incomplete last record (the tail: the numbered
-    lines after `length` whole records); then records in order, a wrong row length before a
-    stochasticity error. A repeated record fails as its first occurrence does, so only first
-    occurrences are checked.
+    A non-numeric line, or one with a nonzero entry that reads as 0.0, anywhere comes first, in file
+    order; then an incomplete last record (the tail: the numbered lines after `length` whole
+    records); then records in order, a wrong row length before a stochasticity error. A repeated
+    record fails as its first occurrence does, so only first occurrences are checked.
     """
     converted: dict[str, np.ndarray] = {}
     for lineno, line in [*(pair for key, (_, _, linenos) in records.items() for pair in zip(linenos, key)), *tail]:
@@ -143,6 +163,9 @@ def _diagnose(records: dict[tuple[str, ...], tuple], length: int, tail: list[tup
                 converted[line] = parse_numbers(line)
             except ValueError:
                 raise SequenceFileError(f"line {lineno}: non-numeric value in {line!r}") from None
+            token = _underflow(line, converted[line])
+            if token is not None:
+                raise SequenceFileError(f"line {lineno}: {token!r} is not zero but reads as 0.0 in float64")
     if tail:
         raise SequenceFileError(f"record {length + 1} is incomplete: {len(tail)} of {n} rows present")
     for key, (_, r, linenos) in records.items():

@@ -138,6 +138,16 @@ def factor_patterns(stack: np.ndarray) -> np.ndarray:
     return stack > 0
 
 
+def row_targets(factor) -> np.ndarray | None:
+    """The column of each row's one positive entry, or None unless every row of the
+    (n, n) array has exactly one. Such a factor is a map: row i of its product with
+    any matrix is row targets[i] of that matrix."""
+    positive = np.asarray(factor) > 0
+    if np.count_nonzero(positive) != len(positive) or not positive.any(axis=1).all():
+        return None
+    return positive.argmax(axis=1)
+
+
 def min_positive_entry(factors) -> float | None:
     """Smallest positive entry of a MatrixSequence's factors, each of which occurs in its word, or of
     an (L, n, n) array-like of factors (the benchmark's traced run passes a sequence's items), read in

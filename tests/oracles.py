@@ -386,7 +386,9 @@ def parse_per_token(text: str) -> SequenceFile:
     """The sequence-file parse token by token: Python float() on every token,
     then normalize_rows on each record, raising at the first bad line, record
     or row exactly as the library's messages do. A line ends at LF, CRLF or
-    CR, split by one regular expression; any other whitespace is a gap."""
+    CR, split by one regular expression; any other whitespace is a gap. A token
+    with a nonzero digit before its exponent that float() reads as 0.0 is
+    refused at its line, as a non-numeric one is."""
     header_n: int | None = None
     metadata: dict[str, str] = {}
     rows: list[list[float]] = []
@@ -416,6 +418,9 @@ def parse_per_token(text: str) -> SequenceFile:
             values = [float(tok) for tok in line.split()]
         except ValueError:
             raise SequenceFileError(f"line {lineno}: non-numeric value in {line!r}") from None
+        for tok, value in zip(line.split(), values):
+            if value == 0.0 and re.search("[1-9]", re.split("[eE]", tok)[0]):
+                raise SequenceFileError(f"line {lineno}: {tok!r} is not zero but reads as 0.0 in float64")
         rows.append(values)
         row_line_numbers.append(lineno)
 

@@ -58,7 +58,7 @@ ANALYZE_MODULES = VALIDATE_MODULES | {"digraph", "hypotheses"}
     (["analyze"], 0, ANALYZE_MODULES),
     (["analyze", "--all-starts"], 1, ANALYZE_MODULES),
     (["certify"], 0, ANALYZE_MODULES | {"convergence"}),
-    (["simulate"], 3, ANALYZE_MODULES | {"convergence"}),
+    (["simulate"], 3, VALIDATE_MODULES | {"convergence"}),
     (["generate", "cycle-core", "--out"], 0, {"cli", "digraph", "errors", "generate", "seqfile", "stochastic"}),
 ], ids=["validate", "analyze", "analyze --all-starts", "certify", "simulate", "generate"])
 def test_a_command_loads_only_the_modules_it_calls(tmp_path, capsys, command, status, modules):
@@ -222,7 +222,10 @@ TRIDIAGONAL = [[0.8, 0.2, 0.0], [0.1, 0.8, 0.1], [0.0, 0.2, 0.8]]
     ("0.8 0.2 0.25", 2),
     ("0.8 0.2 -1e-11", 2),
     ("0.8 0.2 -1e-13", 0),
-], ids=["non-numeric", "ragged", "incomplete", "nan", "negative", "row-sum", "below-tolerance", "clamped"])
+    ("0.8 0.2 1e-400", 2),
+    ("0.8 0.2 5e-324", 0),
+], ids=["non-numeric", "ragged", "incomplete", "nan", "negative", "row-sum", "below-tolerance", "clamped",
+        "underflow", "subnormal"])
 def test_validate_accepts_what_every_command_reads(tmp_path, capsys, row, code):
     path = tmp_path / "tri.seq"
     write_sequence_file(path, MatrixSequence([TRIDIAGONAL] * 80))

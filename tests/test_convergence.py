@@ -1,4 +1,6 @@
 
+import subprocess
+import sys
 from unittest import mock
 
 import numpy as np
@@ -30,6 +32,7 @@ from ergocert.stochastic import (
 )
 
 from oracles import (
+    child_env,
     patterns_by_blas,
     products_by_blas,
     random_stochastic,
@@ -266,6 +269,30 @@ class TestCertificate:
                 compounded *= block_norm
                 whole = matrix_seminorm(partial_product(seq, 0, m * K))
                 assert whole <= compounded + COMPOUND_SLACK
+
+    def test_products_load_no_pattern_code_until_a_certificate_is_asked_for(self):
+        # convergence imported digraph and hypotheses at its top, so a run to tolerance
+        # loaded the pattern walk and the condition checks it never calls
+        script = (
+            "import sys\n"
+            "from ergocert.convergence import run_to_tolerance\n"
+            "from ergocert.stochastic import MatrixSequence\n"
+            f"seq = MatrixSequence([{LAZY!r}] * 3)\n"
+            "loaded = lambda: sorted(m for m in sys.modules if m in ('ergocert.digraph', 'ergocert.hypotheses'))\n"
+            "run = run_to_tolerance(seq, 1e-6)\n"
+            "print(run.state.k, run.matrix_seminorms[-1], loaded())\n"
+            "from ergocert.convergence import contraction_certificate\n"
+            "print(repr(contraction_certificate(seq)), loaded())\n"
+        )
+        result = subprocess.run([sys.executable, "-c", script], env=child_env(), capture_output=True, text=True,
+                                timeout=60)
+        assert result.stderr == ""
+        seq = seq_of(LAZY, LAZY, LAZY)
+        run = run_to_tolerance(seq, 1e-6)
+        assert result.stdout.splitlines() == [
+            f"{run.state.k} {run.matrix_seminorms[-1]!r} []",
+            f"{contraction_certificate(seq)!r} ['ergocert.digraph', 'ergocert.hypotheses']",
+        ]
 
 
 class TestRunToTolerance:

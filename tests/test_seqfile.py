@@ -339,7 +339,8 @@ class TestAgainstPerTokenParse:
             tokens = original.split()
             kind = data.draw(st.sampled_from(["replace", "drop", "append", "comment", "delete", "duplicate"]))
             if kind == "replace" and tokens:
-                bad = data.draw(st.sampled_from(["x", "nan", "inf", "-inf", "0.7", "2", "-0.5", "1e", "--1", "0x1"]))
+                bad = data.draw(st.sampled_from(["x", "nan", "inf", "-inf", "0.7", "2", "-0.5", "1e", "--1", "0x1",
+                                                 "1e-400", "-5E-999", "0e-400"]))
                 tokens[data.draw(st.integers(0, len(tokens) - 1))] = bad
             elif kind == "drop" and tokens:
                 del tokens[data.draw(st.integers(0, len(tokens) - 1))]
@@ -387,6 +388,14 @@ class TestAgainstPerTokenParse:
             ("n=2\n1 0\n0 1\n\n1 0\n0 one\n\n1 0\n0 one\n", "line 6: non-numeric value in '0 one'"),
             # a row sum broken in the last record of a periodic file, named by its record number
             ("n=2\n0 1\n1 0\n\n1 0\n0 1\n\n0 1\n1 0\n\n1 0\n0 1.5\n", "record 4: row 2 sums to 1.5"),
+            # a nonzero entry that reads as 0.0 would drop the self-loop (1,1) from the pattern:
+            # written with an exponent, or as a plain decimal with 323 zeros after the point
+            ("n=2\n1e-400 1\n1 0\n\n0.5 0.5\n0.5 0.5\n", "line 2: '1e-400' is not zero but reads as 0.0 in float64"),
+            pytest.param(f"n=2\n0.{'0' * 323}1 1\n1 0\n", f"line 2: '0.{'0' * 323}1' is not zero but reads as 0.0",
+                         id="plain-decimal-underflow"),
+            # it is named in file order with non-numeric lines, before any record's own errors
+            ("n=2\n0.5 0.6\n0.5 0.5\n\n1 0\n-2E-999 1\n", "line 6: '-2E-999' is not zero but reads as 0.0"),
+            ("n=2\n1 0\n0 one\n\n1 0\n1e-400 1\n", "line 3: non-numeric value in '0 one'"),
         ],
     )
     def test_error_precedence(self, tmp_path, text, prefix):
@@ -406,6 +415,23 @@ class TestAgainstPerTokenParse:
         for seqf in (parse_sequence_text(text), read_sequence_file(path), parse_per_token(text)):
             assert (seqf.n, seqf.length) == (4, 1)
             assert stack_of(seqf.sequence).tobytes() == np.full((1, 4, 4), 0.25).tobytes()
+
+    @pytest.mark.parametrize("token, refused", [
+        ("2.4e-324", True), ("2.5e-324", False), ("1e-0400", True), ("0e-999", False), ("0.000e-400", False),
+        # a decimal at least 10 ** (e - z - 1), z zeros after the point: the parser splits a line only
+        # for an exponent of -100 or below or a run of 224 zeros, the edges of z - e >= 323
+        (f"0.{'0' * 224}1e-99", True), (f"0.{'0' * 223}1e-99", False),
+        (f"0.{'0' * 323}1", True), (f"0.{'0' * 322}1", False),
+    ], ids=["2.4e-324", "2.5e-324", "leading-zero-exponent", "zero", "zero-mantissa",
+            "224-zeros-e-99", "223-zeros-e-99", "323-zeros", "322-zeros"])
+    def test_underflow_is_refused_at_its_edges(self, token, refused):
+        text = f"n=2\n{token} 1\n1 0\n"
+        new, old = outcome(parse_sequence_text, text), outcome(parse_per_token, text)
+        if refused:
+            assert new == old == f"line 2: {token!r} is not zero but reads as 0.0 in float64"
+        else:
+            assert_same_parse(new, old)
+            assert new.sequence.factors[0, 0, 0] > 0 or float(token) == 0.0
 
     def test_underscore_separators_are_non_numeric(self):
         # Python float() reads '1_0' as 10; numpy's number grammar has no '_'
