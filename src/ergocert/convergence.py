@@ -8,7 +8,7 @@ is no cancellation, so no windowed re-association is needed for stability.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import islice, repeat
 from typing import TYPE_CHECKING, Iterator
 
@@ -95,13 +95,13 @@ class ToleranceRun:
 
 
 def iter_products(seq: MatrixSequence) -> Iterator[ProductState]:
-    """ProductState for k = 0..L, starting from the identity. A map factor (row_targets, once per factor)
+    """ProductState for k = 0..L, starting from the identity. A map factor (row_targets, at its first step)
     holds only 1.0 and zeros, so its step is a row gather, bit for bit, whose rows leave the drift as it is."""
-    maps = [row_targets(factor) for factor in seq.factors]
+    targets_of = cache(lambda w: row_targets(seq.factors[w]))
     current, drift, composed = np.eye(seq.n), 0.0, np.arange(seq.n)
     yield ProductState(0, _read_only(current), drift, composed)
     for k, w in enumerate(seq.word, start=1):
-        targets = maps[w]
+        targets = targets_of(w)
         if targets is None:
             current, composed = seq.factors[w] @ current, None
             drift = max(drift, float(np.abs(current.sum(axis=1) - 1.0).max()))

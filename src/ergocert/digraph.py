@@ -6,7 +6,7 @@ also take any 0/1 array. Their products come from pattern_product, and every
 reachability question is answered by one closure primitive built on it. A
 sequence's patterns, one per factor, are read through its word: pattern_walk
 yields the patterns of its backward products A(k)...A(1), taking a map factor
-(one edge per row, stochastic.row_targets, decided once per factor) as a row gather.
+(one edge per row, stochastic.row_targets, decided at a factor's first step) as a row gather.
 component_periods reads periods from the pattern array, and render writes a
 pattern's edges as text. Digraph and the functions that build or take one serve
 only the benchmark's traced run.
@@ -18,6 +18,7 @@ module is safe to use from concurrent callers without synchronization.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -91,12 +92,13 @@ def pattern_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def pattern_walk(factors, word) -> Iterator[np.ndarray]:
     """Patterns of the backward products A(k)...A(1), k = 1..L, of a word over a (D, n, n) stack of
-    factor patterns, A(k) = factors[word[k - 1]]; a map factor (row_targets, decided once per
-    factor) is a gather of the product's rows, not a product."""
-    targets = [row_targets(factor) for factor in factors]
+    factor patterns, A(k) = factors[word[k - 1]]; a map factor (row_targets, decided at the factor's
+    first step) is a gather of the product's rows, not a product."""
+    targets_of = cache(lambda w: row_targets(factors[w]))
     product = np.eye(np.shape(factors)[-1], dtype=bool)
     for w in word:
-        product = pattern_product(factors[w], product) if targets[w] is None else product[targets[w]]
+        targets = targets_of(w)
+        product = pattern_product(factors[w], product) if targets is None else product[targets]
         yield product
 
 
@@ -120,10 +122,25 @@ def reachability(patterns) -> np.ndarray:
 
 
 def completely_reducible(patterns) -> np.ndarray:
-    """Per pattern of an (D, n, n) stack: no edge joins two strongly connected components, which
-    holds iff reachability is symmetric. Each pattern is closed once, however often its factor recurs."""
-    closure = reachability(patterns)
-    return (closure == np.swapaxes(closure, -1, -2)).all(axis=(-2, -1))
+    """Per pattern of an (D, n, n) stack: no edge joins two strongly connected components, which holds
+    iff reachability is symmetric. Sweeps from node 1, out and in, of at most ceil(log2 n) O(D n^2) steps
+    find the strongly connected patterns; only the others are closed, each once however often it recurs."""
+    stack = np.asarray(patterns, dtype=bool)
+    counts, n = stack.astype(np.float32), stack.shape[-1]  # float32 once, for every step's product
+    ahead = np.zeros((*stack.shape[:-2], 1, n), dtype=bool)
+    ahead[..., 0] = True
+    behind = np.swapaxes(ahead, -1, -2).copy()
+    for _ in range((n - 1).bit_length()):
+        if ahead.all() and behind.all():
+            break
+        ahead |= pattern_product(ahead, counts)
+        behind |= pattern_product(counts, behind)
+    reducible = ahead.all(axis=(-2, -1)) & behind.all(axis=(-2, -1))
+    undecided = ~reducible
+    if undecided.any():
+        closure = reachability(stack[undecided])
+        reducible[undecided] = (closure == np.swapaxes(closure, -1, -2)).all(axis=(-2, -1))
+    return reducible
 
 
 def _component_labels(closure: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

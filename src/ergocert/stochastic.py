@@ -152,14 +152,17 @@ def min_positive_entry(factors) -> float | None:
     """Smallest positive entry of a MatrixSequence's factors, each of which occurs in its word, or of
     an (L, n, n) array-like of factors (the benchmark's traced run passes a sequence's items), read in
     chunks of records within the block budget; None if there is none, which a validated factor never
-    gives: each row sums to 1."""
+    gives: each row sums to 1. No masked copy: nonnegative float64s sort as their uint64 bit patterns,
+    and pattern - 1 sends 0.0 to the top, above every positive float, where -0.0, negatives and NaN sort."""
     stack = factors.factors if isinstance(factors, MatrixSequence) else np.asarray(factors, dtype=float)
     if stack.ndim != 3:
         raise DimensionError(f"expected an (L, n, n) stack of factors, got shape {stack.shape}")
     records = max(1, _SEMINORM_BLOCK_BYTES // (stack[:1].nbytes or 1))
-    chunks = (stack[start : start + records] for start in range(0, len(stack), records))
-    smallest = min((float(c[c > 0].min(initial=np.inf)) for c in chunks), default=np.inf)
-    return None if smallest == np.inf else smallest
+    top = np.iinfo(np.uint64).max
+    chunks = (stack[start : start + records].view(np.uint64) for start in range(0, len(stack), records))
+    least = np.array([min(((c - 1).min(initial=top) for c in chunks), default=top)], dtype=np.uint64)
+    smallest = float((least + 1).view(np.float64)[0])  # an array's top + 1 wraps to 0.0 without a warning
+    return smallest if 0.0 < smallest < np.inf else None
 
 
 def vector_seminorm(x) -> float:

@@ -6,9 +6,10 @@ of the row-distance closed form, one n x n x n tensor instead of row
 blocks, one BLAS product per step instead of a map factor's row gather,
 a per-step walk frontier and integer matrix products instead of
 pattern_product's float32 BLAS products, one BFS per node instead of the
-reachability closure, exhaustive subgraph search instead of the component
-period rule, Python float() per token with one normalize_rows call per
-record instead of one numpy parse and one check of the distinct records, and
+reachability closure and the sweeps from node 1, a masked copy of every
+entry instead of the minimum of their bit patterns, exhaustive subgraph
+search instead of the component period rule, Python float() per token
+with one normalize_rows call per record instead of one numpy parse and one check of the distinct records, and
 repr per value instead of one text per factor row with a token for zero entries. The
 classical hypotheses the paper's theorem generalizes are predicates here:
 cut balance by enumerating every cut, B-connectivity by one BFS per node
@@ -104,17 +105,29 @@ def successor_lists(g: Digraph) -> dict[int, tuple[int, ...]]:
     return {u: tuple(vs) for u, vs in succ.items()}
 
 
-def reachable_by_bfs(g: Digraph, start: int) -> set[int]:
-    """Nodes reachable from start, start included, by breadth-first search."""
+def reachable_by_bfs(g: Digraph, start: int, radius: int | None = None) -> set[int]:
+    """Nodes reachable from start, start included, by breadth-first search; with a
+    radius, only those within that many edges of start."""
     succ = successor_lists(g)
     seen = {start}
-    queue = deque([start])
+    queue = deque([(start, 0)])
     while queue:
-        for v in succ[queue.popleft()]:
+        u, depth = queue.popleft()
+        if depth == radius:
+            continue
+        for v in succ[u]:
             if v not in seen:
                 seen.add(v)
-                queue.append(v)
+                queue.append((v, depth + 1))
     return seen
+
+
+def spanned_from_node_1_within_log2_n(g: Digraph) -> bool:
+    """Node 1 reaches every node, and every node reaches node 1, within ceil(log2 n) edges:
+    the strongly connected patterns whose complete reducibility needs no closure."""
+    radius = (g.n - 1).bit_length()
+    reverse = Digraph(g.n, ((j, i) for i, j in g.edges))
+    return len(reachable_by_bfs(g, 1, radius)) == len(reachable_by_bfs(reverse, 1, radius)) == g.n
 
 
 def components_by_bfs(g: Digraph) -> set[frozenset[int]]:
@@ -199,6 +212,14 @@ def first_reach_by_walks(graphs, k: int) -> np.ndarray:
             (K for K in range(k, never) if time_varying_walk_exists(graphs[k - 1 : K], i, j)), never
         )
     return first
+
+
+def min_positive_entry_by_mask(stack) -> float | None:
+    """The smallest entry > 0 of a float64 array, from a masked copy of every entry; None when
+    there is none or the smallest is inf."""
+    entries = np.asarray(stack, dtype=float)
+    smallest = float(entries[entries > 0].min(initial=np.inf))
+    return None if smallest == np.inf else smallest
 
 
 def supports_and_minima(seq) -> tuple[np.ndarray, np.ndarray]:

@@ -570,6 +570,21 @@ class TestMapSteps:
             cli.main([command, str(path)])
         assert walk.call_count + products.call_count == calls
 
+    def test_a_walk_tests_only_the_factors_it_reaches(self):
+        # positive-diagonal factors are all distinct, and the start-1 scan and the saturation
+        # scan stop a few factors in: each walk tests the factors up to its stop, no further
+        seq = preset_fixture("positive-diagonal", 40, 30, 0.001, 3)
+        original = digraph.row_targets
+        with mock.patch.object(digraph, "row_targets", wraps=original) as walk:
+            onset = analyze(seq).eventual_positivity[1]
+        assert len(seq.factors) == 30 and onset < 30
+        assert walk.call_count == onset
+        with mock.patch.object(digraph, "row_targets", wraps=original) as walk, \
+                mock.patch.object(convergence, "row_targets", wraps=original) as products:
+            saturated = find_saturation_K(seq, min_positive_entry(seq))
+        assert saturated < 30
+        assert walk.call_count == products.call_count == saturated
+
 
 class TestWordForm:
     """A sequence held as distinct factors and a word reports as the stack it stands for."""

@@ -35,6 +35,7 @@ from oracles import (
     relabel_digraph,
     simple_cycle_lengths,
     sinks,
+    spanned_from_node_1_within_log2_n,
     time_varying_walk_exists,
 )
 
@@ -58,6 +59,29 @@ def scc_period(g, component):
     """The period component_periods gives one strongly connected component."""
     components, periods = components_and_periods(g)
     return periods[components.index(frozenset(component))]
+
+
+REDUCIBILITY_KINDS = ("n-cycle", "disjoint cycles", "identity", "upper triangular", "dense", "sparse")
+
+
+def reducibility_kind(kind, rng, n):
+    """An (n, n) pattern of the named kind, before relabelling."""
+    if kind == "n-cycle":
+        return np.roll(np.eye(n, dtype=bool), 1, axis=1)
+    if kind == "disjoint cycles":  # consecutive blocks, each one cycle
+        pattern = np.zeros((n, n), dtype=bool)
+        cuts = [0, *sorted(rng.choice(np.arange(1, n), size=min(n - 1, 3), replace=False)), n]
+        for start, stop in zip(cuts, cuts[1:]):
+            block = np.arange(start, stop)
+            pattern[block, np.roll(block, -1)] = True
+        return pattern
+    if kind == "identity":
+        return np.eye(n, dtype=bool)
+    if kind == "upper triangular":  # 1 -> 2 but not back, from n = 2
+        pattern = np.triu(rng.random((n, n)) < 0.5)
+        pattern[0, 1 % n] = True
+        return pattern
+    return rng.random((n, n)) < (0.5 if kind == "dense" else 2.0 / n)
 
 
 def pattern_stacks(max_n=9, max_length=5):
@@ -336,6 +360,26 @@ class TestAgainstBfsOracle:
     def test_stacked_reducibility_flags(self, stack):
         graphs = [Digraph.from_adjacency(p) for p in stack]
         assert completely_reducible(stack).tolist() == [completely_reducible_by_bfs(g) for g in graphs]
+
+    @settings(deadline=None)
+    @given(st.integers(1, 40), st.lists(st.sampled_from(REDUCIBILITY_KINDS), min_size=1, max_size=6),
+           st.integers(0, 2**32 - 1))
+    def test_reducibility_of_mixed_stacks_up_to_n40(self, n, kinds, seed):
+        # n-cycles are strongly connected beyond the sweeps' ceil(log2 n) steps, disjoint
+        # cycles and the identity are completely reducible without being strongly connected,
+        # and triangular patterns are reducible; each pattern under its own relabelling
+        rng = np.random.default_rng(seed)
+        perms = [rng.permutation(n) for _ in kinds]
+        stack = np.array([reducibility_kind(kind, rng, n)[p][:, p] for kind, p in zip(kinds, perms)])
+        graphs = [Digraph.from_adjacency(p) for p in stack]
+        with mock.patch.object(digraph, "reachability", wraps=reachability) as spy:
+            flags = completely_reducible(stack)
+        assert flags.tolist() == [completely_reducible_by_bfs(g) for g in graphs]
+        # only the patterns the sweeps leave undecided are closed, in stack order
+        undecided = [not spanned_from_node_1_within_log2_n(g) for g in graphs]
+        closed = [c.args[0] for c in spy.call_args_list]
+        assert len(closed) == any(undecided)
+        assert not closed or np.array_equal(closed[0], stack[undecided])
 
     @given(pattern_stacks(max_n=10, max_length=1))
     def test_components(self, stack):

@@ -32,6 +32,7 @@ from oracles import (
     relabel_entries,
     sequence_of_stack,
     sinks,
+    spanned_from_node_1_within_log2_n,
     stack_of,
     validated,
 )
@@ -129,13 +130,26 @@ class TestCompleteReducibility:
         assert report.reducibility_failures == expected
         assert len(expected) >= 2
         # component_periods closes the one 2-D common pattern; complete reducibility
-        # closes one stack: each distinct record of the file once, in order of first occurrence
+        # closes one stack: each distinct record of the file once, in order of first occurrence,
+        # that the sweeps from node 1 leave undecided, the triangular factor among them
         closed = [c.args[0] for c in spy.call_args_list if np.ndim(c.args[0]) == 3]
         assert len(closed) == 1
         keys = [factors[i].tobytes() for i in order]  # two drawn factors may be equal at n = 2
         assert seq.word.tolist() == [list(dict.fromkeys(keys)).index(key) for key in keys]
         assert len(seq.factors) <= size
-        assert np.array_equal(closed[0] != 0, seq.factors > 0)
+        undecided = [not spanned_from_node_1_within_log2_n(Digraph.from_adjacency(f > 0)) for f in seq.factors]
+        assert undecided[seq.word[order.index(0)]]
+        assert np.array_equal(closed[0] != 0, seq.factors[undecided] > 0)
+
+    def test_positive_diagonal_factors_form_no_closure(self):
+        # every factor of the benchmark's large-n200 file is strongly connected within
+        # ceil(log2 200) = 8 steps from node 1: the sweeps decide all 20, and only
+        # component_periods closes its one 2-D common pattern
+        seq = generate_sequence("positive-diagonal", 200, 20, 0.001, seed=3).sequence
+        with mock.patch.object(digraph, "reachability", wraps=digraph.reachability) as spy:
+            report = analyze(seq)
+        assert report.reducibility_failures == ()
+        assert [np.ndim(c.args[0]) for c in spy.call_args_list] == [2]
 
 
 class TestAperiodicCore:

@@ -26,6 +26,7 @@ from ergocert.stochastic import (
 )
 
 from oracles import (
+    min_positive_entry_by_mask,
     normalized_records,
     random_stochastic,
     seminorm_bruteforce,
@@ -36,6 +37,8 @@ from oracles import (
 )
 
 SWAP = [[0.0, 1.0], [1.0, 0.0]]
+# float64 values whose bit patterns sort around the positive finite range
+ENTRY_EXTREMES = [0.0, -0.0, -1.0, -5e-324, 5e-324, 1e-300, np.inf, -np.inf, np.nan]
 
 
 @st.composite
@@ -232,6 +235,31 @@ class TestMinPositiveEntry:
                 planted[k, 1, 2] = 1e-300
                 assert min_positive_entry(planted) == 1e-300
             assert min_positive_entry(stack) == stack[stack > 0].min()
+
+    @settings(deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 6), st.integers(1, 7),
+           st.lists(st.sampled_from(ENTRY_EXTREMES + [0.25, 1.0]), min_size=1, max_size=40),
+           st.integers(0, 2**32 - 1))
+    def test_equals_the_masked_minimum_bit_for_bit(self, n, length, records, values, seed):
+        # entries at the float64 extremes, whole records of zeros, and chunks of 1 to 7
+        # records: the value or None of the masked copy, to the last bit
+        rng = np.random.default_rng(seed)
+        stack = rng.choice(np.array(values), size=(length, n, n))
+        stack[rng.random(length) < 0.3] = 0.0
+        expected = min_positive_entry_by_mask(stack)
+        with mock.patch.object(stochastic, "_SEMINORM_BLOCK_BYTES", records * 8 * n * n):
+            smallest = min_positive_entry(stack)
+        assert repr(smallest) == repr(expected)
+        # the traced run's route: a tuple of read-only views, one per record
+        views = tuple(stochastic._read_only(record) for record in stack.copy())
+        assert repr(min_positive_entry(views)) == repr(expected)
+
+    @pytest.mark.parametrize("entries, expected", [
+        ([0.0, -0.0, -1.0, np.nan], None), ([np.inf, 0.0], None), ([np.inf, 1e-300, np.nan], 1e-300),
+        ([5e-324, -5e-324, np.inf], 5e-324), ([-np.inf, 1.0], 1.0),
+    ])
+    def test_extremes_one_record(self, entries, expected):
+        assert min_positive_entry(np.array(entries).reshape(1, 1, -1)) == expected
 
 
 class TestVectorSeminorm:
