@@ -16,7 +16,8 @@ import numpy as np
 
 from .errors import CertificationRefused, ContractViolation, DimensionError
 from .stochastic import (
-    MatrixSequence, _read_only, factor_patterns, matrix_seminorm, min_positive_entry, row_targets, vector_seminorm,
+    MatrixSequence, _read_only, identity_matrix, matrix_seminorm, min_positive_entry, multiply, row_targets,
+    vector_seminorm,
 )
 
 if TYPE_CHECKING:
@@ -98,16 +99,16 @@ def iter_products(seq: MatrixSequence) -> Iterator[ProductState]:
     """ProductState for k = 0..L, starting from the identity. A map factor (row_targets, at its first step)
     holds only 1.0 and zeros, so its step is a row gather, bit for bit, whose rows leave the drift as it is."""
     targets_of = cache(lambda w: row_targets(seq.factors[w]))
-    current, drift, composed = np.eye(seq.n), 0.0, np.arange(seq.n)
-    yield ProductState(0, _read_only(current), drift, composed)
+    current, drift, composed = identity_matrix(seq.n), 0.0, np.arange(seq.n)
+    yield ProductState(0, current, drift, composed)
     for k, w in enumerate(seq.word, start=1):
         targets = targets_of(w)
         if targets is None:
-            current, composed = seq.factors[w] @ current, None
+            current, composed = multiply(seq.factors[w], current), None
             drift = max(drift, float(np.abs(current.sum(axis=1) - 1.0).max()))
         else:
-            current, composed = current[targets], None if composed is None else composed[targets]
-        yield ProductState(k, _read_only(current), drift, composed)
+            current, composed = _read_only(current[targets]), None if composed is None else composed[targets]
+        yield ProductState(k, current, drift, composed)
 
 
 def partial_product(seq: MatrixSequence, l: int, k: int) -> np.ndarray:
@@ -152,7 +153,7 @@ def _first_saturated(seq: MatrixSequence, alpha: float) -> ProductState | None:
     from .digraph import pattern_walk
     threshold = saturation_floor(seq.n, alpha) - EXACT_SLACK
     products = islice(iter_products(seq), 1, None)
-    for state, pattern in zip(products, pattern_walk(factor_patterns(seq.factors), seq.word)):
+    for state, pattern in zip(products, pattern_walk(seq.patterns, seq.word)):
         if pattern.all() and state.matrix.min() >= threshold:
             return state
     return None

@@ -4,8 +4,8 @@ The conditions: (1) positive entries bounded below by some alpha > 0,
 (2) eventual positivity of accumulated products from each checked start,
 (3) every factor completely reducible, and (4) a common sink-free aperiodic
 spanning subgraph (the core) inside every factor's positivity pattern.
-Every check reads the patterns of `MatrixSequence.factors` once per factor, through
-the sequence's `word` where the order matters; alpha and the core read the factors
+Every check reads the sequence's one stack of factor patterns, `MatrixSequence.patterns`,
+through its `word` where the order matters; alpha and the core read the factors
 alone, each of which occurs in the word.
 """
 
@@ -18,7 +18,7 @@ import numpy as np
 
 from .digraph import completely_reducible, component_periods, pattern_product, pattern_walk
 from .errors import ContractViolation
-from .stochastic import MatrixSequence, factor_patterns, min_positive_entry
+from .stochastic import MatrixSequence, min_positive_entry
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,21 +49,13 @@ def check_eventual_positivity(seq: MatrixSequence, k: int) -> int | None:
     of the products' patterns, and a product's pattern is the boolean product
     of the factor patterns, so the answer is exact and never lost to float
     underflow. None if the accumulated sum never fills within the sequence.
-    One forward scan from k that stops once the sum fills; positivity_onsets
-    answers every start at once.
+    One forward scan from k that stops once the sum fills, which it then stays:
+    the summands are nonnegative. positivity_onsets answers every start at once.
     """
     if not 1 <= k <= len(seq):
         raise ContractViolation(f"start index k={k} outside 1..{len(seq)}")
-    return _positivity_onset(factor_patterns(seq.factors), seq.word[k - 1 :], k)
-
-
-def _positivity_onset(patterns: np.ndarray, word: np.ndarray, k: int) -> int | None:
-    """check_eventual_positivity on factor patterns and the word of A(k), A(k+1), ...
-
-    Once full, the accumulated pattern stays full: the summands are nonnegative.
-    """
-    running = np.zeros(patterns.shape[1:], dtype=bool)
-    for current, product in enumerate(pattern_walk(patterns, word), start=k):
+    running = np.zeros((seq.n, seq.n), dtype=bool)
+    for current, product in enumerate(pattern_walk(seq.patterns, seq.word[k - 1 :]), start=k):
         running |= product
         if running.all():
             return current
@@ -123,8 +115,8 @@ def analyze(seq: MatrixSequence, all_starts: bool = False) -> HypothesisReport:
 
     Condition (1) is reported as the realized lower bound alpha rather than
     pass/fail: every row of a validated factor has a positive entry.
-    Conditions (2) to (4) all read one stack of factor patterns, edge (i, j)
-    iff entry (i, j) > 0, one per factor, and reducibility and positivity read
+    Conditions (2) to (4) all read seq.patterns, edge (i, j) iff entry
+    (i, j) > 0, one per factor, and reducibility and positivity read
     them through the word. Eventual positivity is checked from start 1 by the
     early-exit forward scan, or with all_starts from every start 1..L by
     positivity_onsets' one backward pass. Individual failures are report
@@ -141,15 +133,14 @@ def analyze(seq: MatrixSequence, all_starts: bool = False) -> HypothesisReport:
     """
     starts = range(1, len(seq) + 1) if all_starts else (1,)
     alpha = min_positive_entry(seq)
-    patterns = factor_patterns(seq.factors)
-    failures = tuple((np.flatnonzero(~completely_reducible(patterns)[seq.word]) + 1).tolist())
-    common = np.logical_and.reduce(patterns, axis=0)
+    failures = tuple((np.flatnonzero(~completely_reducible(seq.patterns)[seq.word]) + 1).tolist())
+    common = np.logical_and.reduce(seq.patterns, axis=0)
     labels, periods = component_periods(common)
     node_period = periods[labels]
     offenders = tuple((np.flatnonzero(node_period != 1) + 1).tolist())
     core = common & (labels[:, None] == labels[None, :])
     core.setflags(write=False)
-    onsets = positivity_onsets(patterns, seq.word) if all_starts else [_positivity_onset(patterns, seq.word, 1)]
+    onsets = positivity_onsets(seq.patterns, seq.word) if all_starts else [check_eventual_positivity(seq, 1)]
     positivity = dict(zip(starts, onsets))
 
     violations = [f"eventual-positivity:start={k}" for k in starts if positivity[k] is None]

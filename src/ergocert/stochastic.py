@@ -3,7 +3,8 @@
 Every matrix the library takes or returns is a float64 ndarray; those it
 returns (a sequence's factors and its views of them, products, the identity)
 are read-only. A sequence is a word over its distinct factors, so a fact about
-one factor is computed once however often the factor recurs. The semi-norm of
+one factor is computed once however often the factor recurs; their positivity
+patterns are one boolean stack that the sequence forms once. The semi-norm of
 a vector is its distance to the constant vectors in the sup norm, which works
 out to half its spread. The induced matrix semi-norm has the closed form of
 the coefficient of ergodicity: half the largest L1 distance between two rows.
@@ -12,6 +13,7 @@ the coefficient of ergodicity: half the largest L1 distance between two rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
@@ -94,6 +96,12 @@ class MatrixSequence:
     def n(self) -> int:
         return self.factors.shape[1]
 
+    @cached_property
+    def patterns(self) -> np.ndarray:
+        """Read-only boolean (D, n, n) factor patterns, edge (i, j) iff entry (i, j) > 0, formed on first
+        read and kept: every condition check and the saturation scan read this one stack."""
+        return _read_only(self.factors > 0)
+
     def __len__(self) -> int:
         return len(self.word)
 
@@ -119,7 +127,7 @@ def identity_matrix(n: int) -> np.ndarray:
 def multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix product a.b, read-only and not revalidated: its row sums drift from 1 only by rounding."""
     if a.shape != b.shape:
-        raise DimensionError(f"dimensions differ: {len(a)} vs {len(b)}")
+        raise DimensionError(f"dimensions differ: {a.shape} vs {b.shape}")
     return _read_only(a @ b)
 
 
@@ -127,15 +135,6 @@ def digraph_of(a: np.ndarray) -> Digraph:
     """Positivity pattern of the matrix: edge (i, j) iff entry (i, j) > 0; imports `digraph` when called."""
     from .digraph import Digraph
     return Digraph.from_adjacency(a > 0)
-
-
-def factor_patterns(stack: np.ndarray) -> np.ndarray:
-    """The boolean patterns of a stack of factors: edge (i, j) iff entry (i, j) > 0.
-
-    Every condition check and the saturation scan read their factor patterns
-    from this stack, so all of them draw the edge line in the same place.
-    """
-    return stack > 0
 
 
 def row_targets(factor) -> np.ndarray | None:

@@ -66,7 +66,7 @@ CALLERS = [path for path in PACKAGE.glob("*.py") if path != INIT] + [LAYERS]
 # perfbench stops calling them, and a new caller in the package drops one from this set.
 ONLY_TRACED = {
     "partial_product", "find_saturation_K", "disagreement_trajectory", "strongly_connected_components",
-    "is_aperiodic", "intersection", "check_eventual_positivity", "identity_matrix", "multiply", "digraph_of",
+    "is_aperiodic", "intersection", "digraph_of",
 }
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ergocert import cli, convergence, digraph, stochastic
+from ergocert import cli, convergence, digraph, hypotheses, stochastic
 from ergocert.convergence import (
     consensus_row,
     contraction_certificate,
@@ -23,9 +23,9 @@ from ergocert.digraph import pattern_product, pattern_walk, wielandt_bound
 from ergocert.errors import CertificationRefused, ContractViolation, DimensionError
 from ergocert.generate import generate_sequence
 from ergocert.hypotheses import MatrixSequence, analyze
+from ergocert.seqfile import read_sequence_file, write_sequence_file
 from ergocert.stochastic import (
     digraph_of,
-    factor_patterns,
     identity_matrix,
     matrix_seminorm,
     min_positive_entry,
@@ -270,6 +270,19 @@ class TestCertificate:
                 whole = matrix_seminorm(partial_product(seq, 0, m * K))
                 assert whole <= compounded + COMPOUND_SLACK
 
+    def test_one_read_only_pattern_stack_per_certificate(self, tmp_path):
+        # analyze's start-1 scan and the saturation scan each formed their own stack of factor patterns
+        write_sequence_file(tmp_path / "core.seq", preset_fixture("cycle-core", 5, 40, None, 3))
+        seq = read_sequence_file(tmp_path / "core.seq").to_sequence()
+        with mock.patch.object(hypotheses, "pattern_walk", side_effect=pattern_walk) as start_1, \
+                mock.patch.object(digraph, "pattern_walk", side_effect=pattern_walk) as saturation:
+            assert contraction_certificate(seq) is not None
+        assert start_1.call_count == saturation.call_count == 1
+        stack = start_1.call_args.args[0]
+        assert saturation.call_args.args[0] is stack
+        assert stack is seq.patterns
+        assert stack.dtype == bool and not stack.flags.writeable
+
     def test_products_load_no_pattern_code_until_a_certificate_is_asked_for(self):
         # convergence imported digraph and hypotheses at its top, so a run to tolerance
         # loaded the pattern walk and the condition checks it never calls
@@ -497,8 +510,8 @@ class TestMapSteps:
             assert state.matrix.tobytes() == matrix.tobytes()
             assert repr(state.row_sum_drift) == repr(drift)
             assert repr(state.seminorm) == repr(seminorm)
-        walk = pattern_walk(factor_patterns(seq.factors), seq.word)
-        for walked, expected in zip(walk, patterns_by_blas(factor_patterns(stack_of(seq))), strict=True):
+        walk = pattern_walk(seq.patterns, seq.word)
+        for walked, expected in zip(walk, patterns_by_blas(stack_of(seq) > 0), strict=True):
             assert np.array_equal(walked, expected)
 
     def test_negative_zeros_survive_validation(self):
@@ -546,7 +559,7 @@ class TestMapSteps:
         with mock.patch.object(convergence, "matrix_seminorm", side_effect=matrix_seminorm) as measured:
             run = run_to_tolerance(seq, 1e-6)
         with mock.patch.object(digraph, "pattern_product", side_effect=pattern_product) as multiplied:
-            walked = list(pattern_walk(factor_patterns(seq.factors), seq.word))
+            walked = list(pattern_walk(seq.patterns, seq.word))
         assert len(walked) == length
         if maps:
             assert run.matrix_seminorms == (1.0,) * (length + 1)

@@ -16,7 +16,7 @@ from ergocert.hypotheses import (
 )
 from ergocert.generate import generate_sequence
 from ergocert.seqfile import format_sequence, parse_sequence_text
-from ergocert.stochastic import digraph_of, factor_patterns, identity_matrix
+from ergocert.stochastic import digraph_of, identity_matrix
 
 from oracles import (
     boolean_product_pattern,
@@ -361,7 +361,7 @@ class TestPositivityOnsets:
 
     @staticmethod
     def assert_matches_scans(seq):
-        onsets = positivity_onsets(factor_patterns(seq.factors), seq.word)
+        onsets = positivity_onsets(seq.patterns, seq.word)
         assert onsets == [check_eventual_positivity(seq, k) for k in range(1, len(seq) + 1)]
         return onsets
 
@@ -596,7 +596,7 @@ class TestClassicalConditions:
                     windows = stack[: len(stack) // b * b].reshape(-1, b, n, n)
                     blocks = np.stack([np.linalg.multi_dot([*window[::-1], np.eye(n)]) for window in windows])
                     for block, window in zip(blocks, windows):
-                        graphs = [Digraph.from_adjacency(pattern) for pattern in factor_patterns(window)]
+                        graphs = [Digraph.from_adjacency(pattern) for pattern in window > 0]
                         assert np.array_equal(block > 0, boolean_product_pattern(graphs))
                     report = analyze(sequence_of_stack(blocks))
                     if b == 1 and "aperiodic-core" in report.violations:

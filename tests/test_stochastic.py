@@ -13,11 +13,11 @@ from ergocert.digraph import Digraph
 from ergocert.errors import DimensionError, NegativityError, StochasticityError
 from ergocert.generate import generate_sequence
 from ergocert.hypotheses import analyze
+from ergocert.seqfile import parse_sequence_text
 from ergocert.stochastic import (
     NEGATIVITY_TOL,
     MatrixSequence,
     digraph_of,
-    factor_patterns,
     identity_matrix,
     matrix_seminorm,
     min_positive_entry,
@@ -142,7 +142,7 @@ class TestValidation:
         assert core is not None
         returned = [
             *(state.matrix for state in states), partial_product(seq, 0, 2), multiply(seq.factor(2), seq.factor(1)),
-            identity_matrix(2), seq.factors, *seq.items, *seq, seq.factor(1), seq.factor(2), core,
+            identity_matrix(2), seq.factors, seq.patterns, *seq.items, *seq, seq.factor(1), seq.factor(2), core,
         ]
         for array in returned:
             with pytest.raises(ValueError, match="read-only"):
@@ -165,6 +165,8 @@ class TestMultiplyApply:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
             multiply(identity_matrix(2), identity_matrix(3))
+        with pytest.raises(DimensionError, match=r"\(3, 3\) vs \(3, 4\)"):
+            multiply(np.eye(3), np.full((3, 4), 0.25))
 
     def test_apply_examples(self):
         assert np.allclose(identity_matrix(3) @ [1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
@@ -199,8 +201,19 @@ class TestDigraphOf:
 
 class TestFactorPatterns:
     def test_edge_is_any_positive_entry(self):
-        m = validated([[1.0 - 1e-300, 1e-300], [0.0, 1.0]])
-        assert factor_patterns(m[None]).tolist() == [[[1.0, 1.0], [0.0, 1.0]]]
+        # MatrixSequence.patterns, on a constructed, a parsed and a generated sequence
+        m = [[1.0 - 1e-300, 1e-300], [0.0, 1.0]]
+        edged, swap = [[True, True], [False, True]], [[False, True], [True, False]]
+        parsed = parse_sequence_text("n=2\n1 1e-300\n0 1\n\n0 1\n1 0\n\n1 1e-300\n0 1\n").to_sequence()
+        generated = generate_sequence("cycle-core", 5, 40, None, 3).to_sequence()
+        for seq in MatrixSequence([m, SWAP, m]), parsed, generated:
+            patterns = seq.patterns
+            assert patterns.dtype == bool and not patterns.flags.writeable
+            assert np.array_equal(patterns, seq.factors > 0)
+            assert seq.patterns is patterns  # formed once, on first read
+        assert len(parsed.factors) == 2  # the parser keeps distinct records only
+        for seq in MatrixSequence([m, SWAP, m]), parsed:  # the 1e-300 entry is an edge
+            assert seq.patterns[seq.word].tolist() == [edged, swap, edged]
 
 
 class TestMinPositiveEntry:
